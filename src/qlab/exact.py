@@ -4,6 +4,11 @@ Everything downstream (operator-subspace composition, kernels, orthocomplements,
 traces) reduces to exact linear algebra over the field Q(i) implemented here.
 Subspaces are kept in a canonical reduced-row-echelon form of their row-major
 vectorizations, so subspace equality is plain value equality.
+
+`GaussianRational` is the type at every function boundary.  Inside, elimination
+(`rref`), matrix products and Kronecker products scale their inputs to Gaussian
+integers over one common denominator, work on integer (re, im) pairs, and
+divide by the denominator (or the pivot) once per output entry.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -26,8 +33,10 @@ class GaussianRational:
     im: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if not isinstance(self.re, Fraction):
+            object.__setattr__(self, "re", Fraction(self.re))
+        if not isinstance(self.im, Fraction):
+            object.__setattr__(self, "im", Fraction(self.im))
 
     # -- field operations -------------------------------------------------
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -78,6 +87,28 @@ def gq(re: int | str | Fraction, im: int | str | Fraction = 0) -> GaussianRation
     return GaussianRational(Fraction(re), Fraction(im))
 
 
+def _gaussian_ints(values: Sequence[GaussianRational]) -> tuple[list[tuple[int, int]], int]:
+    """Scale to Gaussian integers over one common denominator.
+
+    Returns the integer (re, im) pairs and the denominator d, the lcm of every
+    part's denominator, with values[k] == (re_k + im_k i) / d.
+    """
+    den = lcm(*(z.re.denominator for z in values), *(z.im.denominator for z in values))
+    if den == 1:
+        return [(z.re.numerator, z.im.numerator) for z in values], 1
+    return [
+        (z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator))
+        for z in values
+    ], den
+
+
+def _over(re: int, im: int, den: int) -> GaussianRational:
+    """The Gaussian rational (re + im i) / den."""
+    if not re and not im:
+        return Q0
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
 def _frac_str(f: Fraction) -> str:
     return str(f)
 
@@ -116,18 +147,21 @@ def parse_scalar(text: str) -> GaussianRational:
     m = _SCALAR_RE.match(compact)
     if not m:
         raise ExactError(f"malformed scalar string {text!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_text = m.group("im") or m.group("im_only")
-    if im_text is None:
-        im_part = Fraction(0)
-    else:
-        body = im_text[:-1]
-        if body in ("", "+"):
-            im_part = Fraction(1)
-        elif body == "-":
-            im_part = Fraction(-1)
+    try:
+        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+        im_text = m.group("im") or m.group("im_only")
+        if im_text is None:
+            im_part = Fraction(0)
         else:
-            im_part = Fraction(body)
+            body = im_text[:-1]
+            if body in ("", "+"):
+                im_part = Fraction(1)
+            elif body == "-":
+                im_part = Fraction(-1)
+            else:
+                im_part = Fraction(body)
+    except ZeroDivisionError:
+        raise ExactError(f"zero denominator in scalar {text!r}") from None
     return GaussianRational(re_part, im_part)
 
 
@@ -213,14 +247,24 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ExactError("shape mismatch in product")
+        n, m = self.cols, other.cols
+        a, da = _gaussian_ints(self.entries)
+        b, db = _gaussian_ints(other.entries)
+        # The nonzero entries of each row of `other`, as (column, re, im).
+        b_rows = [
+            [(j, br, bi) for j, (br, bi) in enumerate(b[k * m:(k + 1) * m]) if br or bi]
+            for k in range(n)
+        ]
         out: list[GaussianRational] = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                acc = Q0
-                for k in range(self.cols):
-                    acc = acc + self.at(i, k) * other.at(k, j)
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, tuple(out))
+            acc_re, acc_im = [0] * m, [0] * m
+            for (ar, ai), b_row in zip(a[i * n:(i + 1) * n], b_rows):
+                if ar or ai:
+                    for j, br, bi in b_row:
+                        acc_re[j] += ar * br - ai * bi
+                        acc_im[j] += ar * bi + ai * br
+            out.extend(map(_over, acc_re, acc_im, repeat(da * db)))
+        return ExactMatrix(self.rows, m, tuple(out))
 
     def adjoint(self) -> "ExactMatrix":
         """Conjugate transpose."""
@@ -244,13 +288,23 @@ class ExactMatrix:
         return acc
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        n, m = self.cols, other.cols
+        a, da = _gaussian_ints(self.entries)
+        b, db = _gaussian_ints(other.entries)
+        den = da * db
+        zeros = [Q0] * m
         out: list[GaussianRational] = []
         for i in range(self.rows):
+            a_row = a[i * n:(i + 1) * n]
             for p in range(other.rows):
-                for j in range(self.cols):
-                    for q in range(other.cols):
-                        out.append(self.at(i, j) * other.at(p, q))
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, tuple(out))
+                b_row = b[p * m:(p + 1) * m]
+                for ar, ai in a_row:
+                    if ar or ai:
+                        out.extend(_over(ar * br - ai * bi, ar * bi + ai * br, den)
+                                   for br, bi in b_row)
+                    else:
+                        out.extend(zeros)
+        return ExactMatrix(self.rows * other.rows, n * m, tuple(out))
 
     def vectorize(self) -> tuple[GaussianRational, ...]:
         """Row-major flattening."""
@@ -268,42 +322,74 @@ class ExactMatrix:
 
 
 Vector = tuple[GaussianRational, ...]
+IntRow = tuple[list[int], list[int]]  # real and imaginary parts of a Gaussian-integer row
+
+
+def _primitive(re: list[int], im: list[int]) -> IntRow | None:
+    """The row divided by the gcd of all its parts; None for the zero row."""
+    g = gcd(*re, *im)
+    if g == 0:
+        return None
+    if g == 1:
+        return re, im
+    return [x // g for x in re], [y // g for y in im]
+
+
+def _clear(row: IntRow, pivot: IntRow, col: int) -> IntRow | None:
+    """Row r with r[col] cleared: primitive(p[col] r - r[col] p), where p[col] is real."""
+    re, im = row
+    fr, fi = re[col], im[col]
+    if not fr and not fi:
+        return row
+    p_re, p_im = pivot
+    g = gcd(p_re[col], fr, fi)
+    n, fr, fi = p_re[col] // g, fr // g, fi // g
+    return _primitive(
+        [n * x - fr * c + fi * d for x, c, d in zip(re, p_re, p_im)],
+        [n * y - fr * d - fi * c for y, c, d in zip(im, p_re, p_im)],
+    )
 
 
 def rref(rows: Iterable[Vector]) -> list[Vector]:
-    """Reduced row echelon form with unit pivots and zero rows dropped."""
-    work = [list(r) for r in rows]
-    if not work:
+    """Reduced row echelon form with unit pivots and zero rows dropped.
+
+    Fraction-free Gauss-Jordan elimination over Z[i]: each row is scaled to
+    Gaussian integers, a row r is cleared against the pivot row p by
+    r <- p[col] r - r[col] p, and every row is kept primitive (the gcd of its
+    parts is 1), so entries stay small.  Each pivot row is multiplied by the
+    conjugate of its pivot, which makes every pivot a real integer, and each row
+    is divided by its pivot once at the end.
+    """
+    vecs = [tuple(r) for r in rows]
+    if not vecs:
         return []
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
+    ncols = len(vecs[0])
+    if any(len(v) != ncols for v in vecs):
         raise ExactError("ragged vectors")
-    out: list[list[GaussianRational]] = []
-    pivot_cols: list[int] = []
-    col = 0
-    rest = work
-    while rest and col < ncols:
-        pivot_row = next((r for r in rest if not r[col].is_zero()), None)
-        if pivot_row is None:
-            col += 1
+    rest: list[IntRow] = []
+    for v in vecs:
+        pairs, _ = _gaussian_ints(v)
+        row = _primitive([x for x, _ in pairs], [y for _, y in pairs])
+        if row is not None:
+            rest.append(row)
+    out: list[IntRow] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        k = next((k for k, (re, im) in enumerate(rest) if re[col] or im[col]), None)
+        if k is None:
             continue
-        rest.remove(pivot_row)
-        inv = pivot_row[col]
-        pivot_row = [z / inv for z in pivot_row]
-        for r in rest:
-            if not r[col].is_zero():
-                f = r[col]
-                for k in range(col, ncols):
-                    r[k] = r[k] - f * pivot_row[k]
-        for r, pc in zip(out, pivot_cols):
-            if not r[col].is_zero():
-                f = r[col]
-                for k in range(col, ncols):
-                    r[k] = r[k] - f * pivot_row[k]
-        out.append(pivot_row)
-        pivot_cols.append(col)
-        col += 1
-    return [tuple(r) for r in out]
+        p_re, p_im = pivot = rest.pop(k)
+        a, b = p_re[col], p_im[col]
+        if b:
+            pivot = _primitive(
+                [x * a + y * b for x, y in zip(p_re, p_im)],
+                [y * a - x * b for x, y in zip(p_re, p_im)],
+            )
+        rest = [r for r in (_clear(r, pivot, col) for r in rest) if r is not None]
+        out = [_clear(r, pivot, col) for r in out]
+        out.append(pivot)
+        pivots.append(col)
+    return [tuple(map(_over, re, im, repeat(re[pc]))) for (re, im), pc in zip(out, pivots)]
 
 
 def nullspace(rows: Sequence[Vector], ncols: int) -> list[Vector]:
@@ -351,12 +437,6 @@ class OperatorSubspace:
 
     def is_full(self) -> bool:
         return self.dim == self.domain_dim * self.codomain_dim
-
-    def contains(self, m: ExactMatrix) -> bool:
-        if (m.rows, m.cols) != (self.codomain_dim, self.domain_dim):
-            return False
-        joined = canonical_basis(list(self.basis) + [m], self.domain_dim, self.codomain_dim)
-        return joined == self
 
 
 def canonical_basis(mats: Sequence[ExactMatrix], d: int, c: int) -> OperatorSubspace:

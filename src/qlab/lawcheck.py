@@ -9,9 +9,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -1022,22 +1020,12 @@ def run_suite(name: str, kind: str, seed: int = 0,
 
 
 def run_all(kind: str, seed: int = 0, quantale: FiniteQuantale | None = None,
-            suites: list[str] | None = None, samples: int = 60,
-            threads: int | None = None) -> list[SuiteReport]:
+            suites: list[str] | None = None, samples: int = 60) -> list[SuiteReport]:
     names = suites or available_suites(kind)
     for n in names:
         if n not in SUITES:
             raise ValueError(f"unknown suite {n!r}")
-    if threads is None:
-        threads = int(os.environ.get("QLAB_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda n: run_suite(n, kind, seed, quantale, samples), names
-            ))
-    else:
-        reports = [run_suite(n, kind, seed, quantale, samples) for n in names]
-    return reports
+    return [run_suite(n, kind, seed, quantale, samples) for n in names]
 
 
 def render_text(reports: list[SuiteReport]) -> str:

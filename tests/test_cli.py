@@ -1,5 +1,6 @@
 """The command-line interface: subcommands, exit codes, and deterministic output."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -190,3 +191,39 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text())["pairs"]
+
+
+def test_zero_denominator_scalar_is_input_error(tmp_path):
+    doc = json.loads(QREL_DOC)
+    doc["blocks"][0]["basis"] = [[["1/0", "0"]]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlab.cli", "compute", "--instance", "qrel",
+         "--load", f"f={bad}", "dagger(f)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "zero denominator" in proc.stderr
+
+
+# sha256 of `qlab check --instance qrel --format json --seed N`.  A change that
+# alters reports on purpose must update these digests and say so.
+QREL_REPORT_SHA256 = {
+    0: "461a119bc62e5b703bdab536a9b21dcc4413a4ffd318e7bcf53571b852e1b39b",
+    1: "6336701b2ce60416728946a3ff973555296b479cf2e43a10fa879ecbe6d9ffa2",
+    2: "9275ab0bb3908d70f24c5e1622a18a74ca3462ac42efe654a856963f1bd4a2f8",
+    3: "fd3b34d7d986fc25cacee54da90b5f90a96aed3cbffdc68cc12990d96b2d6613",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(QREL_REPORT_SHA256))
+def test_qrel_report_is_byte_identical(seed, capsys):
+    code, out, _ = run_cli(
+        ["check", "--instance", "qrel", "--seed", str(seed), "--format", "json"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QREL_REPORT_SHA256[seed]

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab.exact import (
+    Q0,
+    Q1,
     ExactError,
     ExactMatrix,
     GaussianRational,
-    OperatorSubspace,
     canonical_basis,
     commutation_matrix,
     format_scalar,
@@ -20,6 +21,7 @@ from qlab.exact import (
     kernel_intersection,
     kronecker,
     parse_scalar,
+    rref,
     span_of,
     subspace_adjoint,
     subspace_join,
@@ -151,3 +153,162 @@ def test_shape_mismatch_raises():
         canonical_basis(
             [ExactMatrix.identity(2), ExactMatrix.identity(3)], 2, 2
         )
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0 i", "2+1/0 i", "1/0-i"])
+def test_scalar_zero_denominator_is_exact_error(text):
+    with pytest.raises(ExactError, match="zero denominator"):
+        parse_scalar(text)
+
+
+# -- oracles for the Gaussian-integer kernel -------------------------------------
+#
+# Straightforward reference implementations over GaussianRational field
+# arithmetic: rref, @ and kron, which run on Gaussian integers, must return
+# exactly equal values.
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination with GaussianRational division."""
+    work = [list(r) for r in rows]
+    if not work:
+        return []
+    ncols = len(work[0])
+    out = []
+    col = 0
+    rest = work
+    while rest and col < ncols:
+        pivot_row = next((r for r in rest if not r[col].is_zero()), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        rest.remove(pivot_row)
+        inv = pivot_row[col]
+        pivot_row = [z / inv for z in pivot_row]
+        for r in rest + out:
+            if not r[col].is_zero():
+                f = r[col]
+                for k in range(col, ncols):
+                    r[k] = r[k] - f * pivot_row[k]
+        out.append(pivot_row)
+        col += 1
+    return [tuple(r) for r in out]
+
+
+def reference_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = Q0
+            for k in range(a.cols):
+                acc = acc + a.at(i, k) * b.at(k, j)
+            out.append(acc)
+    return ExactMatrix(a.rows, b.cols, tuple(out))
+
+
+def reference_kron(a, b):
+    out = []
+    for i in range(a.rows):
+        for p in range(b.rows):
+            for j in range(a.cols):
+                for q in range(b.cols):
+                    out.append(a.at(i, j) * b.at(p, q))
+    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+# Zeros, reals, pure imaginaries and general Gaussian rationals, so pivots are
+# often non-unit or purely imaginary and many entries are zero.
+entries = st.one_of(
+    st.just(Q0),
+    st.builds(GaussianRational, small, st.just(Fraction(0))),
+    st.builds(GaussianRational, st.just(Fraction(0)), small),
+    st.builds(GaussianRational, small, small),
+)
+
+
+@st.composite
+def row_sets(draw, max_rows=5, max_cols=5):
+    """Rows of one length (possibly 0), with duplicate, zero and dependent rows."""
+    ncols = draw(st.integers(0, max_cols))
+    row = st.tuples(*[entries] * ncols)
+    rows = draw(st.lists(row, max_size=max_rows))
+    extras = []
+    if rows:
+        for kind in draw(st.lists(st.sampled_from(["dup", "zero", "comb"]), max_size=3)):
+            if kind == "dup":
+                extras.append(draw(st.sampled_from(rows)))
+            elif kind == "zero":
+                extras.append((Q0,) * ncols)
+            else:
+                u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+                s, t = draw(entries), draw(entries)
+                extras.append(tuple(s * x + t * y for x, y in zip(u, v)))
+    merged = rows + extras
+    return draw(st.permutations(merged)) if merged else []
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    r = draw(st.integers(0, 4)) if rows is None else rows
+    c = draw(st.integers(0, 4)) if cols is None else cols
+    return ExactMatrix(r, c, tuple(draw(st.lists(entries, min_size=r * c, max_size=r * c))))
+
+
+def assert_rref_invariants(reduced, ncols):
+    pivots = []
+    for r in reduced:
+        assert len(r) == ncols
+        p = next(j for j, z in enumerate(r) if not z.is_zero())
+        assert r[p] == Q1
+        pivots.append(p)
+    assert pivots == sorted(set(pivots))
+    for p, r in zip(pivots, reduced):
+        for other in reduced:
+            if other is not r:
+                assert other[p] == Q0
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_sets())
+def test_rref_matches_reference(rows):
+    reduced = rref(rows)
+    assert reduced == reference_rref(rows)
+    assert_rref_invariants(reduced, len(rows[0]) if rows else 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_sets(max_rows=8, max_cols=9))
+def test_rref_matches_reference_on_long_rows(rows):
+    assert rref(rows) == reference_rref(rows)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_matmul_matches_reference(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    assert a @ b == reference_matmul(a, b)
+
+
+@settings(deadline=None)
+@given(matrices(), matrices())
+def test_kron_matches_reference(a, b):
+    assert a.kron(b) == reference_kron(a, b)
+
+
+def test_rref_empty_shapes():
+    assert rref([]) == []
+    assert rref([(), ()]) == []
+    assert rref([(Q0, Q0)]) == []
+    with pytest.raises(ExactError):
+        rref([(Q1,), (Q1, Q0)])
+
+
+def test_products_of_empty_shapes():
+    a = ExactMatrix(0, 3, ())
+    b = ExactMatrix(3, 2, (Q1,) * 6)
+    assert a @ b == ExactMatrix(0, 2, ())
+    c = ExactMatrix(2, 0, ())
+    d = ExactMatrix(0, 3, ())
+    assert c @ d == ExactMatrix.zero(2, 3)
+    assert c.kron(b) == ExactMatrix(6, 0, ())

@@ -65,12 +65,6 @@ def test_run_suite_kind_mismatch():
         run_all("rel", suites=["nosuch"])
 
 
-def test_threads_match_serial():
-    serial = run_all("rel", seed=1, samples=10, threads=1)
-    parallel = run_all("rel", seed=1, samples=10, threads=4)
-    assert [r.as_dict() for r in serial] == [r.as_dict() for r in parallel]
-
-
 def test_render_text_counts():
     reports = run_all("rel", seed=0, samples=5, suites=["dagger", "order"])
     text = render_text(reports)
