@@ -7,7 +7,6 @@ with Gaussian rational entries.
 
 from .core import (
     Check,
-    Instance,
     StructureError,
     coname_of,
     coname_inverse,

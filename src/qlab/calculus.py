@@ -1,6 +1,8 @@
 """Biproduct calculus: tuples, cotuples, direct sums, matrix elements,
-superposition sums, the distributor, and the embedding of finite sets and
-boolean relations into any instance with biproducts ("quoting").
+superposition sums, the distributor, the coherence and fullness of quoting
+(the quoting maps themselves are matr.set_to_object and
+matr.relation_to_matr), and classical structure through biproducts of the
+tensor unit.
 """
 
 from __future__ import annotations
@@ -8,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .core import Instance, is_map, is_perp
-from .finrel import BoolRelation, FiniteSet, product_set
-from .matr import MatrInstance, MatrMorphism, MatrObject
+from .core import is_perp
+from .finrel import FiniteSet, product_set
+from .matr import MatrInstance, MatrMorphism, set_to_object
 
 
 @dataclass(frozen=True)
@@ -20,12 +22,12 @@ class BiproductData:
     projections: tuple
 
 
-def biproduct_data(inst: Instance, objs: Sequence[Any]) -> BiproductData:
+def biproduct_data(inst: MatrInstance, objs: Sequence[Any]) -> BiproductData:
     total, injections, projections = inst.biproduct(objs)
     return BiproductData(total, tuple(injections), tuple(projections))
 
 
-def tuple_into(inst: Instance, data: BiproductData, fs: Sequence[Any]) -> Any:
+def tuple_into(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> Any:
     """<f_k> : X -> (+) Y_k, the sup of i_k o f_k."""
     if len(fs) != len(data.injections):
         raise ValueError("one component morphism per summand")
@@ -34,7 +36,7 @@ def tuple_into(inst: Instance, data: BiproductData, fs: Sequence[Any]) -> Any:
     return inst.sup(parts, src, data.total)
 
 
-def cotuple_from(inst: Instance, data: BiproductData, fs: Sequence[Any]) -> Any:
+def cotuple_from(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> Any:
     """[f_k] : (+) X_k -> Y, the sup of f_k o p_k."""
     if len(fs) != len(data.projections):
         raise ValueError("one component morphism per summand")
@@ -43,14 +45,14 @@ def cotuple_from(inst: Instance, data: BiproductData, fs: Sequence[Any]) -> Any:
     return inst.sup(parts, data.total, tgt)
 
 
-def delta(inst: Instance, x: Any) -> tuple[Any, BiproductData]:
+def delta(inst: MatrInstance, x: Any) -> tuple[Any, BiproductData]:
     """The diagonal <id, id> : X -> X (+) X."""
     data = biproduct_data(inst, [x, x])
     one = inst.identity(x)
     return tuple_into(inst, data, [one, one]), data
 
 
-def nabla(inst: Instance, x: Any) -> tuple[Any, BiproductData]:
+def nabla(inst: MatrInstance, x: Any) -> tuple[Any, BiproductData]:
     """The codiagonal [id, id] : X (+) X -> X."""
     data = biproduct_data(inst, [x, x])
     one = inst.identity(x)
@@ -58,7 +60,7 @@ def nabla(inst: Instance, x: Any) -> tuple[Any, BiproductData]:
 
 
 def direct_sum(
-    inst: Instance, fs: Sequence[Any]
+    inst: MatrInstance, fs: Sequence[Any]
 ) -> tuple[Any, BiproductData, BiproductData]:
     """(+) f_k together with the source and target biproduct data."""
     src = biproduct_data(inst, [inst.source(f) for f in fs])
@@ -70,12 +72,12 @@ def direct_sum(
     return inst.sup(parts, src.total, tgt.total), src, tgt
 
 
-def matrix_element(inst: Instance, f: Any, p: Any, i: Any) -> Any:
+def matrix_element(inst: MatrInstance, f: Any, p: Any, i: Any) -> Any:
     """p_l o f o i_k, the (k, l) entry of f against biproduct data."""
     return inst.compose(p, inst.compose(f, i))
 
 
-def superposition_sum(inst: Instance, f: Any, g: Any) -> Any:
+def superposition_sum(inst: MatrInstance, f: Any, g: Any) -> Any:
     """nabla o (f (+) g) o delta, which coincides with the join f v g."""
     d, _ = delta(inst, inst.source(f))
     n, _ = nabla(inst, inst.target(f))
@@ -84,7 +86,7 @@ def superposition_sum(inst: Instance, f: Any, g: Any) -> Any:
 
 
 def distributor(
-    inst: Instance, x: Any, ys: Sequence[Any]
+    inst: MatrInstance, x: Any, ys: Sequence[Any]
 ) -> tuple[Any, BiproductData, BiproductData]:
     """The canonical iso (+) (X (x) Y_k) -> X (x) ((+) Y_k).
 
@@ -98,28 +100,13 @@ def distributor(
     return cotuple_from(inst, outer, comps), outer, inner
 
 
-# -- quoting finite sets and boolean relations ----------------------------------
-
-def quote_object(inst: MatrInstance, a: FiniteSet) -> MatrObject:
-    """A finite set as the |A|-fold biproduct of the tensor unit."""
-    unit = inst.base.unit_obj()
-    return inst.obj([(lab, unit) for lab in a.labels])
-
-
-def quote_morphism(inst: MatrInstance, r: BoolRelation) -> MatrMorphism:
-    """A boolean relation as a matrix of identity cells."""
-    src = quote_object(inst, r.source)
-    tgt = quote_object(inst, r.target)
-    unit = inst.base.unit_obj()
-    blocks = {pair: inst.base.identity(unit) for pair in r.pairs}
-    return inst.mor(src, tgt, blocks)
-
+# -- quoting: coherence and fullness ---------------------------------------------
 
 def quote_product_cell(inst: MatrInstance, a: FiniteSet, b: FiniteSet) -> MatrMorphism:
     """The coherence iso quote(A) (x) quote(B) -> quote(A x B)."""
-    src = inst.tensor_obj(quote_object(inst, a), quote_object(inst, b))
+    src = inst.tensor_obj(set_to_object(inst, a), set_to_object(inst, b))
     ab = product_set(a, b)
-    tgt = quote_object(inst, ab)
+    tgt = set_to_object(inst, ab)
     unit = inst.base.unit_obj()
     cell = inst.base.lunit_cell(unit)
     blocks = {((x, y), (x, y)): cell for x in a.labels for y in b.labels}
@@ -130,17 +117,6 @@ def quote_is_full(inst: MatrInstance) -> bool:
     """Quoting is full exactly when the instance has just the two trivial scalars."""
     scalars = inst.scalars()
     return scalars is not None and len(scalars) == 2
-
-
-def unquote_morphism(inst: MatrInstance, f: MatrMorphism) -> BoolRelation:
-    """The boolean relation of non-bottom entries of a matrix of scalars.
-
-    Inverse to quoting on its image; for instances with exactly two scalars
-    it inverts quoting on every hom between quoted sets.
-    """
-    src = FiniteSet(f.source.labels)
-    tgt = FiniteSet(f.target.labels)
-    return BoolRelation(src, tgt, frozenset(key for key, _ in f.blocks))
 
 
 # -- classical structure through biproducts of the unit -------------------------
@@ -169,19 +145,19 @@ def is_map_onto_quoted_set(
     return inst.equal(total, inst.top(src, unit))
 
 
-def omega_data(inst: Instance) -> BiproductData:
+def omega_data(inst: MatrInstance) -> BiproductData:
     """The classical truth-value object I (+) I."""
     unit = inst.unit_obj()
     return biproduct_data(inst, [unit, unit])
 
 
-def test_from_map(inst: Instance, data: BiproductData, f: Any) -> Any:
+def test_from_map(inst: MatrInstance, data: BiproductData, f: Any) -> Any:
     """Maps X -> I (+) I correspond to effects X -> I by projecting on 'true'."""
     return inst.compose(data.projections[1], f)
 
 
 def map_from_test(
-    inst: Instance, data: BiproductData, r: Any, complement: Callable[[Any], Any]
+    inst: MatrInstance, data: BiproductData, r: Any, complement: Callable[[Any], Any]
 ) -> Any:
     """The inverse correspondence: pair the complement with the effect."""
     return tuple_into(inst, data, [complement(r), r])

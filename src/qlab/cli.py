@@ -20,12 +20,25 @@ import json
 import sys
 from pathlib import Path
 
-from . import calculus, core, lawcheck, power as power_mod, qrel as qrel_mod, serialize
+from . import calculus, core, lawcheck, qrel as qrel_mod, serialize
 from .exact import ExactError
-from .finrel import FinRelError
-from .matr import MatrError, qrel_instance, rel_instance, vrel_instance
+from .finrel import FinRelError, powerset_adjoint
+from .matr import (
+    MatrError,
+    boolean_complement,
+    qrel_instance,
+    rel_instance,
+    relation_to_matr,
+    vrel_instance,
+)
 from .orders import OrderError
-from .quantale import BUILTIN_QUANTALES, FiniteQuantale, QuantaleError, validate_quantale
+from .quantale import (
+    BUILTIN_QUANTALES,
+    FiniteQuantale,
+    QuantaleError,
+    v_power_adjoint,
+    validate_quantale,
+)
 
 INPUT_ERRORS = (
     serialize.SerializeError,
@@ -237,6 +250,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if args.instance != "qrel":
+        raise CliError("kernel is defined for the qrel instance")
     inst = qrel_instance()
     f = serialize.qrelation_from_json(inst, _read_json(args.relation))
     kernel, inclusion = qrel_mod.dagger_kernel([f])
@@ -252,11 +267,7 @@ def cmd_neg(args) -> int:
     inst = _instance(args.instance, args.quantale)
     f = serialize.morphism_from_json(args.instance, inst, _read_json(args.relation))
     if args.instance == "rel":
-        unit = inst.base.quantale.unit
-        keys = {
-            (a, b) for a, _ in f.source.components for b, _ in f.target.components
-        } - {k for k, _ in f.blocks}
-        result = inst.mor(f.source, f.target, {k: unit for k in keys})
+        result = boolean_complement(inst, f)
     elif args.instance == "qrel":
         result = qrel_mod.orthocomplement(f)
     else:
@@ -269,7 +280,7 @@ def cmd_power(args) -> int:
     doc = _read_json(args.object)
     if args.instance == "rel":
         a = serialize.set_from_json(doc)
-        data = power_mod.powerset_adjoint(a)
+        data = powerset_adjoint(a)
         out = {
             "power": serialize.set_to_json(data.power),
             "membership": serialize.relation_to_json(data.membership),
@@ -278,7 +289,7 @@ def cmd_power(args) -> int:
     elif args.instance == "vrel":
         q = _load_quantale(args.quantale)
         a = serialize.set_from_json(doc)
-        data = power_mod.v_power_adjoint(q, a)
+        data = v_power_adjoint(q, a)
         out = {
             "power": serialize.set_to_json(data.power),
             "omega": serialize.set_to_json(data.omega),
@@ -304,7 +315,7 @@ def cmd_embed(args) -> int:
     if args.instance == "rel":
         raise CliError("embed targets the vrel or qrel instance")
     inst = _instance(args.instance, args.quantale)
-    result = calculus.quote_morphism(inst, r)
+    result = relation_to_matr(inst, r)
     _emit(args, serialize.morphism_to_json(args.instance, inst, result))
     return 0
 

@@ -1,115 +1,22 @@
-"""The contract every concrete category instance implements, plus the
-instance-generic morphism predicates and the compact-closed calculus.
+"""Instance-generic morphism predicates and the compact-closed calculus.
 
-An instance supplies ordered homsets with sups, composition, dagger, and
-optionally monoidal / compact / biproduct structure.  Everything here is
-written against that contract only, so the same predicate code runs on
-boolean relations, quantale-valued relations and quantum relations.
+Everything here is written against `MatrInstance`, the matrix completion
+that carries all three instances, and uses only its dagger compact
+quantaloid structure (composition, dagger, sups, tensor, duals), so the
+same predicate code runs on boolean relations, quantale-valued relations
+and quantum relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
+
+from .matr import MatrInstance
 
 
 class StructureError(ValueError):
-    """An operation needs structure (monoidal, compact, ...) the instance lacks."""
-
-
-class Instance:
-    """Abstract dagger quantaloid instance.
-
-    Morphisms are opaque values; the instance knows how to read off their
-    source and target.  Optional structure is flagged by the has_* attributes.
-    """
-
-    name: str = "instance"
-    has_monoidal = False
-    has_compact = False
-    has_biproducts = False
-
-    # -- required ----------------------------------------------------------
-    def compose(self, g: Any, f: Any) -> Any:
-        raise NotImplementedError
-
-    def identity(self, x: Any) -> Any:
-        raise NotImplementedError
-
-    def dagger(self, f: Any) -> Any:
-        raise NotImplementedError
-
-    def sup(self, fs: Sequence[Any], src: Any, tgt: Any) -> Any:
-        raise NotImplementedError
-
-    def meet2(self, f: Any, g: Any) -> Any:
-        raise NotImplementedError
-
-    def top(self, src: Any, tgt: Any) -> Any:
-        raise NotImplementedError
-
-    def source(self, f: Any) -> Any:
-        raise NotImplementedError
-
-    def target(self, f: Any) -> Any:
-        raise NotImplementedError
-
-    # -- derived -----------------------------------------------------------
-    def bottom(self, src: Any, tgt: Any) -> Any:
-        return self.sup([], src, tgt)
-
-    def join2(self, f: Any, g: Any) -> Any:
-        return self.sup([f, g], self.source(f), self.target(f))
-
-    def leq(self, f: Any, g: Any) -> bool:
-        return self.equal(self.join2(f, g), g)
-
-    def equal(self, f: Any, g: Any) -> bool:
-        return f == g
-
-    # -- optional monoidal ---------------------------------------------------
-    def tensor_obj(self, x: Any, y: Any) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    def tensor_mor(self, f: Any, g: Any) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    def unit_obj(self) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    def assoc(self, x: Any, y: Any, z: Any) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    def lunit(self, x: Any) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    def runit(self, x: Any) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    def symm(self, x: Any, y: Any) -> Any:
-        raise StructureError(f"{self.name} has no monoidal structure")
-
-    # -- optional compact -------------------------------------------------------
-    def dual_obj(self, x: Any) -> Any:
-        raise StructureError(f"{self.name} has no compact structure")
-
-    def eta(self, x: Any) -> Any:
-        raise StructureError(f"{self.name} has no compact structure")
-
-    def epsilon(self, x: Any) -> Any:
-        raise StructureError(f"{self.name} has no compact structure")
-
-    # -- optional biproducts -------------------------------------------------------
-    def biproduct(self, objs: Sequence[Any]) -> tuple[Any, list[Any], list[Any]]:
-        raise StructureError(f"{self.name} has no biproducts")
-
-    # -- optional enumeration --------------------------------------------------------
-    def enum_hom(self, src: Any, tgt: Any):
-        """All morphisms src -> tgt, or None when the homset is not enumerable."""
-        return None
-
-    def scalars(self):
-        return self.enum_hom(self.unit_obj(), self.unit_obj())
+    """An operation got a morphism of the wrong shape, e.g. a trace of a non-endomorphism."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +40,7 @@ OK = Check(True)
 
 # -- morphism predicates ------------------------------------------------------------
 
-def is_map(inst: Instance, f: Any) -> Check:
+def is_map(inst: MatrInstance, f: Any) -> Check:
     x, y = inst.source(f), inst.target(f)
     fd = inst.dagger(f)
     left = inst.compose(fd, f)
@@ -145,28 +52,28 @@ def is_map(inst: Instance, f: Any) -> Check:
     return OK
 
 
-def is_injective(inst: Instance, f: Any) -> Check:
+def is_injective(inst: MatrInstance, f: Any) -> Check:
     m = is_map(inst, f)
     if not m:
         return m
     return is_dagger_mono(inst, f)
 
 
-def is_surjective(inst: Instance, f: Any) -> Check:
+def is_surjective(inst: MatrInstance, f: Any) -> Check:
     m = is_map(inst, f)
     if not m:
         return m
     return is_dagger_epi(inst, f)
 
 
-def is_bijective(inst: Instance, f: Any) -> Check:
+def is_bijective(inst: MatrInstance, f: Any) -> Check:
     m = is_injective(inst, f)
     if not m:
         return m
     return is_surjective(inst, f)
 
 
-def is_dagger_mono(inst: Instance, f: Any) -> Check:
+def is_dagger_mono(inst: MatrInstance, f: Any) -> Check:
     x = inst.source(f)
     c = inst.compose(inst.dagger(f), f)
     if not inst.equal(c, inst.identity(x)):
@@ -174,7 +81,7 @@ def is_dagger_mono(inst: Instance, f: Any) -> Check:
     return OK
 
 
-def is_dagger_epi(inst: Instance, f: Any) -> Check:
+def is_dagger_epi(inst: MatrInstance, f: Any) -> Check:
     y = inst.target(f)
     c = inst.compose(f, inst.dagger(f))
     if not inst.equal(c, inst.identity(y)):
@@ -182,14 +89,14 @@ def is_dagger_epi(inst: Instance, f: Any) -> Check:
     return OK
 
 
-def is_dagger_iso(inst: Instance, f: Any) -> Check:
+def is_dagger_iso(inst: MatrInstance, f: Any) -> Check:
     m = is_dagger_mono(inst, f)
     if not m:
         return m
     return is_dagger_epi(inst, f)
 
 
-def is_projection(inst: Instance, f: Any) -> Check:
+def is_projection(inst: MatrInstance, f: Any) -> Check:
     if not inst.equal(inst.dagger(f), f):
         return _fail("f = dagger(f)", f)
     sq = inst.compose(f, f)
@@ -198,7 +105,7 @@ def is_projection(inst: Instance, f: Any) -> Check:
     return OK
 
 
-def endorelation_class(inst: Instance, r: Any) -> frozenset[str]:
+def endorelation_class(inst: MatrInstance, r: Any) -> frozenset[str]:
     """The set of endorelation flags the morphism satisfies."""
     x = inst.source(r)
     if x != inst.target(r):
@@ -227,24 +134,23 @@ def endorelation_class(inst: Instance, r: Any) -> frozenset[str]:
             flags.add("equivalence")
     if {"symmetric", "idempotent"} <= flags:
         flags.add("projection")
-    if inst.has_compact and inst.has_monoidal:
-        unit = inst.unit_obj()
-        if inst.equal(trace_of(inst, r), inst.bottom(unit, unit)):
-            flags.add("irreflexive")
+    unit = inst.unit_obj()
+    if inst.equal(trace_of(inst, r), inst.bottom(unit, unit)):
+        flags.add("irreflexive")
     return frozenset(flags)
 
 
-def is_nondegenerate(inst: Instance) -> bool:
+def is_nondegenerate(inst: MatrInstance) -> bool:
     unit = inst.unit_obj()
     return not inst.equal(inst.identity(unit), inst.bottom(unit, unit))
 
 
-def is_affine(inst: Instance) -> bool:
+def is_affine(inst: MatrInstance) -> bool:
     unit = inst.unit_obj()
     return inst.equal(inst.identity(unit), inst.top(unit, unit))
 
 
-def scalar_mul(inst: Instance, s: Any, f: Any) -> Any:
+def scalar_mul(inst: MatrInstance, s: Any, f: Any) -> Any:
     """s . f for a scalar s : I -> I."""
     x, y = inst.source(f), inst.target(f)
     lam_x = inst.lunit(x)
@@ -254,21 +160,21 @@ def scalar_mul(inst: Instance, s: Any, f: Any) -> Any:
 
 # -- compact-closed calculus --------------------------------------------------------------
 
-def name_of(inst: Instance, f: Any) -> Any:
+def name_of(inst: MatrInstance, f: Any) -> Any:
     """The name of f : X -> Y, a morphism I -> X* (x) Y."""
     x = inst.source(f)
     xd = inst.dual_obj(x)
     return inst.compose(inst.tensor_mor(inst.identity(xd), f), inst.eta(x))
 
 
-def coname_of(inst: Instance, f: Any) -> Any:
+def coname_of(inst: MatrInstance, f: Any) -> Any:
     """The coname of f : X -> Y, a morphism X (x) Y* -> I."""
     y = inst.target(f)
     yd = inst.dual_obj(y)
     return inst.compose(inst.epsilon(y), inst.tensor_mor(f, inst.identity(yd)))
 
 
-def name_inverse(inst: Instance, h: Any, x: Any, y: Any) -> Any:
+def name_inverse(inst: MatrInstance, h: Any, x: Any, y: Any) -> Any:
     """Recover f : X -> Y from its name h : I -> X* (x) Y."""
     xd = inst.dual_obj(x)
     idx = inst.identity(x)
@@ -281,7 +187,7 @@ def name_inverse(inst: Instance, h: Any, x: Any, y: Any) -> Any:
     return inst.compose(inst.lunit(y), step)
 
 
-def coname_inverse(inst: Instance, k: Any, x: Any, y: Any) -> Any:
+def coname_inverse(inst: MatrInstance, k: Any, x: Any, y: Any) -> Any:
     """Recover f : X -> Y from its coname k : X (x) Y* -> I."""
     yd = inst.dual_obj(y)
     idx = inst.identity(x)
@@ -294,7 +200,7 @@ def coname_inverse(inst: Instance, k: Any, x: Any, y: Any) -> Any:
     return inst.compose(inst.lunit(y), step)
 
 
-def star_of(inst: Instance, f: Any) -> Any:
+def star_of(inst: MatrInstance, f: Any) -> Any:
     """The transpose f* : Y* -> X*."""
     x, y = inst.source(f), inst.target(f)
     xd, yd = inst.dual_obj(x), inst.dual_obj(y)
@@ -308,7 +214,7 @@ def star_of(inst: Instance, f: Any) -> Any:
     return inst.compose(inst.runit(xd), step)
 
 
-def trace_of(inst: Instance, f: Any) -> Any:
+def trace_of(inst: MatrInstance, f: Any) -> Any:
     """The categorical trace of an endomorphism, a scalar I -> I."""
     x = inst.source(f)
     if x != inst.target(f):
@@ -320,19 +226,13 @@ def trace_of(inst: Instance, f: Any) -> Any:
     )
 
 
-def dimension_of(inst: Instance, x: Any) -> Any:
+def dimension_of(inst: MatrInstance, x: Any) -> Any:
     return trace_of(inst, inst.identity(x))
 
 
-def is_perp(inst: Instance, r: Any, s: Any) -> bool:
+def is_perp(inst: MatrInstance, r: Any, s: Any) -> bool:
     """Trace orthogonality of parallel morphisms."""
     unit = inst.unit_obj()
     t = trace_of(inst, inst.compose(r, inst.dagger(s)))
     return inst.equal(t, inst.bottom(unit, unit))
 
-
-def maps_compose_check(inst: Instance, f: Any, g: Any) -> Check:
-    """Composites of maps are maps."""
-    if not (is_map(inst, f) and is_map(inst, g)):
-        return _fail("inputs are maps", f, g)
-    return is_map(inst, inst.compose(g, f))

@@ -435,9 +435,6 @@ class OperatorSubspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def is_full(self) -> bool:
-        return self.dim == self.domain_dim * self.codomain_dim
-
 
 def canonical_basis(mats: Sequence[ExactMatrix], d: int, c: int) -> OperatorSubspace:
     """The span of the given c x d matrices, in canonical form."""
@@ -511,23 +508,6 @@ def hs_orthocomplement(v: OperatorSubspace) -> OperatorSubspace:
     return OperatorSubspace(
         v.domain_dim, v.codomain_dim,
         tuple(ExactMatrix.from_vector(x, v.codomain_dim, v.domain_dim) for x in vecs),
-    )
-
-
-def kernel_intersection(v: OperatorSubspace) -> OperatorSubspace:
-    """The largest subspace K of the domain with r K = 0 for every r in v.
-
-    Returned as a subspace of the domain, i.e. matrices C -> domain whose
-    columns span K.
-    """
-    rows: list[Vector] = []
-    for m in v.basis:
-        for i in range(m.rows):
-            rows.append(m.row(i))
-    vecs = nullspace(rows, v.domain_dim)
-    return OperatorSubspace(
-        1, v.domain_dim,
-        tuple(ExactMatrix.from_vector(x, v.domain_dim, 1) for x in vecs),
     )
 
 

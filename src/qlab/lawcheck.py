@@ -14,20 +14,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import calculus, core, orders, power, qrel
-from .exact import ExactMatrix, GaussianRational, canonical_basis, gq, span_of
+from .exact import ExactMatrix, canonical_basis, gq
 from .finrel import (
     BoolRelation,
-    FiniteSet,
     all_functions,
     all_relations,
+    curry,
+    downset_adjoint,
+    exponential_via_power,
     fset,
     is_equivalence,
     is_per,
     is_preorder,
+    powerset_adjoint,
     product_set,
 )
 from .matr import (
     MatrInstance,
+    boolean_complement,
     matr_to_relation,
     matr_to_vrelation,
     qrel_instance,
@@ -38,7 +42,6 @@ from .matr import (
     vrelation_to_matr,
 )
 from .quantale import (
-    BUILTIN_QUANTALES,
     FiniteQuantale,
     VRelation,
     all_vrelations,
@@ -47,7 +50,7 @@ from .quantale import (
     chain_min_quantale,
     circ_embed,
     lukasiewicz3_quantale,
-    validate_quantale,
+    v_power_adjoint,
 )
 
 
@@ -567,7 +570,7 @@ def suite_vrel_embedding(ctx: Context) -> list:
             functorial.record(es.compose(er) == circ_embed(q, s.compose(r)))
         functorial.record(er.dagger() == circ_embed(q, r.dagger()))
         quote_match.record(
-            vrelation_to_matr(inst, er) == calculus.quote_morphism(inst, r)
+            vrelation_to_matr(inst, er) == relation_to_matr(inst, r)
         )
     functorial.record(
         circ_embed(q, BoolRelation(a, a, frozenset((x, x) for x in a)))
@@ -609,28 +612,28 @@ def suite_quote(ctx: Context) -> list:
     seen = set()
     rels = list(all_relations(a, b))
     for r in rels:
-        qr = calculus.quote_morphism(inst, r)
+        qr = relation_to_matr(inst, r)
         seen.add(qr)
         for s in list(all_relations(b, a))[:6]:
-            qs = calculus.quote_morphism(inst, s)
+            qs = relation_to_matr(inst, s)
             functorial.record(
                 inst.equal(inst.compose(qs, qr),
-                           calculus.quote_morphism(inst, s.compose(r)))
+                           relation_to_matr(inst, s.compose(r)))
             )
         functorial.record(
-            inst.equal(inst.dagger(qr), calculus.quote_morphism(inst, r.dagger()))
+            inst.equal(inst.dagger(qr), relation_to_matr(inst, r.dagger()))
         )
     ida = BoolRelation(a, a, frozenset((x, x) for x in a))
     functorial.record(
-        inst.equal(calculus.quote_morphism(inst, ida),
-                   inst.identity(calculus.quote_object(inst, a)))
+        inst.equal(relation_to_matr(inst, ida),
+                   inst.identity(set_to_object(inst, a)))
     )
     for r, s in zip(rels, rels[1:]):
         functorial.record(
             inst.equal(
-                inst.join2(calculus.quote_morphism(inst, r),
-                           calculus.quote_morphism(inst, s)),
-                calculus.quote_morphism(inst, r.join(s)),
+                inst.join2(relation_to_matr(inst, r),
+                           relation_to_matr(inst, s)),
+                relation_to_matr(inst, r.join(s)),
             )
         )
     faithful.record(len(seen) == len(rels))
@@ -638,22 +641,22 @@ def suite_quote(ctx: Context) -> list:
     expecting_full = scalars is not None and len(scalars) == 2
     full.record(calculus.quote_is_full(inst) == expecting_full)
     if expecting_full:
-        qa, qb = calculus.quote_object(inst, a), calculus.quote_object(inst, b)
+        qa, qb = set_to_object(inst, a), set_to_object(inst, b)
         hom = inst.enum_hom(qa, qb)
-        img = {calculus.quote_morphism(inst, r) for r in rels}
+        img = {relation_to_matr(inst, r) for r in rels}
         full.record(set(hom) == img, "quoted image differs from the full homset")
     phi = calculus.quote_product_cell(inst, a, b)
     coherence.record(core.is_dagger_iso(inst, phi).ok)
     r0 = BoolRelation(a, a, frozenset([("0", "1")]))
     s0 = BoolRelation(b, b, frozenset([("x", "x"), ("y", "x")]))
     lhs = inst.compose(
-        calculus.quote_morphism(inst, r0.times(s0)),
+        relation_to_matr(inst, r0.times(s0)),
         calculus.quote_product_cell(inst, a, b),
     )
     rhs = inst.compose(
         calculus.quote_product_cell(inst, a, b),
-        inst.tensor_mor(calculus.quote_morphism(inst, r0),
-                        calculus.quote_morphism(inst, s0)),
+        inst.tensor_mor(relation_to_matr(inst, r0),
+                        relation_to_matr(inst, s0)),
     )
     coherence.record(inst.equal(lhs, rhs), "naturality square")
     return [functorial, faithful, full, coherence]
@@ -881,27 +884,19 @@ def suite_downsets(ctx: Context) -> list:
     )
     p = orders.preordered(inst, x, chain)
     om = orders.omega_order(inst)
-    unit = inst.unit_obj()
-
-    def complement(r):
-        top = inst.top(inst.source(r), unit)
-        keys = set(k for k, _ in top.blocks) - set(k for k, _ in r.blocks)
-        return inst.mor(inst.source(r), unit,
-                        {k: inst.base.quantale.unit for k in keys})
-
     downsets = []
-    for r in inst.enum_hom(x, unit):
+    for r in inst.enum_hom(x, inst.unit_obj()):
         if orders.is_downset_relation(inst, p, r):
             downsets.append(r)
-            f = orders.downset_to_monotone_map(inst, om, p, r, complement)
+            f = orders.downset_to_monotone_map(
+                inst, om, p, r, lambda r: boolean_complement(inst, r)
+            )
             ok = (
                 core.is_map(inst, f).ok
                 and orders.is_monotone_map(inst, p, om.ordered, f)
                 and inst.equal(orders.monotone_map_to_downset(inst, om, f), r)
             )
             bij.record(ok, repr(r))
-    from .finrel import downset_adjoint
-
     data = downset_adjoint(a, matr_to_relation(chain))
     oracle.record(
         len(downsets) == len(data.downsets),
@@ -919,8 +914,8 @@ def suite_power(ctx: Context) -> list:
     expo = _res("power", "exponentials reconstructed from the power object, with currying")
     a = fset("a", "b")
     xset = fset("x", "y")
-    data = power.powerset_adjoint(xset)
-    data_a = power.powerset_adjoint(a)
+    data = powerset_adjoint(xset)
+    data_a = powerset_adjoint(a)
     for v in all_relations(a, xset):
         adj.record(power.power_counit_check(data, v), repr(sorted(v.pairs)))
         adj.record(power.power_uniqueness_check(data, v), repr(sorted(v.pairs)))
@@ -930,9 +925,9 @@ def suite_power(ctx: Context) -> list:
         quoted.record(power.quoted_power_check(inst, qp, v), repr(sorted(v.pairs)))
     yset = fset(0, 1)
     z = fset("z",)
-    ed = power.exponential_via_power(xset, yset)
+    ed = exponential_via_power(xset, yset)
     for f in all_functions(product_set(z, xset), yset):
-        g = power.curry(ed, f)
+        g = curry(ed, f)
         ok = g.is_function()
         for zz in z:
             gz = g.apply(zz)
@@ -949,7 +944,7 @@ def suite_v_power(ctx: Context) -> list:
     omega_law = _res("v-power", "the truth-value effect evaluates predicates pointwise")
     a = fset("a",)
     xset = fset("x", "y")
-    data = power.v_power_adjoint(q, xset)
+    data = v_power_adjoint(q, xset)
     rels = list(all_vrelations(q, a, xset))
     cap = min(len(rels), 80)
     for v in ctx.rng.sample(rels, cap):
@@ -993,7 +988,7 @@ def suite_classical_maps(ctx: Context) -> list:
     crit = _res("classical-maps", "maps onto a quoted set are the orthogonal total tuples")
     a = fset("p", "q")
     data = calculus.biproduct_data(inst, [
-        calculus.quote_object(inst, fset(lab)) for lab in a.labels
+        set_to_object(inst, fset(lab)) for lab in a.labels
     ])
     x = ctx.some_objects(2)[1]
     for f in ctx.homs(x, data.total, 60):

@@ -4,10 +4,18 @@ Objects are finite indexed families of base objects; morphisms are matrices
 of base morphisms composed by sup-of-composites.  The dagger, order, monoidal,
 compact and biproduct structure all lift blockwise from the base.
 
-Three bases are provided:
+Two bases give the three instances:
   * QuantaleBase over the boolean quantale -> the category of relations,
   * QuantaleBase over any finite quantale -> quantale-valued relations,
   * FdOSBase (operator subspaces between finite dimensions) -> quantum relations.
+Both answer the same calls.  Base objects are hashable, base morphisms have a
+canonical equality, and sup, bottom and top take explicit source and target
+objects since base morphisms need not know their own type.
+
+Quoting also lives here: a finite set becomes a biproduct of copies of the
+tensor unit, and a boolean relation a matrix of identity cells, in any of
+the three instances; the conversions to and from the direct models of
+finrel and quantale follow.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .core import Instance, StructureError
 from .exact import (
     ExactMatrix,
     OperatorSubspace,
@@ -39,84 +46,11 @@ class MatrError(ValueError):
     pass
 
 
-class BaseQuantaloid:
-    """The structure a base must provide for the matrix completion.
-
-    Base objects are hashable values; base morphisms are values with a
-    canonical equality.  Sups, bottom and top take explicit source/target
-    objects since base morphisms need not know their own type.
-    """
-
-    name = "base"
-
-    def compose(self, g: Any, f: Any) -> Any:
-        raise NotImplementedError
-
-    def identity(self, b: Any) -> Any:
-        raise NotImplementedError
-
-    def dagger(self, m: Any) -> Any:
-        raise NotImplementedError
-
-    def sup(self, ms: Sequence[Any], src: Any, tgt: Any) -> Any:
-        raise NotImplementedError
-
-    def leq(self, m1: Any, m2: Any) -> bool:
-        raise NotImplementedError
-
-    def meet(self, m1: Any, m2: Any) -> Any:
-        raise NotImplementedError
-
-    def bottom(self, src: Any, tgt: Any) -> Any:
-        return self.sup([], src, tgt)
-
-    def top(self, src: Any, tgt: Any) -> Any:
-        raise NotImplementedError
-
-    def is_bottom(self, m: Any, src: Any, tgt: Any) -> bool:
-        return m == self.bottom(src, tgt)
-
-    # monoidal / compact
-    def tensor_obj(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def tensor_mor(self, m: Any, n: Any) -> Any:
-        raise NotImplementedError
-
-    def unit_obj(self) -> Any:
-        raise NotImplementedError
-
-    def assoc_cell(self, a: Any, b: Any, c: Any) -> Any:
-        raise NotImplementedError
-
-    def lunit_cell(self, a: Any) -> Any:
-        raise NotImplementedError
-
-    def runit_cell(self, a: Any) -> Any:
-        raise NotImplementedError
-
-    def symm_cell(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def dual_obj(self, a: Any) -> Any:
-        raise NotImplementedError
-
-    def eta_cell(self, a: Any) -> Any:
-        raise NotImplementedError
-
-    def epsilon_cell(self, a: Any) -> Any:
-        raise NotImplementedError
-
-    def enum_hom(self, src: Any, tgt: Any):
-        return None
-
-
-class QuantaleBase(BaseQuantaloid):
+class QuantaleBase:
     """One-object base whose endomorphisms form a commutative finite quantale."""
 
     def __init__(self, quantale: FiniteQuantale):
         self.quantale = quantale
-        self.name = f"quantale-base({len(quantale.elements)})"
 
     def __eq__(self, other):
         return isinstance(other, QuantaleBase) and self.quantale == other.quantale
@@ -142,8 +76,14 @@ class QuantaleBase(BaseQuantaloid):
     def meet(self, m1, m2):
         return self.quantale.meet(m1, m2)
 
+    def bottom(self, src, tgt):
+        return self.quantale.bottom
+
     def top(self, src, tgt):
         return self.quantale.top
+
+    def is_bottom(self, m, src, tgt):
+        return m == self.quantale.bottom
 
     def tensor_obj(self, a, b):
         return "*"
@@ -184,11 +124,9 @@ def _vec_identity_column(n: int) -> ExactMatrix:
     return ExactMatrix.from_vector(vec, n * n, 1)
 
 
-class FdOSBase(BaseQuantaloid):
+class FdOSBase:
     """Base for quantum relations: objects are positive dimensions, morphisms
     are operator subspaces between the corresponding matrix spaces."""
-
-    name = "fdos-base"
 
     def __eq__(self, other):
         return isinstance(other, FdOSBase)
@@ -216,6 +154,9 @@ class FdOSBase(BaseQuantaloid):
 
     def meet(self, m1, m2):
         return subspace_meet(m1, m2)
+
+    def bottom(self, src, tgt):
+        return zero_subspace(src, tgt)
 
     def top(self, src, tgt):
         return full_subspace(src, tgt)
@@ -263,7 +204,7 @@ class FdOSBase(BaseQuantaloid):
 class MatrObject:
     """A finite indexed family of base objects."""
 
-    base: BaseQuantaloid
+    base: QuantaleBase | FdOSBase
     components: tuple  # tuple of (label, base object)
 
     def __post_init__(self):
@@ -310,14 +251,10 @@ class MatrMorphism:
         )
 
 
-class MatrInstance(Instance):
+class MatrInstance:
     """The dagger compact quantaloid of matrices over a base."""
 
-    has_monoidal = True
-    has_compact = True
-    has_biproducts = True
-
-    def __init__(self, base: BaseQuantaloid, name: str = "matr"):
+    def __init__(self, base: QuantaleBase | FdOSBase, name: str = "matr"):
         self.base = base
         self.name = name
 
@@ -388,6 +325,15 @@ class MatrInstance(Instance):
             if key in gmap:
                 blocks[key] = self.base.meet(m, gmap[key])
         return self.mor(f.source, f.target, blocks)
+
+    def bottom(self, src: MatrObject, tgt: MatrObject) -> MatrMorphism:
+        return self.mor(src, tgt, {})
+
+    def join2(self, f: MatrMorphism, g: MatrMorphism) -> MatrMorphism:
+        return self.sup([f, g], f.source, f.target)
+
+    def equal(self, f: MatrMorphism, g: MatrMorphism) -> bool:
+        return f == g
 
     def leq(self, f: MatrMorphism, g: MatrMorphism) -> bool:
         if f.source != g.source or f.target != g.target:
@@ -489,6 +435,7 @@ class MatrInstance(Instance):
 
     # -- enumeration ----------------------------------------
     def enum_hom(self, src: MatrObject, tgt: MatrObject):
+        """All morphisms src -> tgt, or None when the homset is not enumerable."""
         keys = [
             ((a, b), oa, ob) for a, oa in src.components for b, ob in tgt.components
         ]
@@ -503,6 +450,9 @@ class MatrInstance(Instance):
             blocks = {key: m for (key, _, _), m in zip(keys, combo)}
             out.append(self.mor(src, tgt, blocks))
         return out
+
+    def scalars(self):
+        return self.enum_hom(self.unit_obj(), self.unit_obj())
 
 
 # -- the three concrete instances -----------------------------------------------
@@ -519,28 +469,45 @@ def qrel_instance() -> MatrInstance:
     return MatrInstance(FdOSBase(), name="qrel")
 
 
-# -- conversions between the direct models and the matrix completion --------------
+# -- quoting: finite sets and boolean relations in any of the instances ----------
 
 def set_to_object(inst: MatrInstance, a: FiniteSet) -> MatrObject:
-    """A finite set as a family of copies of the base unit object."""
+    """A finite set as the |A|-fold biproduct of the tensor unit."""
     unit = inst.base.unit_obj()
     return inst.obj([(lab, unit) for lab in a.labels])
 
 
 def relation_to_matr(inst: MatrInstance, r: BoolRelation) -> MatrMorphism:
-    if not isinstance(inst.base, QuantaleBase):
-        raise MatrError("boolean relations convert over a quantale base")
-    q = inst.base.quantale
+    """A boolean relation as a matrix of identity cells."""
     src = set_to_object(inst, r.source)
     tgt = set_to_object(inst, r.target)
-    blocks = {(a, b): q.unit for (a, b) in r.pairs}
-    return inst.mor(src, tgt, blocks)
+    cell = inst.base.identity(inst.base.unit_obj())
+    return inst.mor(src, tgt, {pair: cell for pair in r.pairs})
 
 
 def matr_to_relation(f: MatrMorphism) -> BoolRelation:
+    """The boolean relation of non-bottom entries of a matrix of scalars.
+
+    Inverse to quoting on its image; for instances with exactly two scalars
+    it inverts quoting on every hom between quoted sets.
+    """
     src = FiniteSet(f.source.labels)
     tgt = FiniteSet(f.target.labels)
     return BoolRelation(src, tgt, frozenset(key for key, _ in f.blocks))
+
+
+def boolean_complement(inst: MatrInstance, f: MatrMorphism) -> MatrMorphism:
+    """The morphism between quoted sets with an identity cell exactly where f
+    has none: the complement of f read as a boolean relation."""
+    cell = inst.base.identity(inst.base.unit_obj())
+    present = f.block_map()
+    blocks = {
+        (a, b): cell
+        for a in f.source.labels
+        for b in f.target.labels
+        if (a, b) not in present
+    }
+    return inst.mor(f.source, f.target, blocks)
 
 
 def vrelation_to_matr(inst: MatrInstance, r: VRelation) -> MatrMorphism:

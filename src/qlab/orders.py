@@ -3,7 +3,7 @@ monotone relations, the adjoint diamond operations, and the structure the
 category of preordered objects inherits (tensor, biproducts, compacts, the
 ordered truth-value object, and the downset correspondence).
 
-Everything is generic over an instance with the needed structure.
+Everything is generic over the three instances of `MatrInstance`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .calculus import BiproductData, biproduct_data, omega_data, tuple_into
-from .core import Check, Instance, StructureError, star_of
+from .core import star_of
+from .matr import MatrInstance
 
 
 class OrderError(ValueError):
@@ -24,12 +25,8 @@ class PreorderedObject:
     obj: Any
     order: Any  # an endomorphism, reflexive and transitive
 
-    @property
-    def converse_name(self):
-        return "dagger of the order"
 
-
-def preordered(inst: Instance, obj: Any, order: Any) -> PreorderedObject:
+def preordered(inst: MatrInstance, obj: Any, order: Any) -> PreorderedObject:
     if inst.source(order) != obj or inst.target(order) != obj:
         raise OrderError("the order must be an endomorphism of the object")
     one = inst.identity(obj)
@@ -40,15 +37,11 @@ def preordered(inst: Instance, obj: Any, order: Any) -> PreorderedObject:
     return PreorderedObject(obj, order)
 
 
-def discrete(inst: Instance, obj: Any) -> PreorderedObject:
+def discrete(inst: MatrInstance, obj: Any) -> PreorderedObject:
     return PreorderedObject(obj, inst.identity(obj))
 
 
-def opposite(inst: Instance, p: PreorderedObject) -> PreorderedObject:
-    return PreorderedObject(p.obj, inst.dagger(p.order))
-
-
-def converse(inst: Instance, p: PreorderedObject) -> Any:
+def converse(inst: MatrInstance, p: PreorderedObject) -> Any:
     """The converse order, written >= below."""
     return inst.dagger(p.order)
 
@@ -56,7 +49,7 @@ def converse(inst: Instance, p: PreorderedObject) -> Any:
 # -- monotone maps -----------------------------------------------------------
 
 def monotone_map_conditions(
-    inst: Instance, p: PreorderedObject, q: PreorderedObject, f: Any
+    inst: MatrInstance, p: PreorderedObject, q: PreorderedObject, f: Any
 ) -> tuple[bool, bool, bool]:
     """Three equivalent ways to say a map f : X -> Y is monotone."""
     fd = inst.dagger(f)
@@ -67,7 +60,7 @@ def monotone_map_conditions(
 
 
 def is_monotone_map(
-    inst: Instance, p: PreorderedObject, q: PreorderedObject, f: Any
+    inst: MatrInstance, p: PreorderedObject, q: PreorderedObject, f: Any
 ) -> bool:
     return monotone_map_conditions(inst, p, q, f)[0]
 
@@ -75,7 +68,7 @@ def is_monotone_map(
 # -- monotone relations and their category ---------------------------------------
 
 def is_monotone_relation(
-    inst: Instance, p: PreorderedObject, q: PreorderedObject, v: Any
+    inst: MatrInstance, p: PreorderedObject, q: PreorderedObject, v: Any
 ) -> bool:
     """v : X -> Y is monotone when absorbing the converse orders fixes it."""
     left = inst.compose(converse(inst, q), v)
@@ -84,29 +77,29 @@ def is_monotone_relation(
 
 
 def monotone_saturate(
-    inst: Instance, p: PreorderedObject, q: PreorderedObject, v: Any
+    inst: MatrInstance, p: PreorderedObject, q: PreorderedObject, v: Any
 ) -> Any:
     """The least monotone relation above v."""
     return inst.compose(converse(inst, q), inst.compose(v, converse(inst, p)))
 
 
-def monrel_identity(inst: Instance, p: PreorderedObject) -> Any:
+def monrel_identity(inst: MatrInstance, p: PreorderedObject) -> Any:
     """The identity of the category of monotone relations: the converse order."""
     return converse(inst, p)
 
 
-def diamond_lower(inst: Instance, q: PreorderedObject, r: Any) -> Any:
+def diamond_lower(inst: MatrInstance, q: PreorderedObject, r: Any) -> Any:
     """r with codomain preordered by q, saturated downward: >=_Y o r."""
     return inst.compose(converse(inst, q), r)
 
 
-def diamond_upper(inst: Instance, q: PreorderedObject, r: Any) -> Any:
+def diamond_upper(inst: MatrInstance, q: PreorderedObject, r: Any) -> Any:
     """The upper companion Y -> X: the dagger composed with the converse order."""
     return inst.compose(inst.dagger(r), converse(inst, q))
 
 
 def diamond_adjunction_check(
-    inst: Instance, p: PreorderedObject, q: PreorderedObject, f: Any
+    inst: MatrInstance, p: PreorderedObject, q: PreorderedObject, f: Any
 ) -> bool:
     """For a monotone map f, the lower and upper companions are adjoint in
     the category of monotone relations."""
@@ -120,7 +113,7 @@ def diamond_adjunction_check(
 # -- inherited structure ---------------------------------------------------------
 
 def preorder_tensor(
-    inst: Instance, p: PreorderedObject, q: PreorderedObject
+    inst: MatrInstance, p: PreorderedObject, q: PreorderedObject
 ) -> PreorderedObject:
     return preordered(
         inst, inst.tensor_obj(p.obj, q.obj), inst.tensor_mor(p.order, q.order)
@@ -135,7 +128,7 @@ class MonRelBiproduct:
     projections: tuple
 
 
-def monrel_biproduct(inst: Instance, ps: Sequence[PreorderedObject]) -> MonRelBiproduct:
+def monrel_biproduct(inst: MatrInstance, ps: Sequence[PreorderedObject]) -> MonRelBiproduct:
     """Biproducts of preordered objects: the order is the direct sum of the
     orders, the structural maps are the plain ones saturated by the converse
     orders."""
@@ -161,7 +154,7 @@ class MonRelCompact:
     epsilon: Any
 
 
-def monrel_compact(inst: Instance, p: PreorderedObject) -> MonRelCompact:
+def monrel_compact(inst: MatrInstance, p: PreorderedObject) -> MonRelCompact:
     """Compact structure on a preordered object: the dual carries the
     transposed order; the unit and counit absorb the converse orders."""
     x = p.obj
@@ -182,7 +175,7 @@ class OmegaOrder:
     ordered: PreorderedObject
 
 
-def omega_order(inst: Instance) -> OmegaOrder:
+def omega_order(inst: MatrInstance) -> OmegaOrder:
     """I (+) I ordered with 'false' below 'true'."""
     data = omega_data(inst)
     p_false, p_true = data.projections
@@ -192,7 +185,7 @@ def omega_order(inst: Instance) -> OmegaOrder:
     return OmegaOrder(data, preordered(inst, data.total, order))
 
 
-def omega_eval_identities(inst: Instance, om: OmegaOrder) -> list[tuple[str, bool]]:
+def omega_eval_identities(inst: MatrInstance, om: OmegaOrder) -> list[tuple[str, bool]]:
     """The projection identities that make the ordered truth values tick."""
     p_false, p_true = om.data.projections
     unit = inst.unit_obj()
@@ -207,14 +200,14 @@ def omega_eval_identities(inst: Instance, om: OmegaOrder) -> list[tuple[str, boo
     ]
 
 
-def monotone_map_to_downset(inst: Instance, om: OmegaOrder, f: Any) -> Any:
+def monotone_map_to_downset(inst: MatrInstance, om: OmegaOrder, f: Any) -> Any:
     """A monotone map X -> Omega becomes a relation X -> I by projecting on
     'true'; the result absorbs the converse order of X."""
     return inst.compose(om.data.projections[1], f)
 
 
 def downset_to_monotone_map(
-    inst: Instance,
+    inst: MatrInstance,
     om: OmegaOrder,
     p: PreorderedObject,
     r: Any,
@@ -224,6 +217,6 @@ def downset_to_monotone_map(
     return tuple_into(inst, om.data, [complement(r), r])
 
 
-def is_downset_relation(inst: Instance, p: PreorderedObject, r: Any) -> bool:
+def is_downset_relation(inst: MatrInstance, p: PreorderedObject, r: Any) -> bool:
     """r : X -> I stands for a downset when it absorbs the converse order."""
     return inst.equal(inst.compose(r, converse(inst, p)), r)

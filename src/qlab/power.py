@@ -15,31 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .calculus import quote_morphism, quote_object
-from .core import Instance, is_map
+from .core import is_map
 from .finrel import (
     BoolRelation,
-    DownsetData,
-    ExponentialData,
     FiniteSet,
     PowersetData,
-    curry,
-    downset_adjoint,
-    exponential_via_power,
-    map_to_monotone_relation,
-    monotone_relation_to_map,
     power_on_morphisms,
     power_transpose,
     powerset_adjoint,
 )
-from .matr import MatrInstance, MatrMorphism
-from .quantale import (
-    FiniteQuantale,
-    VPowerData,
-    VRelation,
-    v_power_adjoint,
-    v_power_transpose,
-)
+from .matr import MatrInstance, relation_to_matr, set_to_object
+from .quantale import VPowerData, VRelation, v_power_transpose
 
 
 def power_counit_check(data: PowersetData, v: BoolRelation) -> bool:
@@ -93,42 +79,18 @@ def quoted_power(inst: MatrInstance, a: FiniteSet) -> QuotedPower:
     data = powerset_adjoint(a)
     return QuotedPower(
         data,
-        quote_object(inst, a),
-        quote_object(inst, data.power),
-        quote_morphism(inst, data.membership),
+        set_to_object(inst, a),
+        set_to_object(inst, data.power),
+        relation_to_matr(inst, data.membership),
     )
+
 
 def quoted_power_check(inst: MatrInstance, qp: QuotedPower, v: BoolRelation) -> bool:
     """The factorization survives quoting: member o quote(transpose) = quote(v),
     and the transpose quotes to a map."""
     f = power_transpose(qp.data, v)
-    fq = quote_morphism(inst, f)
+    fq = relation_to_matr(inst, f)
     if not is_map(inst, fq):
         return False
-    return inst.equal(inst.compose(qp.membership, fq), quote_morphism(inst, v))
+    return inst.equal(inst.compose(qp.membership, fq), relation_to_matr(inst, v))
 
-
-__all__ = [
-    "BoolRelation",
-    "DownsetData",
-    "ExponentialData",
-    "PowersetData",
-    "QuotedPower",
-    "VPowerData",
-    "curry",
-    "downset_adjoint",
-    "exponential_via_power",
-    "map_to_monotone_relation",
-    "monotone_relation_to_map",
-    "power_counit_check",
-    "power_functor_check",
-    "power_on_morphisms",
-    "power_transpose",
-    "power_uniqueness_check",
-    "powerset_adjoint",
-    "quoted_power",
-    "quoted_power_check",
-    "v_power_adjoint",
-    "v_power_counit_check",
-    "v_power_transpose",
-]

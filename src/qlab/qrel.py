@@ -12,29 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .calculus import (
-    BiproductData,
-    map_from_test,
-    omega_data,
-    test_from_map,
-    tuple_into,
-)
-from .core import Instance, is_dagger_mono, is_perp, trace_of
+from .calculus import BiproductData, map_from_test, omega_data, test_from_map
 from .exact import (
     ExactError,
     ExactMatrix,
     GaussianRational,
     OperatorSubspace,
-    Q0,
-    Q1,
     full_subspace,
     hs_orthocomplement,
-    kernel_intersection,
+    nullspace,
     span_of,
-    subspace_join,
-    zero_subspace,
 )
-from .matr import FdOSBase, MatrError, MatrInstance, MatrMorphism, MatrObject, qrel_instance
+from .matr import MatrError, MatrInstance, MatrMorphism, MatrObject, qrel_instance
 
 _INSTANCE = qrel_instance()
 
@@ -234,15 +223,7 @@ def dagger_kernel(
     atoms = []
     blocks = {}
     for a, da in src.components:
-        stacked: list[ExactMatrix] = []
-        for f in fs:
-            for (x, _), v in f.blocks:
-                if x == a:
-                    stacked.extend(v.basis)
-        if not stacked:
-            ker_cols = [ExactMatrix.unit(da, 1, i, 0) for i in range(da)]
-        else:
-            ker_cols = _joint_kernel(stacked, da)
+        ker_cols = _joint_kernel(fs, a, da)
         if not ker_cols:
             continue
         lab = (label_prefix, a)
@@ -255,16 +236,18 @@ def dagger_kernel(
     return kernel_obj, incl
 
 
-def _joint_kernel(mats: Sequence[ExactMatrix], dim: int) -> list[ExactMatrix]:
-    """Canonical columns spanning the joint kernel of the given operators."""
-    from .exact import nullspace
-
-    rows = []
-    for m in mats:
-        for i in range(m.rows):
-            rows.append(m.row(i))
-    vecs = nullspace(rows, dim)
-    return [ExactMatrix.from_vector(v, dim, 1) for v in vecs]
+def _joint_kernel(fs: Sequence[MatrMorphism], a, da: int) -> list[ExactMatrix]:
+    """Canonical columns spanning the joint kernel of every block of fs that
+    leaves atom a (of dimension da); all of C^da when there is none."""
+    rows = [
+        m.row(i)
+        for f in fs
+        for (x, _), v in f.blocks
+        if x == a
+        for m in v.basis
+        for i in range(m.rows)
+    ]
+    return [ExactMatrix.from_vector(v, da, 1) for v in nullspace(rows, da)]
 
 
 def is_zero_mono(f: MatrMorphism) -> bool:
@@ -272,19 +255,12 @@ def is_zero_mono(f: MatrMorphism) -> bool:
 
     Equivalently every atom of the source has trivial joint kernel under f.
     """
-    for a, da in f.source.components:
-        stacked: list[ExactMatrix] = []
-        for (x, _), v in f.blocks:
-            if x == a:
-                stacked.extend(v.basis)
-        if not stacked or _joint_kernel(stacked, da):
-            return False
-    return True
+    return not any(_joint_kernel([f], a, da) for a, da in f.source.components)
 
 
 # -- classical truth values --------------------------------------------------------
 
-def qrel_omega(label_true="t", label_false="f") -> BiproductData:
+def qrel_omega() -> BiproductData:
     return omega_data(_INSTANCE)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .exact import ExactMatrix, OperatorSubspace, format_scalar, parse_scalar, span_of
+from .exact import ExactMatrix, format_scalar, parse_scalar, span_of
 from .finrel import BoolRelation, FiniteSet
 from .matr import MatrInstance, MatrMorphism, MatrObject
 from .quantale import FiniteQuantale, QuantaleError, VRelation, quantale_from_tables

@@ -14,10 +14,7 @@ from qlab.calculus import (
     biproduct_data,
     is_map_onto_quoted_set,
     quote_is_full,
-    quote_morphism,
-    quote_object,
     quote_product_cell,
-    unquote_morphism,
 )
 from qlab.core import is_dagger_iso, is_map, name_inverse, name_of, trace_of
 from qlab.exact import ExactMatrix, GaussianRational, span_of
@@ -263,7 +260,7 @@ def test_criterion_07_maps_onto_quoted_sets():
     rng = random.Random(7)
     for labels in (["p"], ["p", "q"], ["p", "q", "r"]):
         a = fset(*labels)
-        data = biproduct_data(QREL, [quote_object(QREL, fset(lab)) for lab in labels])
+        data = biproduct_data(QREL, [set_to_object(QREL, fset(lab)) for lab in labels])
         for _ in range(200):
             f = _random_qmor(rng, X21, data.total)
             assert is_map(QREL, f).ok == is_map_onto_quoted_set(QREL, f, data)
@@ -273,33 +270,33 @@ def test_criterion_08_quote_embedding():
     sets = [fset(*[str(k) for k in range(n)]) for n in (1, 2, 3)]
     for a in sets:
         for r in all_relations(a, a):
-            m = quote_morphism(QREL, r)
-            assert unquote_morphism(QREL, m) == r
-            assert QREL.equal(quote_morphism(QREL, r.dagger()), QREL.dagger(m))
+            m = relation_to_matr(QREL, r)
+            assert matr_to_relation(m) == r
+            assert QREL.equal(relation_to_matr(QREL, r.dagger()), QREL.dagger(m))
     small = sets[1]
     for r in all_relations(small, small):
-        mr = quote_morphism(QREL, r)
+        mr = relation_to_matr(QREL, r)
         for s in all_relations(small, small):
-            ms = quote_morphism(QREL, s)
+            ms = relation_to_matr(QREL, s)
             assert QREL.equal(
-                quote_morphism(QREL, s.compose(r)), QREL.compose(ms, mr)
+                relation_to_matr(QREL, s.compose(r)), QREL.compose(ms, mr)
             )
-            assert QREL.equal(quote_morphism(QREL, r.join(s)), QREL.join2(mr, ms))
-    qa = quote_object(QREL, sets[2])
+            assert QREL.equal(relation_to_matr(QREL, r.join(s)), QREL.join2(mr, ms))
+    qa = set_to_object(QREL, sets[2])
     assert QREL.equal(
-        quote_morphism(QREL, BoolRelation(
+        relation_to_matr(QREL, BoolRelation(
             sets[2], sets[2], frozenset(itertools.product(sets[2].labels, repeat=2))
         )),
         QREL.top(qa, qa),
     )
-    total, injections, _ = QREL.biproduct([quote_object(QREL, fset(lab)) for lab in sets[2]])
+    total, injections, _ = QREL.biproduct([set_to_object(QREL, fset(lab)) for lab in sets[2]])
     assert sorted(lab for lab, _ in total.components) == sorted(
         (k, lab) for k, lab in enumerate(sets[2].labels)
     )
     # fullness: every morphism between quoted sets is a quoted relation
     assert quote_is_full(QREL)
-    for f in QREL.enum_hom(quote_object(QREL, small), quote_object(QREL, small)):
-        assert QREL.equal(quote_morphism(QREL, unquote_morphism(QREL, f)), f)
+    for f in QREL.enum_hom(set_to_object(QREL, small), set_to_object(QREL, small)):
+        assert QREL.equal(relation_to_matr(QREL, matr_to_relation(f)), f)
     # the product comparison cell is a natural dagger isomorphism
     b = sets[1]
     c = sets[2]
@@ -311,8 +308,10 @@ def test_criterion_08_quote_embedding():
         product_set(b, c), product_set(b, c),
         frozenset(((x, y), (u, v)) for x, u in r.pairs for y, v in s.pairs),
     )
-    lhs = QREL.compose(quote_morphism(QREL, rs), phi)
-    rhs = QREL.compose(phi, QREL.tensor_mor(quote_morphism(QREL, r), quote_morphism(QREL, s)))
+    lhs = QREL.compose(relation_to_matr(QREL, rs), phi)
+    rhs = QREL.compose(
+        phi, QREL.tensor_mor(relation_to_matr(QREL, r), relation_to_matr(QREL, s))
+    )
     assert QREL.equal(lhs, rhs)
 
 

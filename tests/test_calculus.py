@@ -10,16 +10,19 @@ from qlab.calculus import (
     nabla,
     omega_data,
     quote_is_full,
-    quote_morphism,
-    quote_object,
     quote_product_cell,
     superposition_sum,
     tuple_into,
-    unquote_morphism,
 )
 from qlab.core import is_dagger_iso
 from qlab.finrel import BoolRelation, all_relations, fset, product_set
-from qlab.matr import qrel_instance, rel_instance, relation_to_matr, set_to_object
+from qlab.matr import (
+    matr_to_relation,
+    qrel_instance,
+    rel_instance,
+    relation_to_matr,
+    set_to_object,
+)
 from qlab.quantale import lukasiewicz3_quantale
 from qlab.matr import vrel_instance
 
@@ -103,15 +106,15 @@ def test_distributor_is_dagger_iso():
 def test_quote_roundtrip_and_functoriality():
     for inst in (REL, VREL, QREL):
         for r in all_relations(A, A):
-            m = quote_morphism(inst, r)
-            assert unquote_morphism(inst, m) == r
+            m = relation_to_matr(inst, r)
+            assert matr_to_relation(m) == r
         for r in all_relations(A, A):
             for s in all_relations(A, A):
-                lhs = quote_morphism(inst, s.compose(r))
-                rhs = inst.compose(quote_morphism(inst, s), quote_morphism(inst, r))
+                lhs = relation_to_matr(inst, s.compose(r))
+                rhs = inst.compose(relation_to_matr(inst, s), relation_to_matr(inst, r))
                 assert inst.equal(lhs, rhs)
             assert inst.equal(
-                quote_morphism(inst, r.dagger()), inst.dagger(quote_morphism(inst, r))
+                relation_to_matr(inst, r.dagger()), inst.dagger(relation_to_matr(inst, r))
             )
 
 
@@ -119,7 +122,7 @@ def test_quote_product_cell_iso():
     for inst in (REL, QREL):
         cell = quote_product_cell(inst, A, X)
         assert is_dagger_iso(inst, cell)
-        assert cell.target == quote_object(inst, product_set(A, X))
+        assert cell.target == set_to_object(inst, product_set(A, X))
 
 
 def test_quote_fullness_flags():

@@ -92,6 +92,15 @@ def test_kernel_subcommand(capsys):
     assert incl["blocks"][0]["basis"] == [[["0"], ["1"]]]
 
 
+@pytest.mark.parametrize("instance", ["rel", "vrel"])
+def test_kernel_rejects_classical_instances(instance, capsys):
+    code, out, err = run_cli(["kernel", "--instance", instance, QREL_DOC], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_neg_boolean(capsys):
     code, out, _ = run_cli(["neg", "--instance", "rel", REL_DOC], capsys)
     assert code == 0
@@ -210,20 +219,34 @@ def test_zero_denominator_scalar_is_input_error(tmp_path):
     assert "zero denominator" in proc.stderr
 
 
-# sha256 of `qlab check --instance qrel --format json --seed N`.  A change that
-# alters reports on purpose must update these digests and say so.
-QREL_REPORT_SHA256 = {
-    0: "461a119bc62e5b703bdab536a9b21dcc4413a4ffd318e7bcf53571b852e1b39b",
-    1: "6336701b2ce60416728946a3ff973555296b479cf2e43a10fa879ecbe6d9ffa2",
-    2: "9275ab0bb3908d70f24c5e1622a18a74ca3462ac42efe654a856963f1bd4a2f8",
-    3: "fd3b34d7d986fc25cacee54da90b5f90a96aed3cbffdc68cc12990d96b2d6613",
+# sha256 of `qlab check --format json` per instance and seed: qrel at seeds 0-3
+# (test ids 0-3), rel and vrel over each builtin quantale at seed 0.  A change
+# that alters reports on purpose must update these digests and say so.
+REPORT_SHA256 = {
+    "0": (["--instance", "qrel", "--seed", "0"],
+          "461a119bc62e5b703bdab536a9b21dcc4413a4ffd318e7bcf53571b852e1b39b"),
+    "1": (["--instance", "qrel", "--seed", "1"],
+          "6336701b2ce60416728946a3ff973555296b479cf2e43a10fa879ecbe6d9ffa2"),
+    "2": (["--instance", "qrel", "--seed", "2"],
+          "9275ab0bb3908d70f24c5e1622a18a74ca3462ac42efe654a856963f1bd4a2f8"),
+    "3": (["--instance", "qrel", "--seed", "3"],
+          "fd3b34d7d986fc25cacee54da90b5f90a96aed3cbffdc68cc12990d96b2d6613"),
+    "rel-0": (["--instance", "rel", "--seed", "0"],
+              "7e41a4f1ae6eba8d27b24265abba3ef0ea40b8658333ee6dd0331a329c6f9940"),
+    "vrel-bool-0": (["--instance", "vrel", "--quantale", "bool", "--seed", "0"],
+                    "c18a92af5c01ebc52d8b0c54735e57d8a9bd9019b661a077fe410d29a9ea71ab"),
+    "vrel-chain3-0": (["--instance", "vrel", "--quantale", "chain3", "--seed", "0"],
+                      "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
+    "vrel-chain4-0": (["--instance", "vrel", "--quantale", "chain4", "--seed", "0"],
+                      "3ca5899750e57e0726b70ed971da941f229b6fac56aeb66e575deb46b8463b7a"),
+    "vrel-lukasiewicz3-0": (["--instance", "vrel", "--quantale", "lukasiewicz3", "--seed", "0"],
+                            "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
 }
 
 
-@pytest.mark.parametrize("seed", sorted(QREL_REPORT_SHA256))
-def test_qrel_report_is_byte_identical(seed, capsys):
-    code, out, _ = run_cli(
-        ["check", "--instance", "qrel", "--seed", str(seed), "--format", "json"], capsys
-    )
+@pytest.mark.parametrize("case", list(REPORT_SHA256))
+def test_qrel_report_is_byte_identical(case, capsys):
+    args, digest = REPORT_SHA256[case]
+    code, out, _ = run_cli(["check", *args, "--format", "json"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == QREL_REPORT_SHA256[seed]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

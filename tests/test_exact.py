@@ -18,7 +18,6 @@ from qlab.exact import (
     full_subspace,
     gq,
     hs_orthocomplement,
-    kernel_intersection,
     kronecker,
     parse_scalar,
     rref,
@@ -30,6 +29,8 @@ from qlab.exact import (
     subspace_product,
     zero_subspace,
 )
+from qlab.matr import qrel_instance
+from qlab.qrel import dagger_kernel, is_zero_mono, qmor, qset
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -133,12 +134,13 @@ def test_hs_orthocomplement_involutive():
 
 
 def test_kernel_intersection():
-    v = span_of(ExactMatrix.from_ints([[1, 0], [0, 0]]))
-    k = kernel_intersection(v)
-    assert k.dim == 1
-    col = k.basis[0]
-    for m in v.basis:
-        assert (m @ col).is_zero()
+    # The joint kernel of the operators in a block, through the qrel layer.
+    x, y = qset([("x", 2)]), qset([("y", 2)])
+    f = qmor(x, y, {("x", "y"): [ExactMatrix.from_ints([[1, 0], [0, 0]])]})
+    k, incl = dagger_kernel([f])
+    assert [d for _, d in k.components] == [1]
+    assert qrel_instance().compose(f, incl).blocks == ()
+    assert not is_zero_mono(f)
 
 
 def test_adjoint_subspace():

@@ -8,6 +8,7 @@ from qlab.exact import ExactMatrix, parse_scalar, span_of
 from qlab.finrel import BoolRelation, all_relations, fset
 from qlab.matr import (
     MatrError,
+    boolean_complement,
     matr_to_relation,
     matr_to_vrelation,
     qrel_instance,
@@ -32,6 +33,18 @@ def test_relation_roundtrip_exhaustive():
     for r in all_relations(A, X):
         m = relation_to_matr(REL, r)
         assert matr_to_relation(m) == r
+
+
+@pytest.mark.parametrize("inst", [REL, QREL], ids=["rel", "qrel"])
+def test_boolean_complement_exhaustive(inst):
+    a = set_to_object(inst, A)
+    top, bottom = inst.top(a, a), inst.bottom(a, a)
+    for r in all_relations(A, A):
+        f = relation_to_matr(inst, r)
+        neg = boolean_complement(inst, f)
+        assert inst.join2(f, neg) == top
+        assert inst.meet2(f, neg) == bottom
+        assert boolean_complement(inst, neg) == f
 
 
 def test_relation_functor_exhaustive_small():
