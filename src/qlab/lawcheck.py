@@ -138,7 +138,7 @@ class Context:
         enum = self.inst.enum_hom(x, y)
         if enum is not None:
             if len(enum) <= cap:
-                return enum
+                return list(enum)
             return self.rng.sample(enum, cap)
         out = []
         for _ in range(cap):

@@ -20,9 +20,11 @@ finrel and quantale follow.
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from .exact import (
     ExactMatrix,
@@ -434,7 +436,7 @@ class MatrInstance:
         return total, injections, projections
 
     # -- enumeration ----------------------------------------
-    def enum_hom(self, src: MatrObject, tgt: MatrObject):
+    def enum_hom(self, src: MatrObject, tgt: MatrObject) -> HomSet | None:
         """All morphisms src -> tgt, or None when the homset is not enumerable."""
         keys = [
             ((a, b), oa, ob) for a, oa in src.components for b, ob in tgt.components
@@ -445,14 +447,45 @@ class MatrInstance:
             if hom is None:
                 return None
             choices.append(hom)
-        out = []
-        for combo in itertools.product(*choices):
-            blocks = {key: m for (key, _, _), m in zip(keys, combo)}
-            out.append(self.mor(src, tgt, blocks))
-        return out
+        return HomSet(self, src, tgt, [key for key, _, _ in keys], choices)
 
-    def scalars(self):
-        return self.enum_hom(self.unit_obj(), self.unit_obj())
+    def scalars(self) -> list:
+        """The endomorphisms of the tensor unit, which both bases enumerate."""
+        return list(self.enum_hom(self.unit_obj(), self.unit_obj()))
+
+
+class HomSet(Sequence):
+    """The morphisms of a finite homset, each built only when it is read.
+
+    Morphism i has, at block k, choice number d_k of that block, where the
+    d_k are the digits of i in mixed radix with the last block fastest: the
+    order of itertools.product over the per-block choices.
+    """
+
+    def __init__(self, inst: MatrInstance, src: MatrObject, tgt: MatrObject,
+                 keys: list, choices: list[list]):
+        self.inst = inst
+        self.src = src
+        self.tgt = tgt
+        self.keys = keys
+        self.choices = choices
+        self.size = math.prod(len(c) for c in choices)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> MatrMorphism:
+        i = operator.index(i)
+        if i < 0:
+            i += self.size
+        if not 0 <= i < self.size:
+            raise IndexError("homset index out of range")
+        picks = []
+        for choice in reversed(self.choices):
+            i, d = divmod(i, len(choice))
+            picks.append(choice[d])
+        blocks = dict(zip(self.keys, reversed(picks)))
+        return self.inst.mor(self.src, self.tgt, blocks)
 
 
 # -- the three concrete instances -----------------------------------------------

@@ -54,21 +54,27 @@ class FiniteQuantale:
             acc = self.join(acc, x)
         return acc
 
+    # bottom and top are found on first read, not in __post_init__, so that
+    # validate_quantale can still report a join table that is not total.
     @property
     def bottom(self) -> Label:
-        b = self.elements[0]
-        for x in self.elements:
-            if self.leq(x, b):
-                b = x
-        return b
+        if "_bottom" not in self.__dict__:
+            b = self.elements[0]
+            for x in self.elements:
+                if self.leq(x, b):
+                    b = x
+            object.__setattr__(self, "_bottom", b)
+        return self.__dict__["_bottom"]
 
     @property
     def top(self) -> Label:
-        t = self.elements[0]
-        for x in self.elements:
-            if self.leq(t, x):
-                t = x
-        return t
+        if "_top" not in self.__dict__:
+            t = self.elements[0]
+            for x in self.elements:
+                if self.leq(t, x):
+                    t = x
+            object.__setattr__(self, "_top", t)
+        return self.__dict__["_top"]
 
     def meet(self, a: Label, b: Label) -> Label:
         lower = [x for x in self.elements if self.leq(x, a) and self.leq(x, b)]

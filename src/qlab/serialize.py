@@ -170,12 +170,12 @@ def qset_to_json(x: MatrObject) -> dict:
 
 def qset_from_json(inst: MatrInstance, doc: dict) -> MatrObject:
     try:
-        comps = [
-            (_label_from_json(a["label"]), int(a["dim"])) for a in doc["atoms"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        comps = [(_label_from_json(a["label"]), a["dim"]) for a in doc["atoms"]]
+    except (KeyError, TypeError) as exc:
         raise SerializeError(f"malformed quantum set: {exc}") from exc
     for _, d in comps:
+        if type(d) is not int:
+            raise SerializeError(f"atom dimension {d!r} is not a JSON integer")
         if d <= 0:
             raise SerializeError("atom dimensions must be positive")
     return inst.obj(comps)
@@ -187,8 +187,14 @@ def _matrix_to_json(m: ExactMatrix) -> list:
     ]
 
 
+def _scalar_from_json(s: Any):
+    if not isinstance(s, str):
+        raise SerializeError(f"scalar {s!r} is not a JSON string")
+    return parse_scalar(s)
+
+
 def _matrix_from_json(rows: list) -> ExactMatrix:
-    parsed = [[parse_scalar(s) for s in row] for row in rows]
+    parsed = [[_scalar_from_json(s) for s in row] for row in rows]
     return ExactMatrix.from_rows(parsed)
 
 

@@ -219,8 +219,32 @@ def test_zero_denominator_scalar_is_input_error(tmp_path):
     assert "zero denominator" in proc.stderr
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("scalar", 0.5, "is not a JSON string"),
+    ("scalar", 1, "is not a JSON string"),
+    ("dim", True, "is not a JSON integer"),
+    ("dim", "2", "is not a JSON integer"),
+    ("dim", 2.0, "is not a JSON integer"),
+    ("dim", 1.5, "is not a JSON integer"),
+    ("dim", 0, "must be positive"),
+])
+def test_mistyped_qrel_field_is_input_error(where, value, message, capsys):
+    doc = json.loads(QREL_DOC)
+    if where == "scalar":
+        doc["blocks"][0]["basis"] = [[[value, "0"]]]
+    else:
+        doc["source"]["atoms"][0]["dim"] = value
+    code, out, err = run_cli(
+        ["compute", "--instance", "qrel", "--load", f"f={json.dumps(doc)}", "dagger(f)"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 # sha256 of `qlab check --format json` per instance and seed: qrel at seeds 0-3
-# (test ids 0-3), rel and vrel over each builtin quantale at seed 0.  A change
+# (test ids 0-3), rel and vrel over each builtin quantale at seeds 0-3.  A change
 # that alters reports on purpose must update these digests and say so.
 REPORT_SHA256 = {
     "0": (["--instance", "qrel", "--seed", "0"],
@@ -241,6 +265,36 @@ REPORT_SHA256 = {
                       "3ca5899750e57e0726b70ed971da941f229b6fac56aeb66e575deb46b8463b7a"),
     "vrel-lukasiewicz3-0": (["--instance", "vrel", "--quantale", "lukasiewicz3", "--seed", "0"],
                             "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
+    "rel-1": (["--instance", "rel", "--seed", "1"],
+              "7e41a4f1ae6eba8d27b24265abba3ef0ea40b8658333ee6dd0331a329c6f9940"),
+    "vrel-bool-1": (["--instance", "vrel", "--quantale", "bool", "--seed", "1"],
+                    "c18a92af5c01ebc52d8b0c54735e57d8a9bd9019b661a077fe410d29a9ea71ab"),
+    "vrel-chain3-1": (["--instance", "vrel", "--quantale", "chain3", "--seed", "1"],
+                      "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
+    "vrel-chain4-1": (["--instance", "vrel", "--quantale", "chain4", "--seed", "1"],
+                      "beef90ce1a73a7caf6b2d289958ef90fb02347a60d52a869c664a1e9498e3d94"),
+    "vrel-lukasiewicz3-1": (["--instance", "vrel", "--quantale", "lukasiewicz3", "--seed", "1"],
+                            "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
+    "rel-2": (["--instance", "rel", "--seed", "2"],
+              "7e41a4f1ae6eba8d27b24265abba3ef0ea40b8658333ee6dd0331a329c6f9940"),
+    "vrel-bool-2": (["--instance", "vrel", "--quantale", "bool", "--seed", "2"],
+                    "c18a92af5c01ebc52d8b0c54735e57d8a9bd9019b661a077fe410d29a9ea71ab"),
+    "vrel-chain3-2": (["--instance", "vrel", "--quantale", "chain3", "--seed", "2"],
+                      "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
+    "vrel-chain4-2": (["--instance", "vrel", "--quantale", "chain4", "--seed", "2"],
+                      "c7ab08498934d84f54da3458e6f82801753e128920c2a163687fc45d7bb7b729"),
+    "vrel-lukasiewicz3-2": (["--instance", "vrel", "--quantale", "lukasiewicz3", "--seed", "2"],
+                            "40473f26da636bb0461f0db53b7ffb69c1e8e9f7ba2fd3568e1ddbbbe32f1531"),
+    "rel-3": (["--instance", "rel", "--seed", "3"],
+              "7e41a4f1ae6eba8d27b24265abba3ef0ea40b8658333ee6dd0331a329c6f9940"),
+    "vrel-bool-3": (["--instance", "vrel", "--quantale", "bool", "--seed", "3"],
+                    "c18a92af5c01ebc52d8b0c54735e57d8a9bd9019b661a077fe410d29a9ea71ab"),
+    "vrel-chain3-3": (["--instance", "vrel", "--quantale", "chain3", "--seed", "3"],
+                      "66d29e3d60995b88f6ecc8739166d011fabd0d903d62e2c983e4bb915dd8584c"),
+    "vrel-chain4-3": (["--instance", "vrel", "--quantale", "chain4", "--seed", "3"],
+                      "472dea98844c6bae140eb17a749b5f9c8f585bd789ddc567fab3ea46a06400d4"),
+    "vrel-lukasiewicz3-3": (["--instance", "vrel", "--quantale", "lukasiewicz3", "--seed", "3"],
+                            "66d29e3d60995b88f6ecc8739166d011fabd0d903d62e2c983e4bb915dd8584c"),
 }
 
 

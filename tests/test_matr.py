@@ -1,11 +1,13 @@
 """The matrix-completion kernel shared by the boolean, valued, and quantum instances."""
 
 import itertools
+import random
 
 import pytest
 
 from qlab.exact import ExactMatrix, parse_scalar, span_of
 from qlab.finrel import BoolRelation, all_relations, fset
+from qlab.lawcheck import make_context
 from qlab.matr import (
     MatrError,
     boolean_complement,
@@ -18,7 +20,7 @@ from qlab.matr import (
     vrel_instance,
     vrelation_to_matr,
 )
-from qlab.quantale import VRelation, lukasiewicz3_quantale
+from qlab.quantale import VRelation, chain_min_quantale, lukasiewicz3_quantale
 
 REL = rel_instance()
 L3 = lukasiewicz3_quantale()
@@ -101,7 +103,54 @@ def test_enum_hom_counts():
 
     one = QREL.obj([("u", 1)])
     qhoms = list(QREL.enum_hom(one, one))
-    assert len(qhoms) == 2
+    assert len(qhoms) == 2 == len(QREL.enum_hom(one, one))
+    assert QREL.enum_hom(one, QREL.obj([("v", 2)])) is None
+
+
+def eager_enum_hom(inst, src, tgt):
+    """Reference: every morphism of the homset, built up front in
+    itertools.product order over the per-block choices."""
+    keys = [(a, b) for a, _ in src.components for b, _ in tgt.components]
+    choices = [inst.base.enum_hom(oa, ob)
+               for _, oa in src.components for _, ob in tgt.components]
+    return [inst.mor(src, tgt, dict(zip(keys, combo)))
+            for combo in itertools.product(*choices)]
+
+
+CLASSICAL = pytest.mark.parametrize(
+    "kind, quantale", [("rel", None), ("vrel", chain_min_quantale(3))],
+    ids=["rel", "vrel-chain3"])
+
+
+@CLASSICAL
+def test_lazy_homset_matches_eager_enumeration(kind, quantale):
+    ctx = make_context(kind, 0, quantale)
+    for x, y in itertools.product(ctx.objects, repeat=2):
+        lazy = ctx.inst.enum_hom(x, y)
+        eager = eager_enum_hom(ctx.inst, x, y)
+        assert len(lazy) == len(eager)
+        assert list(lazy) == eager
+        assert lazy[-1] == eager[-1]
+        with pytest.raises(IndexError):
+            lazy[len(eager)]
+
+
+@CLASSICAL
+def test_homs_draws_as_sampling_the_eager_list(kind, quantale):
+    # random.sample copies a population of at most 21 + 4**ceil(log4(3 * cap))
+    # elements (277 for cap 60) and indexes a larger one; with homsets of 3 to
+    # 19,683 morphisms and these caps both branches run, as does cap >= size.
+    ctx = make_context(kind, 0, quantale)
+    ref = random.Random(7)
+    ctx.rng = random.Random(7)
+    for x, y in itertools.product(ctx.objects, repeat=2):
+        eager = eager_enum_hom(ctx.inst, x, y)
+        for cap in (3, 60, 120):
+            want = eager if len(eager) <= cap else ref.sample(eager, cap)
+            got = ctx.homs(x, y, cap)
+            assert type(got) is list
+            assert got == want
+    assert ctx.rng.getstate() == ref.getstate()
 
 
 def test_qrel_blocks_drop_zero():
