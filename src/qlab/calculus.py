@@ -115,8 +115,7 @@ def quote_product_cell(inst: MatrInstance, a: FiniteSet, b: FiniteSet) -> MatrMo
 
 def quote_is_full(inst: MatrInstance) -> bool:
     """Quoting is full exactly when the instance has just the two trivial scalars."""
-    scalars = inst.scalars()
-    return scalars is not None and len(scalars) == 2
+    return len(inst.scalars()) == 2
 
 
 # -- classical structure through biproducts of the unit -------------------------

@@ -2,23 +2,30 @@
 
 Everything downstream (operator-subspace composition, kernels, orthocomplements,
 traces) reduces to exact linear algebra over the field Q(i) implemented here.
-Subspaces are kept in a canonical reduced-row-echelon form of their row-major
-vectorizations, so subspace equality is plain value equality.
 
-`GaussianRational` is the type at every function boundary.  Inside, elimination
-(`rref`), matrix products and Kronecker products scale their inputs to Gaussian
-integers over one common denominator, work on integer (re, im) pairs, and
-divide by the denominator (or the pivot) once per output entry.
+An `OperatorSubspace` holds its canonical form as Gaussian-integer rows: the
+reduced row echelon form of the row-major vectorizations of its elements, each
+row primitive (the gcd of all its parts is 1) with a real positive pivot.  That
+form is unique, so subspace equality is plain value equality.  The subspace
+operations (product, join, meet, leq, adjoint, orthocomplement, Kronecker
+product) go from integer rows to integer rows through one fraction-free
+elimination, `_eliminate`.
+
+`GaussianRational` is the type at every public boundary.  `OperatorSubspace.basis`
+is the view of a subspace as unit-pivot matrices, built when first read;
+`canonical_basis`, `span_of`, `rref` and `nullspace` take and return Gaussian
+rationals.  Matrix and Kronecker products of `ExactMatrix` scale their inputs to
+Gaussian integers over one common denominator and divide once per output entry.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ExactError(ValueError):
@@ -322,10 +329,28 @@ class ExactMatrix:
 
 
 Vector = tuple[GaussianRational, ...]
-IntRow = tuple[list[int], list[int]]  # real and imaginary parts of a Gaussian-integer row
+IntRow = tuple[Sequence[int], Sequence[int]]  # real and imaginary parts of a Gaussian-integer row
 
 
-def _primitive(re: list[int], im: list[int]) -> IntRow | None:
+def _int_row(v: Sequence[GaussianRational]) -> IntRow:
+    """The vector scaled to Gaussian integers by the lcm of its denominators."""
+    pairs, _ = _gaussian_ints(v)
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def _int_rows(rows: Iterable[Vector]) -> list[IntRow]:
+    out = [_int_row(tuple(r)) for r in rows]
+    if len({len(re) for re, _ in out}) > 1:
+        raise ExactError("ragged vectors")
+    return out
+
+
+def _unit_pivot(rows: Sequence[IntRow], pivots: Sequence[int]) -> list[Vector]:
+    """Each row divided by its pivot: the unit-pivot RREF over Q(i)."""
+    return [tuple(map(_over, re, im, repeat(re[pc]))) for (re, im), pc in zip(rows, pivots)]
+
+
+def _primitive(re: Sequence[int], im: Sequence[int]) -> IntRow | None:
     """The row divided by the gcd of all its parts; None for the zero row."""
     g = gcd(*re, *im)
     if g == 0:
@@ -336,7 +361,7 @@ def _primitive(re: list[int], im: list[int]) -> IntRow | None:
 
 
 def _clear(row: IntRow, pivot: IntRow, col: int) -> IntRow | None:
-    """Row r with r[col] cleared: primitive(p[col] r - r[col] p), where p[col] is real."""
+    """Row r with r[col] cleared: primitive(p[col] r - r[col] p), where p[col] > 0."""
     re, im = row
     fr, fi = re[col], im[col]
     if not fr and not fi:
@@ -350,90 +375,139 @@ def _clear(row: IntRow, pivot: IntRow, col: int) -> IntRow | None:
     )
 
 
+def _reduce(row: IntRow, rows: Sequence[IntRow], pivots: Sequence[int]) -> IntRow | None:
+    """The row cleared at every pivot column of a canonical echelon; None if that
+    leaves nothing, that is when the row lies in the echelon's span."""
+    for pc, p in zip(pivots, rows):
+        if row[0][pc] or row[1][pc]:
+            row = _clear(row, p, pc)
+            if row is None:
+                return None
+    return row
+
+
+def _eliminate(vecs: Iterable[IntRow], ncols: int, rows: Sequence[IntRow] = (),
+               pivots: Sequence[int] = ()) -> tuple[list[IntRow], list[int]]:
+    """The canonical echelon (see OperatorSubspace) of the span of a canonical
+    echelon `rows` (with pivot columns `pivots`) and some Gaussian-integer vectors.
+
+    Incremental fraction-free Gauss-Jordan elimination over Z[i].  Each vector is
+    made primitive and cleared at every pivot column by r <- p[col] r - r[col] p.
+    If anything is left, its first nonzero entry becomes a new pivot: the row is
+    multiplied by the conjugate of that entry (or by -1) so the pivot is real and
+    positive, and the column is cleared from every other row.  Every row stays
+    primitive, so entries stay small.  The vectors are read lazily and not past
+    the point where the rank reaches ncols.  Returns the rows in pivot order and
+    their pivot columns.
+    """
+    rows, pivots = list(rows), list(pivots)
+    if len(pivots) < ncols:
+        for re, im in vecs:
+            row = _primitive(re, im)
+            if row is not None:
+                row = _reduce(row, rows, pivots)
+            if row is None:
+                continue
+            re, im = row
+            col = next(j for j in range(ncols) if re[j] or im[j])
+            a, b = re[col], im[col]
+            if b:
+                row = _primitive([x * a + y * b for x, y in zip(re, im)],
+                                 [y * a - x * b for x, y in zip(re, im)])
+            elif a < 0:
+                row = [-x for x in re], [-y for y in im]
+            rows = [_clear(r, row, col) for r in rows]
+            rows.append(row)
+            pivots.append(col)
+            if len(pivots) == ncols:
+                break
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [rows[k] for k in order], [pivots[k] for k in order]
+
+
+def _null_rows(rows: Sequence[IntRow], pivots: Sequence[int], ncols: int) -> Iterator[IntRow]:
+    """Gaussian-integer vectors spanning {x : r . x = 0 for every row r} of a
+    reduced echelon with real positive pivots: one per free column f, with
+    x[f] = L, the lcm of the pivots, and x[pc] = -r[f] L / r[pc] for the row r
+    with pivot column pc."""
+    scale = lcm(*(re[pc] for (re, _), pc in zip(rows, pivots)))
+    factors = [scale // re[pc] for (re, _), pc in zip(rows, pivots)]
+    taken = set(pivots)
+    for f in range(ncols):
+        if f in taken:
+            continue
+        x_re, x_im = [0] * ncols, [0] * ncols
+        x_re[f] = scale
+        for (re, im), pc, k in zip(rows, pivots, factors):
+            x_re[pc], x_im[pc] = -re[f] * k, -im[f] * k
+        yield x_re, x_im
+
+
 def rref(rows: Iterable[Vector]) -> list[Vector]:
     """Reduced row echelon form with unit pivots and zero rows dropped.
 
-    Fraction-free Gauss-Jordan elimination over Z[i]: each row is scaled to
-    Gaussian integers, a row r is cleared against the pivot row p by
-    r <- p[col] r - r[col] p, and every row is kept primitive (the gcd of its
-    parts is 1), so entries stay small.  Each pivot row is multiplied by the
-    conjugate of its pivot, which makes every pivot a real integer, and each row
-    is divided by its pivot once at the end.
+    The rows are scaled to Gaussian integers and eliminated by `_eliminate`;
+    each row is divided by its pivot once at the end.
     """
-    vecs = [tuple(r) for r in rows]
+    vecs = _int_rows(rows)
     if not vecs:
         return []
-    ncols = len(vecs[0])
-    if any(len(v) != ncols for v in vecs):
-        raise ExactError("ragged vectors")
-    rest: list[IntRow] = []
-    for v in vecs:
-        pairs, _ = _gaussian_ints(v)
-        row = _primitive([x for x, _ in pairs], [y for _, y in pairs])
-        if row is not None:
-            rest.append(row)
-    out: list[IntRow] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        k = next((k for k, (re, im) in enumerate(rest) if re[col] or im[col]), None)
-        if k is None:
-            continue
-        p_re, p_im = pivot = rest.pop(k)
-        a, b = p_re[col], p_im[col]
-        if b:
-            pivot = _primitive(
-                [x * a + y * b for x, y in zip(p_re, p_im)],
-                [y * a - x * b for x, y in zip(p_re, p_im)],
-            )
-        rest = [r for r in (_clear(r, pivot, col) for r in rest) if r is not None]
-        out = [_clear(r, pivot, col) for r in out]
-        out.append(pivot)
-        pivots.append(col)
-    return [tuple(map(_over, re, im, repeat(re[pc]))) for (re, im), pc in zip(out, pivots)]
+    return _unit_pivot(*_eliminate(vecs, len(vecs[0][0])))
 
 
 def nullspace(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     """Canonical basis of {x : M x = 0} for the matrix M with the given rows."""
-    reduced = rref(rows)
-    pivots = []
-    for r in reduced:
-        pivots.append(next(i for i, z in enumerate(r) if not z.is_zero()))
-    free = [j for j in range(ncols) if j not in pivots]
-    basis: list[Vector] = []
-    for j in free:
-        vec = [Q0] * ncols
-        vec[j] = Q1
-        for r, p in zip(reduced, pivots):
-            vec[p] = -r[j]
-        basis.append(tuple(vec))
-    return rref(basis)
+    reduced = _int_rows(rref(rows))
+    if reduced and len(reduced[0][0]) != ncols:
+        raise ExactError(f"expected vectors of length {ncols}")
+    pivots = [next(j for j, x in enumerate(re) if x) for re, _ in reduced]
+    return _unit_pivot(*_eliminate(_null_rows(reduced, pivots, ncols), ncols))
 
 
 @dataclass(frozen=True)
 class OperatorSubspace:
     """A linear subspace of the codomain_dim x domain_dim matrices.
 
-    The basis is the RREF (over row-major vectorizations) of any spanning set,
-    so two equal subspaces are equal values.
+    It is held as the canonical Gaussian-integer echelon of the row-major
+    vectorizations of its elements: `rows` has one (real parts, imaginary parts)
+    pair per basis vector, in reduced row echelon form, and each row is
+    primitive (the gcd of all its parts is 1) with a real positive pivot at
+    column `pivots[k]`.  Each row is the unique such positive rational multiple
+    of the unit-pivot RREF row, so two equal subspaces are equal values.
     """
 
     domain_dim: int
     codomain_dim: int
-    basis: tuple[ExactMatrix, ...]
+    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    pivots: tuple[int, ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.domain_dim < 0 or self.codomain_dim < 0:
             raise ExactError("dimensions must be nonnegative")
-        for m in self.basis:
-            if (m.rows, m.cols) != (self.codomain_dim, self.domain_dim):
-                raise ExactError("basis matrix shape mismatch")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
+
+    @property
+    def basis(self) -> tuple[ExactMatrix, ...]:
+        """The unit-pivot RREF basis as matrices, built on first read and kept."""
+        basis = self.__dict__.get("_basis")
+        if basis is None:
+            c, d = self.codomain_dim, self.domain_dim
+            basis = tuple(ExactMatrix(c, d, v) for v in _unit_pivot(self.rows, self.pivots))
+            object.__setattr__(self, "_basis", basis)
+        return basis
+
+
+def _span(d: int, c: int, vecs: Iterable[IntRow], rows: Sequence[IntRow] = (),
+          pivots: Sequence[int] = ()) -> OperatorSubspace:
+    """The c x d subspace spanned by a canonical echelon and more vectors."""
+    rows, pivots = _eliminate(vecs, d * c, rows, pivots)
+    return OperatorSubspace(d, c, tuple((tuple(re), tuple(im)) for re, im in rows), tuple(pivots))
 
 
 def canonical_basis(mats: Sequence[ExactMatrix], d: int, c: int) -> OperatorSubspace:
@@ -441,19 +515,18 @@ def canonical_basis(mats: Sequence[ExactMatrix], d: int, c: int) -> OperatorSubs
     for m in mats:
         if (m.rows, m.cols) != (c, d):
             raise ExactError(f"expected shape {c}x{d}, got {m.rows}x{m.cols}")
-    vecs = rref([m.vectorize() for m in mats])
-    return OperatorSubspace(
-        d, c, tuple(ExactMatrix.from_vector(v, c, d) for v in vecs)
-    )
+    return _span(d, c, (_int_row(m.entries) for m in mats))
 
 
 def zero_subspace(d: int, c: int) -> OperatorSubspace:
-    return OperatorSubspace(d, c, ())
+    return OperatorSubspace(d, c, (), ())
 
 
 def full_subspace(d: int, c: int) -> OperatorSubspace:
-    return canonical_basis(
-        [ExactMatrix.unit(c, d, i, j) for i in range(c) for j in range(d)], d, c
+    n = d * c
+    zeros = (0,) * n
+    return OperatorSubspace(
+        d, c, tuple((zeros[:j] + (1,) + zeros[j + 1:], zeros) for j in range(n)), tuple(range(n))
     )
 
 
@@ -463,18 +536,40 @@ def span_of(*mats: ExactMatrix) -> OperatorSubspace:
     return canonical_basis(list(mats), mats[0].cols, mats[0].rows)
 
 
+def _products(w: OperatorSubspace, v: OperatorSubspace) -> Iterator[IntRow]:
+    """The integer matrix products w_i v_j, row-major, for every pair of rows."""
+    c, k, d = w.codomain_dim, w.domain_dim, v.domain_dim
+    # The nonzero entries of each row of each matrix of v, as (column, re, im).
+    v_mats = [
+        [[(j, br, bi) for j, br, bi in zip(range(d), re[t * d:(t + 1) * d], im[t * d:(t + 1) * d])
+          if br or bi] for t in range(k)]
+        for re, im in v.rows
+    ]
+    for are, aim in w.rows:
+        w_rows = [(i * d, are[i * k:(i + 1) * k], aim[i * k:(i + 1) * k]) for i in range(c)]
+        for b_rows in v_mats:
+            out_re, out_im = [0] * (c * d), [0] * (c * d)
+            for off, a_re, a_im in w_rows:
+                for ar, ai, b_row in zip(a_re, a_im, b_rows):
+                    if ar or ai:
+                        for j, br, bi in b_row:
+                            out_re[off + j] += ar * br - ai * bi
+                            out_im[off + j] += ar * bi + ai * br
+            yield out_re, out_im
+
+
 def subspace_product(w: OperatorSubspace, v: OperatorSubspace) -> OperatorSubspace:
     """Composite subspace: span of all pairwise products w_i v_j."""
     if w.domain_dim != v.codomain_dim:
         raise ExactError("inner dimensions do not match")
-    prods = [wm @ vm for wm in w.basis for vm in v.basis]
-    return canonical_basis(prods, v.domain_dim, w.codomain_dim)
+    return _span(v.domain_dim, w.codomain_dim, _products(w, v))
 
 
 def subspace_adjoint(v: OperatorSubspace) -> OperatorSubspace:
-    return canonical_basis(
-        [m.adjoint() for m in v.basis], v.codomain_dim, v.domain_dim
-    )
+    c, d = v.codomain_dim, v.domain_dim
+    # Entry (j, i) of the d x c adjoint is the conjugate of entry (i, j).
+    perm = [i * d + j for j in range(d) for i in range(c)]
+    return _span(c, d, (([re[k] for k in perm], [-im[k] for k in perm]) for re, im in v.rows))
 
 
 def _check_same_shape(v: OperatorSubspace, w: OperatorSubspace) -> None:
@@ -484,38 +579,88 @@ def _check_same_shape(v: OperatorSubspace, w: OperatorSubspace) -> None:
 
 def subspace_join(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
     _check_same_shape(v, w)
-    return canonical_basis(list(v.basis) + list(w.basis), v.domain_dim, v.codomain_dim)
+    if v.dim < w.dim:
+        v, w = w, v
+    if not w.rows:
+        return v
+    return _span(v.domain_dim, v.codomain_dim, w.rows, v.rows, v.pivots)
 
 
 def subspace_meet(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
-    """Exact intersection, computed by De Morgan duality for the HS form."""
+    """Exact intersection, by Zassenhaus' algorithm.
+
+    The rows (a, a) for a in v and (b, 0) for b in w span {(a + b, a)}; its
+    canonical echelon rows that vanish on the first half are (0, a) with a
+    running over the canonical echelon of the intersection.
+    """
     _check_same_shape(v, w)
-    return hs_orthocomplement(
-        subspace_join(hs_orthocomplement(v), hs_orthocomplement(w))
+    d, c = v.domain_dim, v.codomain_dim
+    if not v.rows or not w.rows:
+        return zero_subspace(d, c)
+    n = d * c
+    zeros = (0,) * n
+    rows, pivots = _eliminate(((re + zeros, im + zeros) for re, im in w.rows), 2 * n,
+                              [(re + re, im + im) for re, im in v.rows], v.pivots)
+    first = next((k for k, pc in enumerate(pivots) if pc >= n), len(pivots))
+    return OperatorSubspace(
+        d, c, tuple((tuple(re[n:]), tuple(im[n:])) for re, im in rows[first:]),
+        tuple(pc - n for pc in pivots[first:]),
     )
 
 
 def subspace_leq(v: OperatorSubspace, w: OperatorSubspace) -> bool:
+    """v <= w: rank(w + v) == dim w, that is every row of v reduces to zero on w."""
     _check_same_shape(v, w)
-    return subspace_join(v, w) == w
+    return v.dim <= w.dim and all(_reduce(row, w.rows, w.pivots) is None for row in v.rows)
 
 
 def hs_orthocomplement(v: OperatorSubspace) -> OperatorSubspace:
-    """All b with tr(a^dagger b) = 0 for every a in v (Hilbert-Schmidt form)."""
-    n = v.domain_dim * v.codomain_dim
-    rows = [tuple(z.conjugate() for z in m.vectorize()) for m in v.basis]
-    vecs = nullspace(rows, n)
-    return OperatorSubspace(
-        v.domain_dim, v.codomain_dim,
-        tuple(ExactMatrix.from_vector(x, v.codomain_dim, v.domain_dim) for x in vecs),
-    )
+    """All b with tr(a^dagger b) = 0 for every a in v (Hilbert-Schmidt form).
+
+    That is the nullspace of the conjugated rows, which are again a canonical
+    echelon with the same pivots, since every pivot is real.
+    """
+    conj = [(re, [-y for y in im]) for re, im in v.rows]
+    return _span(v.domain_dim, v.codomain_dim,
+                 _null_rows(conj, v.pivots, v.domain_dim * v.codomain_dim))
 
 
 def kronecker(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
-    prods = [a.kron(b) for a in v.basis for b in w.basis]
-    return canonical_basis(
-        prods, v.domain_dim * w.domain_dim, v.codomain_dim * w.codomain_dim
-    )
+    """The span of all a (x) b for a in v and b in w.
+
+    No elimination is needed: for canonical echelons v and w, the products of
+    their rows are again in reduced row echelon form.  The first nonzero entry of
+    a (x) b sits at the pivots of a and b (row-major order of a Kronecker product
+    compares the row of a, the row of b, the column of a, then the column of b),
+    and the product vanishes at every other pair of pivots.  Only primitivity and
+    the order of the rows need restoring.
+    """
+    c1, d1, c2, d2 = v.codomain_dim, v.domain_dim, w.codomain_dim, w.domain_dim
+    zeros = [0] * d2
+    b_mats = [
+        ([(re[p * d2:(p + 1) * d2], im[p * d2:(p + 1) * d2]) for p in range(c2)], pb)
+        for (re, im), pb in zip(w.rows, w.pivots)
+    ]
+    out = []
+    for (are, aim), pa in zip(v.rows, v.pivots):
+        a_rows = [list(zip(are[i * d1:(i + 1) * d1], aim[i * d1:(i + 1) * d1])) for i in range(c1)]
+        for b_rows, pb in b_mats:
+            re, im = [], []
+            for a_row in a_rows:
+                for b_re, b_im in b_rows:
+                    for ar, ai in a_row:
+                        if ar or ai:
+                            re += [ar * x - ai * y for x, y in zip(b_re, b_im)]
+                            im += [ar * y + ai * x for x, y in zip(b_re, b_im)]
+                        else:
+                            re += zeros
+                            im += zeros
+            (ia, ja), (ib, jb) = divmod(pa, d1), divmod(pb, d2)
+            re, im = _primitive(re, im)
+            out.append((((ia * c2 + ib) * d1 + ja) * d2 + jb, tuple(re), tuple(im)))
+    out.sort()
+    return OperatorSubspace(d1 * d2, c1 * c2, tuple((re, im) for _, re, im in out),
+                            tuple(pc for pc, _, _ in out))
 
 
 def commutation_matrix(m: int, n: int) -> ExactMatrix:

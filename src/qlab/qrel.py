@@ -10,6 +10,7 @@ morphisms, zero-monomorphisms, and the classical truth-value correspondence.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .calculus import BiproductData, map_from_test, omega_data, test_from_map
@@ -71,17 +72,26 @@ def orthocomplement(f: MatrMorphism) -> MatrMorphism:
     return inst.mor(f.source, f.target, blocks)
 
 
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
 def is_perp_blockwise(r: MatrMorphism, s: MatrMorphism) -> bool:
-    """Hilbert-Schmidt orthogonality in every block position."""
+    """Hilbert-Schmidt orthogonality in every block position.
+
+    tr(a^dagger b) is the dot product of the conjugate of vec a with vec b, so
+    two blocks are orthogonal when every pair of their Gaussian-integer
+    canonical rows has a zero such product.
+    """
     smap = s.block_map()
     for key, v in r.blocks:
         w = smap.get(key)
         if w is None:
             continue
-        for a in v.basis:
-            for b in w.basis:
-                t = (a.adjoint() @ b).trace()
-                if not t.is_zero():
+        for a_re, a_im in v.rows:
+            for b_re, b_im in w.rows:
+                if (_dot(a_re, b_re) + _dot(a_im, b_im)
+                        or _dot(a_re, b_im) - _dot(a_im, b_re)):
                     return False
     return True
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from qlab.cli import main
+from qlab.exact import format_scalar, gq, parse_scalar
 
 REL_DOC = json.dumps({
     "source": {"labels": ["a", "b"]},
@@ -304,3 +306,103 @@ def test_qrel_report_is_byte_identical(case, capsys):
     code, out, _ = run_cli(["check", *args, "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- morphism-printing commands ---------------------------------------------------
+#
+# The check reports above hold only counts, so they cannot see how a basis is
+# rendered.  These pin the printed morphisms of compute, neg and kernel on
+# fixed seeded qrel inputs.  The inputs are raw JSON documents of random
+# spanning matrices (zeros, pure imaginaries, denominators up to 5), so their
+# canonical form is computed by the command itself.
+
+_PALETTE = ("0", "0", "1", "-1", "i", "-i", "1+i", "1/2", "-2/3 i", "3/4-1/5 i", "2-i")
+
+
+def _qrel_docs(seed):
+    rng = random.Random(f"qlab-cli-pins:{seed}")
+
+    def atoms(spec):
+        return {"atoms": [{"label": lab, "dim": d} for lab, d in spec]}
+
+    def doc(src, tgt, k, matrix=None):
+        def rand(rows, cols):
+            return [[rng.choice(_PALETTE) for _ in range(cols)] for _ in range(rows)]
+        matrix = matrix or rand
+        return {
+            "source": atoms(src), "target": atoms(tgt),
+            "blocks": [{"from": a, "to": b, "basis": [matrix(db, da) for _ in range(k)]}
+                       for a, da in src for b, db in tgt],
+        }
+
+    # Every row r of the kernel input satisfies r . (1, k1, k2) = 0, so the
+    # joint kernel at atom p is a line.
+    k1, k2 = parse_scalar(rng.choice(_PALETTE)), parse_scalar(rng.choice(_PALETTE[2:]))
+
+    def kernel_row():
+        r0, r1 = (parse_scalar(rng.choice(_PALETTE)) for _ in range(2))
+        return [format_scalar(z) for z in (r0, r1, gq(0) - (r0 + r1 * k1) / k2)]
+
+    x, y, z = [("u", 2), ("v", 1)], [("w", 2)], [("s", 2)]
+    return {
+        "a": doc(y, x, 1), "b": doc(x, y, 1), "c": doc(x, x, 1), "e": doc(x, x, 1),
+        "p": doc(z, z, 2), "q": doc(z, z, 1), "s": doc(z, z, 2), "f": doc(x, y, 2),
+        "k": {"source": atoms([("p", 3), ("q", 2)]), "target": atoms([("r", 2)]),
+              "blocks": [{"from": "p", "to": "r",
+                          "basis": [[kernel_row() for _ in range(2)] for _ in range(2)]}]},
+    }
+
+
+PRINT_COMMANDS = {
+    "compose-join": ["compute", "--instance", "qrel", "a ∘ b ∨ c"],
+    "trace": ["compute", "--instance", "qrel", "trace(e)"],
+    "tensor": ["compute", "--instance", "qrel", "tensor(p, q)"],
+    "name": ["compute", "--instance", "qrel", "name(b)"],
+    "star": ["compute", "--instance", "qrel", "star(s)"],
+    "neg": ["neg", "--instance", "qrel", "f"],
+    "kernel": ["kernel", "k"],
+}
+
+# sha256 of stdout per command and seed (0-2).
+PRINT_SHA256 = {
+    "compose-join-0": "dbf0a670d7653dcda3c7936b5e77a4402f026e08114fc061490b8b8bf6c2de80",
+    "trace-0": "696b974d58af42fca30a65fd7c8aa3856ca8d666e292446fd5ab3f27654ebe6b",
+    "tensor-0": "12e755f43ab8345c0adee7fd3cda52843b45dde1c3e3cb09e155ff8f467fb0cc",
+    "name-0": "e8faf5cd94ab4ca03331972bfc07d94b85fb6faafc4590e896863cd239d89e4d",
+    "star-0": "f386ad63dd7b2df42950d4a1bf73909b05e7906342d408fe721652c2deb2171f",
+    "neg-0": "4980cef4c11c989f6ff239e93e4a293654ca12964a6d900d9910beda17c9dc64",
+    "kernel-0": "08fd8f521f40e83245eaf9ba1c88cce1cf401ab5daf55842c728db81ae2d3a3c",
+    "compose-join-1": "134b2456263830cfa3f811ab39d3ee9f21f9e7e2642193937f9cfa29d874f510",
+    "trace-1": "696b974d58af42fca30a65fd7c8aa3856ca8d666e292446fd5ab3f27654ebe6b",
+    "tensor-1": "05a35c8b0543125f122a95a19a40629572a7993734f1a24098e03fb90a62e557",
+    "name-1": "229e6d3191e20fd5e0284a68fa0d1bd31c9392b7cfa3d9cb02d7eddc2b39b304",
+    "star-1": "ef4236e4cd8b16e8aed6fe1d61825e77916e23564605a96287d7720fd5f5441b",
+    "neg-1": "8981a0c7b71390e8955c7237be333deebf744273a83a806cac1ef4abb1981b5f",
+    "kernel-1": "c329446e59d2656add48d2a18e3b0b37c0a880a5bf453b9c07649fef939b026f",
+    "compose-join-2": "71971a0e276a738ca3c000134d0f175ec7095ed49049d09dac4c906715eb01c4",
+    "trace-2": "696b974d58af42fca30a65fd7c8aa3856ca8d666e292446fd5ab3f27654ebe6b",
+    "tensor-2": "a40e8225fc19aaf53fff131cee0cc37b61fe8a9826d728e1d0572e19834fbd15",
+    "name-2": "a557eec2a27e866797c308c2ea6f6d2e4714f1e51cf0a81c7385936612db1420",
+    "star-2": "ab9c0f3856f9fbd92b85a4dfea73b3e7e64a1742cc7164710a660a00d7609dec",
+    "neg-2": "40c7a3f6e1e4b133f93703217517a37682ba256445768390148a24f17909208e",
+    "kernel-2": "bd88bdf586c8dd38545bde8cd606dc9a527fbdc6c9b1dd8758a60d7e3e197978",
+}
+
+
+def _print_argv(case, seed):
+    docs = _qrel_docs(seed)
+    argv = PRINT_COMMANDS[case]
+    if argv[0] == "compute":
+        loads = []
+        for key in sorted(set(argv[-1]) & set(docs)):
+            loads += ["--load", f"{key}={json.dumps(docs[key])}"]
+        return argv[:-1] + loads + argv[-1:]
+    return argv[:-1] + [json.dumps(docs[argv[-1]])]
+
+
+@pytest.mark.parametrize("case", list(PRINT_SHA256))
+def test_printed_qrel_morphisms_are_byte_identical(case, capsys):
+    command, seed = case.rsplit("-", 1)
+    code, out, _ = run_cli(_print_argv(command, int(seed)), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRINT_SHA256[case]

@@ -1,6 +1,7 @@
 """Exact scalar and matrix arithmetic, and the canonical subspace form."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from qlab.exact import (
     gq,
     hs_orthocomplement,
     kronecker,
+    nullspace,
     parse_scalar,
     rref,
     span_of,
@@ -314,3 +316,185 @@ def test_products_of_empty_shapes():
     d = ExactMatrix(0, 3, ())
     assert c @ d == ExactMatrix.zero(2, 3)
     assert c.kron(b) == ExactMatrix(6, 0, ())
+
+
+# -- oracles for the Gaussian-integer subspace layer -----------------------------
+#
+# The GaussianRational subspace operations as they were before subspaces held
+# Gaussian-integer rows, written over reference_rref and the ExactMatrix
+# operations.  A reference subspace is its list of unit-pivot RREF vectors.
+
+def reference_span(mats):
+    return reference_rref([m.vectorize() for m in mats])
+
+
+def reference_nullspace(rows, ncols):
+    reduced = reference_rref(rows)
+    pivots = [next(i for i, z in enumerate(r) if not z.is_zero()) for r in reduced]
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [Q0] * ncols
+        vec[j] = Q1
+        for r, p in zip(reduced, pivots):
+            vec[p] = Q0 - r[j]
+        basis.append(tuple(vec))
+    return reference_rref(basis)
+
+
+def _mats(vecs, c, d):
+    return [ExactMatrix.from_vector(v, c, d) for v in vecs]
+
+
+def reference_product(w, v, c, k, d):
+    return reference_span([a @ b for a in _mats(w, c, k) for b in _mats(v, k, d)])
+
+
+def reference_adjoint(v, c, d):
+    return reference_span([m.adjoint() for m in _mats(v, c, d)])
+
+
+def reference_join(v, w):
+    return reference_rref(list(v) + list(w))
+
+
+def reference_orthocomplement(v, n):
+    return reference_nullspace([tuple(z.conjugate() for z in r) for r in v], n)
+
+
+def reference_meet(v, w, n):
+    return reference_orthocomplement(
+        reference_join(reference_orthocomplement(v, n), reference_orthocomplement(w, n)), n)
+
+
+def reference_leq(v, w):
+    return reference_join(v, w) == w
+
+
+def reference_kronecker(v, w, c1, d1, c2, d2):
+    return reference_span([reference_kron(a, b) for a in _mats(v, c1, d1) for b in _mats(w, c2, d2)])
+
+
+def assert_canonical(s):
+    """The stored form: RREF rows, each primitive with a real positive pivot."""
+    n = s.domain_dim * s.codomain_dim
+    assert len(s.pivots) == len(s.rows)
+    assert list(s.pivots) == sorted(set(s.pivots))
+    for (re, im), pc in zip(s.rows, s.pivots):
+        assert len(re) == len(im) == n
+        assert gcd(*re, *im) == 1
+        assert re[pc] > 0 and im[pc] == 0
+        assert not any(re[:pc]) and not any(im[:pc])
+        for (o_re, o_im), o_pc in zip(s.rows, s.pivots):
+            if o_pc != pc:
+                assert re[o_pc] == 0 and im[o_pc] == 0
+
+
+def assert_matches(s, ref, d, c):
+    """s has the reference's basis, dimension and value."""
+    assert_canonical(s)
+    assert (s.domain_dim, s.codomain_dim) == (d, c)
+    assert [m.vectorize() for m in s.basis] == ref
+    assert s.dim == len(ref)
+    assert s == canonical_basis(_mats(ref, c, d), d, c)
+
+
+unit_scalars = st.sampled_from([Q1, gq(-1), gq(0, 1), gq(0, -1), gq(2, -3)])
+
+
+@st.composite
+def subspaces(draw, c, d):
+    """A c x d subspace: zero, full, or spanned by a few random matrices, each
+    scaled by a unit or a Gaussian integer so pivots are often negative or
+    purely imaginary."""
+    kind = draw(st.sampled_from(["zero", "full", "random", "random", "random"]))
+    if kind == "zero":
+        mats = [ExactMatrix.zero(c, d)] * draw(st.integers(0, 1))
+    elif kind == "full":
+        mats = [ExactMatrix.unit(c, d, i, j) for i in range(c) for j in range(d)]
+    else:
+        mats = [draw(matrices(rows=c, cols=d)).scale(draw(unit_scalars))
+                for _ in range(draw(st.integers(1, 3)))]
+    s = canonical_basis(mats, d, c)
+    return s, reference_span(mats)
+
+
+dims = st.integers(1, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_canonical_basis_matches_reference(data):
+    c, d = data.draw(dims), data.draw(dims)
+    s, ref = data.draw(subspaces(c, d))
+    assert_matches(s, ref, d, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subspace_product_matches_reference(data):
+    c, k, d = data.draw(dims), data.draw(dims), data.draw(dims)
+    w, w_ref = data.draw(subspaces(c, k))
+    v, v_ref = data.draw(subspaces(k, d))
+    assert_matches(subspace_product(w, v), reference_product(w_ref, v_ref, c, k, d), d, c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_subspace_adjoint_matches_reference(data):
+    c, d = data.draw(dims), data.draw(dims)
+    v, v_ref = data.draw(subspaces(c, d))
+    assert_matches(subspace_adjoint(v), reference_adjoint(v_ref, c, d), c, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subspace_lattice_matches_reference(data):
+    c, d = data.draw(dims), data.draw(dims)
+    v, v_ref = data.draw(subspaces(c, d))
+    w, w_ref = data.draw(subspaces(c, d))
+    n = c * d
+    assert_matches(subspace_join(v, w), reference_join(v_ref, w_ref), d, c)
+    assert_matches(subspace_meet(v, w), reference_meet(v_ref, w_ref, n), d, c)
+    assert_matches(hs_orthocomplement(v), reference_orthocomplement(v_ref, n), d, c)
+    assert subspace_leq(v, w) == reference_leq(v_ref, w_ref)
+    assert subspace_leq(w, v) == reference_leq(w_ref, v_ref)
+    meet = subspace_meet(v, w)
+    assert subspace_leq(meet, v) and subspace_leq(meet, w)
+    assert (v == w) == (v_ref == w_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kronecker_matches_reference(data):
+    c1, d1, c2, d2 = (data.draw(st.integers(1, 2)) for _ in range(4))
+    v, v_ref = data.draw(subspaces(c1, d1))
+    w, w_ref = data.draw(subspaces(c2, d2))
+    assert_matches(kronecker(v, w), reference_kronecker(v_ref, w_ref, c1, d1, c2, d2),
+                   d1 * d2, c1 * c2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_sets(max_rows=4, max_cols=5))
+def test_nullspace_matches_reference(rows):
+    ncols = len(rows[0]) if rows else 3
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+def test_canonical_rows_of_a_known_span():
+    # span{[[2i, 1/3]]}: the unit-pivot row is (1, -1/6 i), stored as (6, -i).
+    v = span_of(ExactMatrix.from_rows([[gq(0, 2), gq(Fraction(1, 3))]]))
+    assert v.rows == (((6, 0), (0, -1)),)
+    assert v.basis == (ExactMatrix.from_rows([[Q1, gq(0, Fraction(-1, 6))]]),)
+    assert span_of(ExactMatrix.from_rows([[gq(-3), gq(0, Fraction(1, 2))]])) == span_of(
+        ExactMatrix.from_rows([[gq(6), gq(0, -1)]]))
+
+
+def test_kronecker_restores_primitive_rows():
+    # (2, 1+i) is primitive, but its Kronecker square (4, 2+2i, 2+2i, 2i) is not.
+    v = span_of(ExactMatrix.from_rows([[gq(2), gq(1, 1)]]))
+    k = kronecker(v, v)
+    assert_matches(k, reference_kronecker([m.vectorize() for m in v.basis],
+                                          [m.vectorize() for m in v.basis], 1, 2, 1, 2), 4, 1)
+    assert k.rows == (((2, 1, 1, 0), (0, 1, 1, 1)),)

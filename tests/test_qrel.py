@@ -180,3 +180,30 @@ def test_invertible_not_dagger_iso_fixture():
     assert INST.equal(INST.compose(v, w), INST.identity(x))
     assert not is_dagger_iso(INST, v)
     assert not is_map(INST, v)
+
+
+def _complex_block(rng, dc, dr):
+    entries = (0, 0, 1, -1, 2, 1j, -1j, 1 + 1j, 2 - 1j)
+    mats = [ExactMatrix.from_rows([[GaussianRational(Fraction(int(z.real)), Fraction(int(z.imag)))
+                                    for z in (complex(rng.choice(entries)) for _ in range(dc))]
+                                   for _ in range(dr)]) for _ in range(rng.randrange(1, 3))]
+    return span_of(*mats)
+
+
+def test_is_perp_matches_the_trace_of_products():
+    # Against tr(a^dagger b) over the unit-pivot bases, with complex entries; half
+    # the pairs take s inside the orthocomplement of r, so both answers occur.
+    rng = random.Random(17)
+    seen = set()
+    for k in range(120):
+        v = _complex_block(rng, 2, 2)
+        if k % 2:
+            w = _complex_block(rng, 2, 2)
+        else:
+            perp = orthocomplement(INST.mor(X2, X2, {("x", "x"): v})).blocks[0][1]
+            w = span_of(*rng.sample(perp.basis, rng.randrange(1, perp.dim + 1)))
+        r, s = INST.mor(X2, X2, {("x", "x"): v}), INST.mor(X2, X2, {("x", "x"): w})
+        want = all((a.adjoint() @ b).trace().is_zero() for a in v.basis for b in w.basis)
+        assert is_perp_blockwise(r, s) == want
+        seen.add(want)
+    assert seen == {True, False}
