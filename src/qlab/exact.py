@@ -9,13 +9,16 @@ row primitive (the gcd of all its parts is 1) with a real positive pivot.  That
 form is unique, so subspace equality is plain value equality.  The subspace
 operations (product, join, meet, leq, adjoint, orthocomplement, Kronecker
 product) go from integer rows to integer rows through one fraction-free
-elimination, `_eliminate`.
+elimination, `_eliminate`.  `span_of_rows` is the integer entry point: the
+subspace spanned by matrices given as row-major Gaussian-integer vectors.  The
+library builds every subspace through it.
 
-`GaussianRational` is the type at every public boundary.  `OperatorSubspace.basis`
-is the view of a subspace as unit-pivot matrices, built when first read;
+`GaussianRational` and `ExactMatrix` are the types at the text boundary (parsing
+and printing) and of the public wrappers: `OperatorSubspace.basis` is the view
+of a subspace as unit-pivot matrices, built when first read, and
 `canonical_basis`, `span_of`, `rref` and `nullspace` take and return Gaussian
-rationals.  Matrix and Kronecker products of `ExactMatrix` scale their inputs to
-Gaussian integers over one common denominator and divide once per output entry.
+rationals.  `ExactMatrix` keeps only construction, access, the adjoint,
+transpose and product, and its text form.
 """
 
 from __future__ import annotations
@@ -116,21 +119,17 @@ def _over(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Serialize as "a/b+c/d i" with zero parts omitted."""
     if z.is_zero():
         return "0"
     if z.im == 0:
-        return _frac_str(z.re)
-    imag = "i" if abs(z.im) == 1 else f"{_frac_str(abs(z.im))} i"
+        return str(z.re)
+    imag = "i" if abs(z.im) == 1 else f"{abs(z.im)} i"
     if z.re == 0:
         return imag if z.im > 0 else "-" + imag
     sign = "+" if z.im > 0 else "-"
-    return f"{_frac_str(z.re)}{sign}{imag}"
+    return f"{z.re}{sign}{imag}"
 
 
 _RATIONAL = r"\d+(?:/\d+)?"
@@ -228,29 +227,7 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def is_zero(self) -> bool:
-        return all(z.is_zero() for z in self.entries)
-
     # -- algebra -----------------------------------------------------------
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ExactError("shape mismatch in addition")
-        return ExactMatrix(
-            self.rows, self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ExactError("shape mismatch in subtraction")
-        return ExactMatrix(
-            self.rows, self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, s: GaussianRational) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(s * z for z in self.entries))
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ExactError("shape mismatch in product")
@@ -285,37 +262,6 @@ class ExactMatrix:
             self.cols, self.rows,
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ExactError("trace of a nonsquare matrix")
-        acc = Q0
-        for i in range(self.rows):
-            acc = acc + self.at(i, i)
-        return acc
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        n, m = self.cols, other.cols
-        a, da = _gaussian_ints(self.entries)
-        b, db = _gaussian_ints(other.entries)
-        den = da * db
-        zeros = [Q0] * m
-        out: list[GaussianRational] = []
-        for i in range(self.rows):
-            a_row = a[i * n:(i + 1) * n]
-            for p in range(other.rows):
-                b_row = b[p * m:(p + 1) * m]
-                for ar, ai in a_row:
-                    if ar or ai:
-                        out.extend(_over(ar * br - ai * bi, ar * bi + ai * br, den)
-                                   for br, bi in b_row)
-                    else:
-                        out.extend(zeros)
-        return ExactMatrix(self.rows * other.rows, n * m, tuple(out))
-
-    def vectorize(self) -> tuple[GaussianRational, ...]:
-        """Row-major flattening."""
-        return self.entries
 
     @staticmethod
     def from_vector(vec: Sequence[GaussianRational], rows: int, cols: int) -> "ExactMatrix":
@@ -503,9 +449,11 @@ class OperatorSubspace:
         return basis
 
 
-def _span(d: int, c: int, vecs: Iterable[IntRow], rows: Sequence[IntRow] = (),
-          pivots: Sequence[int] = ()) -> OperatorSubspace:
-    """The c x d subspace spanned by a canonical echelon and more vectors."""
+def span_of_rows(d: int, c: int, vecs: Iterable[IntRow], rows: Sequence[IntRow] = (),
+                 pivots: Sequence[int] = ()) -> OperatorSubspace:
+    """The c x d subspace spanned by c x d matrices given as row-major
+    Gaussian-integer vectors (real parts, imaginary parts), together with a
+    canonical echelon `rows` (with pivot columns `pivots`) if one is given."""
     rows, pivots = _eliminate(vecs, d * c, rows, pivots)
     return OperatorSubspace(d, c, tuple((tuple(re), tuple(im)) for re, im in rows), tuple(pivots))
 
@@ -515,7 +463,7 @@ def canonical_basis(mats: Sequence[ExactMatrix], d: int, c: int) -> OperatorSubs
     for m in mats:
         if (m.rows, m.cols) != (c, d):
             raise ExactError(f"expected shape {c}x{d}, got {m.rows}x{m.cols}")
-    return _span(d, c, (_int_row(m.entries) for m in mats))
+    return span_of_rows(d, c, (_int_row(m.entries) for m in mats))
 
 
 def zero_subspace(d: int, c: int) -> OperatorSubspace:
@@ -562,14 +510,15 @@ def subspace_product(w: OperatorSubspace, v: OperatorSubspace) -> OperatorSubspa
     """Composite subspace: span of all pairwise products w_i v_j."""
     if w.domain_dim != v.codomain_dim:
         raise ExactError("inner dimensions do not match")
-    return _span(v.domain_dim, w.codomain_dim, _products(w, v))
+    return span_of_rows(v.domain_dim, w.codomain_dim, _products(w, v))
 
 
 def subspace_adjoint(v: OperatorSubspace) -> OperatorSubspace:
     c, d = v.codomain_dim, v.domain_dim
     # Entry (j, i) of the d x c adjoint is the conjugate of entry (i, j).
     perm = [i * d + j for j in range(d) for i in range(c)]
-    return _span(c, d, (([re[k] for k in perm], [-im[k] for k in perm]) for re, im in v.rows))
+    return span_of_rows(c, d, (([re[k] for k in perm], [-im[k] for k in perm])
+                               for re, im in v.rows))
 
 
 def _check_same_shape(v: OperatorSubspace, w: OperatorSubspace) -> None:
@@ -583,7 +532,7 @@ def subspace_join(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
         v, w = w, v
     if not w.rows:
         return v
-    return _span(v.domain_dim, v.codomain_dim, w.rows, v.rows, v.pivots)
+    return span_of_rows(v.domain_dim, v.codomain_dim, w.rows, v.rows, v.pivots)
 
 
 def subspace_meet(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
@@ -621,8 +570,8 @@ def hs_orthocomplement(v: OperatorSubspace) -> OperatorSubspace:
     echelon with the same pivots, since every pivot is real.
     """
     conj = [(re, [-y for y in im]) for re, im in v.rows]
-    return _span(v.domain_dim, v.codomain_dim,
-                 _null_rows(conj, v.pivots, v.domain_dim * v.codomain_dim))
+    return span_of_rows(v.domain_dim, v.codomain_dim,
+                        _null_rows(conj, v.pivots, v.domain_dim * v.codomain_dim))
 
 
 def kronecker(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
@@ -661,13 +610,3 @@ def kronecker(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
     out.sort()
     return OperatorSubspace(d1 * d2, c1 * c2, tuple((re, im) for _, re, im in out),
                             tuple(pc for pc, _, _ in out))
-
-
-def commutation_matrix(m: int, n: int) -> ExactMatrix:
-    """The permutation taking e_i (x) e_j in C^m (x) C^n to e_j (x) e_i."""
-    size = m * n
-    ent = [Q0] * (size * size)
-    for i in range(m):
-        for j in range(n):
-            ent[(j * m + i) * size + (i * n + j)] = Q1
-    return ExactMatrix(size, size, tuple(ent))

@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import calculus, core, orders, power, qrel
-from .exact import ExactMatrix, canonical_basis, gq
+from .exact import span_of_rows
 from .finrel import (
     BoolRelation,
     all_functions,
@@ -95,7 +94,9 @@ class SuiteReport:
 
 # -- contexts: one per instance kind ------------------------------------------------
 
-_PALETTE = (gq(0), gq(1), gq(-1), gq(0, 1), gq(1, 1), gq(Fraction(1, 2)))
+# Twice the entries 0, 1, -1, i, 1+i and 1/2, as Gaussian integers (re, im):
+# scaling a matrix does not change its span.
+_PALETTE = ((0, 0), (2, 0), (-2, 0), (0, 2), (2, 2), (1, 0))
 
 
 def _random_subspace(rng: random.Random, d: int, c: int):
@@ -103,8 +104,8 @@ def _random_subspace(rng: random.Random, d: int, c: int):
     mats = []
     for _ in range(k):
         entries = [rng.choice(_PALETTE) for _ in range(d * c)]
-        mats.append(ExactMatrix.from_vector(tuple(entries), c, d))
-    return canonical_basis(mats, d, c)
+        mats.append(([x for x, _ in entries], [y for _, y in entries]))
+    return span_of_rows(d, c, mats)
 
 
 class Context:

@@ -24,15 +24,14 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 from .exact import (
-    ExactMatrix,
     OperatorSubspace,
-    commutation_matrix,
     full_subspace,
     kronecker,
-    span_of,
+    span_of_rows,
     subspace_adjoint,
     subspace_join,
     subspace_leq,
@@ -121,9 +120,14 @@ class QuantaleBase:
         return list(self.quantale.elements)
 
 
-def _vec_identity_column(n: int) -> ExactMatrix:
-    vec = ExactMatrix.identity(n).vectorize()
-    return ExactMatrix.from_vector(vec, n * n, 1)
+def _span_of_ones(d: int, c: int, ones: Iterable[int]) -> OperatorSubspace:
+    """span{m} for the c x d 0/1 matrix m with its ones at the given row-major
+    positions.  The structure cells all have a one at position 0, so m's
+    vectorization is already the canonical row."""
+    re = [0] * (d * c)
+    for k in ones:
+        re[k] = 1
+    return span_of_rows(d, c, [(re, [0] * (d * c))])
 
 
 class FdOSBase:
@@ -139,8 +143,9 @@ class FdOSBase:
     def compose(self, g: OperatorSubspace, f: OperatorSubspace) -> OperatorSubspace:
         return subspace_product(g, f)
 
+    @cache
     def identity(self, b: int) -> OperatorSubspace:
-        return span_of(ExactMatrix.identity(b))
+        return _span_of_ones(b, b, range(0, b * b, b + 1))
 
     def dagger(self, m: OperatorSubspace) -> OperatorSubspace:
         return subspace_adjoint(m)
@@ -184,17 +189,24 @@ class FdOSBase:
     def runit_cell(self, a):
         return self.identity(a)
 
+    @cache
     def symm_cell(self, a, b):
-        return span_of(commutation_matrix(a, b))
+        # The permutation taking e_i (x) e_j in C^a (x) C^b to e_j (x) e_i.
+        n = a * b
+        return _span_of_ones(n, n, ((j * a + i) * n + i * b + j
+                                    for i in range(a) for j in range(b)))
 
     def dual_obj(self, a):
         return a
 
+    @cache
     def eta_cell(self, a):
-        return span_of(_vec_identity_column(a))
+        # span{vec I}, with vec I as an a^2 x 1 column; epsilon is its adjoint.
+        return _span_of_ones(1, a * a, range(0, a * a, a + 1))
 
+    @cache
     def epsilon_cell(self, a):
-        return span_of(_vec_identity_column(a).adjoint())
+        return _span_of_ones(a * a, 1, range(0, a * a, a + 1))
 
     def enum_hom(self, src, tgt):
         if src == 1 and tgt == 1:

@@ -10,19 +10,22 @@ morphisms, zero-monomorphisms, and the classical truth-value correspondence.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .calculus import BiproductData, map_from_test, omega_data, test_from_map
 from .exact import (
-    ExactError,
     ExactMatrix,
-    GaussianRational,
+    IntRow,
     OperatorSubspace,
+    _int_rows,
+    _primitive,
     full_subspace,
     hs_orthocomplement,
     nullspace,
     span_of,
+    span_of_rows,
 )
 from .matr import MatrError, MatrInstance, MatrMorphism, MatrObject, qrel_instance
 
@@ -76,79 +79,81 @@ def _dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
+def _inner(u: IntRow, v: IntRow) -> tuple[int, int]:
+    """The inner product u^dagger v of two Gaussian-integer vectors, as (re, im)."""
+    (u_re, u_im), (v_re, v_im) = u, v
+    return _dot(u_re, v_re) + _dot(u_im, v_im), _dot(u_re, v_im) - _dot(u_im, v_re)
+
+
 def is_perp_blockwise(r: MatrMorphism, s: MatrMorphism) -> bool:
     """Hilbert-Schmidt orthogonality in every block position.
 
-    tr(a^dagger b) is the dot product of the conjugate of vec a with vec b, so
-    two blocks are orthogonal when every pair of their Gaussian-integer
-    canonical rows has a zero such product.
+    tr(a^dagger b) is the inner product of vec a with vec b, so two blocks are
+    orthogonal when every pair of their Gaussian-integer canonical rows has a
+    zero inner product.
     """
     smap = s.block_map()
     for key, v in r.blocks:
         w = smap.get(key)
         if w is None:
             continue
-        for a_re, a_im in v.rows:
-            for b_re, b_im in w.rows:
-                if (_dot(a_re, b_re) + _dot(a_im, b_im)
-                        or _dot(a_re, b_im) - _dot(a_im, b_re)):
-                    return False
+        if any(_inner(a, b) != (0, 0) for a in v.rows for b in w.rows):
+            return False
     return True
 
 
 # -- dagger kernels ---------------------------------------------------------------
 
-def _column_stack(cols: Sequence[ExactMatrix]) -> ExactMatrix:
-    rows = cols[0].rows
-    entries = []
-    for i in range(rows):
-        for c in cols:
-            entries.append(c.at(i, 0))
-    return ExactMatrix(rows, len(cols), tuple(entries))
-
-
-def _orthonormal_columns(cols: Sequence[ExactMatrix]) -> ExactMatrix:
-    """A matrix e with the same column span whose columns are orthogonal with
-    equal squared norm, so that e^dagger e is a scalar multiple of the
-    identity (which is all span{e^dagger e} = span{id} needs)."""
-    # Gram-Schmidt orthogonalization, exact.
-    ortho: list[ExactMatrix] = []
-    for c in cols:
-        v = c
+def _orthonormal_columns(cols: Sequence[IntRow]) -> IntRow:
+    """The row-major vectorization of a matrix e with the same column span as
+    the given linearly independent Gaussian-integer columns, whose columns are
+    orthogonal with equal squared norm, so that e^dagger e is a scalar multiple of the identity
+    (which is all span{e^dagger e} = span{id} needs)."""
+    # Gram-Schmidt over Z[i]: v <- <u,u> v - <u,v> u is a positive multiple of
+    # the rational step v - (<u,v>/<u,u>) u; each v is then made primitive.
+    ortho: list[IntRow] = []
+    for v in cols:
         for u in ortho:
-            num = (u.adjoint() @ v).at(0, 0)
-            den = (u.adjoint() @ u).at(0, 0)
-            v = v - u.scale(num / den)
-        if v.is_zero():
-            raise ExactError("columns are linearly dependent")
+            n, _ = _inner(u, u)
+            pr, pi = _inner(u, v)
+            v = _primitive([n * x - pr * a + pi * b for x, a, b in zip(v[0], *u)],
+                           [n * y - pr * b - pi * a for y, a, b in zip(v[1], *u)])
         ortho.append(v)
-    if len(ortho) == 1:
-        return _column_stack(ortho)
-    norms = [(u.adjoint() @ u).at(0, 0).re for u in ortho]
-    # Only the ratios of the squared norms matter.  A ratio can be absorbed by
-    # a Gaussian rational scalar exactly when it is a norm from Q(i), i.e.
-    # when every prime congruent to 3 mod 4 appears to an even power; the
-    # square-free product of the offending primes is the obstruction class.
-    sigs = [_norm_obstruction(n) for n in norms]
-    if len(set(sigs)) != 1:
-        raise MatrError(
-            "this kernel has no dagger-monic inclusion with Gaussian "
-            "rational entries (column norms lie in different norm classes)"
-        )
-    target = Fraction(sigs[0])
-    scaled: list[ExactMatrix] = []
-    for u, n in zip(ortho, norms):
-        factor = _two_squares(target / n)
-        if factor is None:
-            raise MatrError("norm ratio unexpectedly failed to split as two squares")
-        scaled.append(u.scale(factor))
-    return _column_stack(scaled)
+    if len(ortho) > 1:
+        norms = [_inner(u, u)[0] for u in ortho]
+        # Only the ratios of the squared norms matter.  A ratio can be absorbed
+        # by a Gaussian rational scalar exactly when it is a norm from Q(i),
+        # i.e. when every prime congruent to 3 mod 4 appears to an even power;
+        # the square-free product of the offending primes is the obstruction
+        # class.
+        sigs = {_norm_obstruction(n) for n in norms}
+        if len(sigs) != 1:
+            raise MatrError(
+                "this kernel has no dagger-monic inclusion with Gaussian "
+                "rational entries (column norms lie in different norm classes)"
+            )
+        # Column k is scaled by z_k = (x + y i) / den_k, where target / n_k =
+        # num_k / den_k and x^2 + y^2 = num_k den_k, so |z_k|^2 n_k = target.
+        # The two squares exist: num_k den_k is target n_k times a square, and
+        # both target and n_k lie in the class target.  Scaling every column
+        # by the lcm of the den_k as well leaves span{e} unchanged.
+        target = sigs.pop()
+        ratios = [Fraction(target, n) for n in norms]
+        scale = lcm(*(q.denominator for q in ratios))
+        for k, ((re, im), q) in enumerate(zip(ortho, ratios)):
+            x, y = (t * (scale // q.denominator)
+                    for t in _two_squares_int(q.numerator * q.denominator))
+            ortho[k] = ([x * a - y * b for a, b in zip(re, im)],
+                        [x * b + y * a for a, b in zip(re, im)])
+    d = range(len(cols[0][0]))
+    return [u[0][i] for i in d for u in ortho], [u[1][i] for i in d for u in ortho]
 
 
-def _norm_obstruction(n: Fraction) -> int:
+def _norm_obstruction(n: int) -> int:
     """The square-free product of the primes congruent to 3 mod 4 that occur
-    to an odd power in n; n is a norm from Q(i) exactly when this is 1."""
-    m = n.numerator * n.denominator
+    to an odd power in the positive integer n; n is a sum of two squares
+    exactly when this is 1."""
+    m = n
     out = 1
     d = 2
     while d * d <= m:
@@ -163,18 +168,6 @@ def _norm_obstruction(n: Fraction) -> int:
     if m > 1 and m % 4 == 3:
         out *= m
     return out
-
-
-def _two_squares(q: Fraction) -> GaussianRational | None:
-    """A Gaussian rational with squared modulus q, if one exists."""
-    # q = a/b; a/b = a*b / b^2, so it suffices to write the integer a*b as a
-    # sum of two squares and divide by b.
-    n = q.numerator * q.denominator
-    rep = _two_squares_int(n)
-    if rep is None:
-        return None
-    x, y = rep
-    return GaussianRational(Fraction(x, q.denominator), Fraction(y, q.denominator))
 
 
 def _two_squares_int(n: int) -> tuple[int, int] | None:
@@ -239,16 +232,16 @@ def dagger_kernel(
         lab = (label_prefix, a)
         dim = len(ker_cols)
         atoms.append((lab, dim))
-        e = _orthonormal_columns(ker_cols)
-        blocks[(lab, a)] = span_of(e)
+        blocks[(lab, a)] = span_of_rows(dim, da, [_orthonormal_columns(ker_cols)])
     kernel_obj = _INSTANCE.obj(atoms)
     incl = _INSTANCE.mor(kernel_obj, src, blocks)
     return kernel_obj, incl
 
 
-def _joint_kernel(fs: Sequence[MatrMorphism], a, da: int) -> list[ExactMatrix]:
-    """Canonical columns spanning the joint kernel of every block of fs that
-    leaves atom a (of dimension da); all of C^da when there is none."""
+def _joint_kernel(fs: Sequence[MatrMorphism], a, da: int) -> list[IntRow]:
+    """Gaussian-integer columns spanning the joint kernel of every block of fs
+    that leaves atom a (of dimension da); all of C^da when there is none.  They
+    are the canonical nullspace basis, each scaled to Gaussian integers."""
     rows = [
         m.row(i)
         for f in fs
@@ -257,7 +250,7 @@ def _joint_kernel(fs: Sequence[MatrMorphism], a, da: int) -> list[ExactMatrix]:
         for m in v.basis
         for i in range(m.rows)
     ]
-    return [ExactMatrix.from_vector(v, da, 1) for v in nullspace(rows, da)]
+    return _int_rows(nullspace(rows, da))
 
 
 def is_zero_mono(f: MatrMorphism) -> bool:

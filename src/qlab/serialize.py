@@ -31,9 +31,12 @@ class SerializeError(ValueError):
 
 
 def _label_from_json(x: Any):
+    """A label is a JSON string, a JSON integer, or a list of labels."""
     if isinstance(x, list):
         return tuple(_label_from_json(y) for y in x)
-    return x
+    if isinstance(x, str) or type(x) is int:
+        return x
+    raise SerializeError(f"label {x!r} is not a JSON string, integer or list")
 
 
 def _label_to_json(x: Any):

@@ -94,10 +94,9 @@ def _random_block(rng, dc, dr):
     k = rng.randrange(0, 3)
     mats = []
     for _ in range(k):
-        mats.append(ExactMatrix.from_ints(
-            [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(dc)] for _ in range(dr)]
-        ))
-    mats = [m for m in mats if not m.is_zero()]
+        rows = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(dc)] for _ in range(dr)]
+        if any(any(row) for row in rows):
+            mats.append(ExactMatrix.from_ints(rows))
     if not mats:
         return None
     return span_of(*mats)
@@ -214,10 +213,9 @@ def test_criterion_05_dagger_kernels():
 def test_criterion_06_zero_monomorphisms():
     unit = QREL.unit_obj()
     top_effect = QREL.top(X2, unit)
-    e1 = ExactMatrix.from_ints([[1, 0]])
-    e2 = ExactMatrix.from_ints([[0, 1]])
     i = GaussianRational(Fraction(0), Fraction(1))
-    family = [e1, e2, e1 + e2, e1 + e2.scale(i)]
+    family = [ExactMatrix.from_ints([[1, 0]]), ExactMatrix.from_ints([[0, 1]]),
+              ExactMatrix.from_ints([[1, 1]]), ExactMatrix.from_ints([[1, i]])]
     for k in range(1, len(family) + 1):
         for rows in itertools.combinations(family, k):
             r = QREL.mor(X2, unit, {("x", "*"): span_of(*rows)})

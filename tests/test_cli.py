@@ -245,6 +245,24 @@ def test_mistyped_qrel_field_is_input_error(where, value, message, capsys):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("label", [{"a": 1}, 1.5, True, None], ids=["dict", "float", "bool", "null"])
+@pytest.mark.parametrize("document", ["set", "relation", "quantum set"])
+def test_non_string_non_integer_label_is_input_error(document, label, capsys):
+    if document == "set":
+        argv = ["power", "--instance", "rel", json.dumps({"labels": [label, "b"]})]
+    elif document == "relation":
+        doc = json.loads(REL_DOC)
+        doc["source"]["labels"][0] = label
+        argv = ["neg", "--instance", "rel", json.dumps(doc)]
+    else:
+        doc = {"atoms": [{"label": label, "dim": 1}, {"label": "b", "dim": 2}]}
+        argv = ["power", "--instance", "qrel", json.dumps(doc)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "is not a JSON string, integer or list" in err
+
+
 # sha256 of `qlab check --format json` per instance and seed: qrel at seeds 0-3
 # (test ids 0-3), rel and vrel over each builtin quantale at seeds 0-3.  A change
 # that alters reports on purpose must update these digests and say so.

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+module-level function or class is used somewhere in the package.
 
 `__init__.py` is exempt: importing names to re-export them is its job.
 """
@@ -32,3 +33,40 @@ def test_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_private_defs(sources: dict) -> list[str]:
+    """The module-level private functions and classes (`_name`, not dunders)
+    that no code in any of the sources refers to outside their own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            used = any(
+                id(n) not in inside
+                and ((isinstance(n, ast.Name) and n.id == node.name)
+                     or (isinstance(n, ast.Attribute) and n.attr == node.name))
+                for t in trees.values() for n in ast.walk(t)
+            )
+            if not used:
+                out.append(f"{module}:{node.name}")
+    return sorted(out)
+
+
+def test_scan_sees_orphaned_private_defs():
+    sources = {
+        "a": "def _used():\n    return 1\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+             "class _Orphan:\n    pass\n",
+        "b": "from a import _used\nx = _used()\n",
+    }
+    assert orphaned_private_defs(sources) == ["a:_Orphan", "a:_recursive"]
+
+
+def test_no_orphaned_private_defs():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [d for d in orphaned_private_defs(sources) if not d.startswith("__init__.py:")] == []

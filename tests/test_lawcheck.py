@@ -4,14 +4,18 @@ The mutation tests feed deliberately broken structures through the same
 checkers the suites use, proving the suites can actually fail.
 """
 
+import hashlib
+import itertools
+
 import pytest
 
-from qlab import core
+from qlab import core, serialize
 from qlab.exact import ExactMatrix, span_of
 from qlab.finrel import BoolRelation, fset
 from qlab.lawcheck import (
     SUITES,
     available_suites,
+    make_context,
     render_json,
     render_text,
     run_all,
@@ -124,3 +128,64 @@ def test_failure_witnesses_recorded():
     assert not res.ok
     assert res.checked == 2
     assert "broken input" in res.failures
+
+
+# sha256 of the serialised morphisms `Context.homs(x, y)` draws for every pair of
+# the qrel context objects, in order, at seeds 0-3.  The report digests in
+# tests/test_cli.py see only counts, so these are what pin the draws themselves.
+DRAW_SHA256 = {
+    0: (
+        "c7a5930233e309094dd78d39e26d5c23ce3524bfc31fbc94fe972e83118b9bee",
+        "cbef5410822775d53bd8d529ba858faa1c80c71588329d8810c6112f05ab79bf",
+        "eb44255dfdf2756945198df2880d80d6b1233aa9d9b808196f6404be341a5d61",
+        "31a5a04ae70148b0184c7927df40222cf759ea645cb485f40883d2484fc9302a",
+        "ce5fe49fceac8e9605c42ef02149c07cbda2d1f303ad1c9f1d150afe57cc0523",
+        "29cc3c6d857f0790a79665e16a4b868bfca1650859c7bbeb4a3248e46fbc87f6",
+        "4961798ae1275af74ca42aa667d6b942918eb329dfe81eee3165e787381a1301",
+        "b539d75347bb7f9e92c11db2ce39f5a7112aad32a428ee2fdedf43fd18c01929",
+        "a6be55c91697bfefa5980b2a128f3336702eddf6e4f30ae9d6a4fb8f9c16e2ba",
+    ),
+    1: (
+        "c7a5930233e309094dd78d39e26d5c23ce3524bfc31fbc94fe972e83118b9bee",
+        "ff742641b84932749daf88310276175ce44f91209dfb2a6a7c86fa9db8ecc36e",
+        "92648bd1ea9c373925f81bd23f7075e87ad18e0c8dd08432c7b9eb3d129929d4",
+        "a837514561dbc581e9badbb6816e6ea35764120352ccb813c9536582913b590e",
+        "073695a84bb7b7e6b2088f54ad7bccd357a2272684928e14712eb3d7c0bef0e1",
+        "c05a97ac179c05ce67875cc098c13923fd1a2e2d04b17d1615a91e1aaee6ebe6",
+        "33928aaa68dd33b609676ad60f2b034628b123f94a8e72ce7a03ae7e35ffb275",
+        "cbabad5a849290b7c9410696c64d0d88a9f004f8a7071efc5e30e20a73159854",
+        "d28ac4c1ac5d4db4ffbdfe1abe218e915c96ad10b1aec337f58a0570f599efbe",
+    ),
+    2: (
+        "c7a5930233e309094dd78d39e26d5c23ce3524bfc31fbc94fe972e83118b9bee",
+        "58ec798026fa3e03ca0c60e07518aed22faecd0ef96dcc7bd56025b3880fe3b1",
+        "f8060d71e9c898cd8ba202706bb771136bf7d316d90e8367d603c2c1cbf29aa4",
+        "a9992a5d7c109c652e05399fe97727bf00de0ac27d0a12cfb1851fc0937e928d",
+        "46c94e7b4065511d6910414e461fb634939cc966e37d2baa6c7b29f02eaff09f",
+        "fc3ff9e9693b8273e155512a1e841a89a5192e760a10f46b71b66983fe7a8e4a",
+        "55245f50d3800a630b53216dc118b4df58be94b7b43762ee7be870ce26fca4cd",
+        "16f07c8cae94de0890f5c7a17c6d0e2b792e3ed8fb3e7efdf8a7e8b84c1b5960",
+        "c8e88319be773541f380db54567be25ed08a3ec55488a5174fee7ad8dc6f58fd",
+    ),
+    3: (
+        "c7a5930233e309094dd78d39e26d5c23ce3524bfc31fbc94fe972e83118b9bee",
+        "37198233c569b5e6f2d58e7a14221e39bebed2bc4c4c9628a73415ebe58140db",
+        "a8f6c37fbe3b4c70a9eea7da0c0810d8fa714cb4c1196e9354131fda9a54df64",
+        "6a3cd0ed9bbb01e5814b57e86b69c21a2d86740db82f827552235fb160c064a4",
+        "a58639e7970cfa51b2f3c363c1b4bab08dfdca0deed2b3733621e8dc6bd041f0",
+        "51746875df0b3aa0d437fdd402dde91429efd4ea6019a991e197af2132e6af2e",
+        "a53c41ed7d30236820d8f85f23bd182b9e2563ffbc459e00747357b5807e5ed4",
+        "b89d2e7f0651785629437f74087bb77dc35612747dcd9b4691219d6997b6ef14",
+        "c024139f58cab680ac831f42cc12e62e33f0c018f87157b5a4808b363bbf9e15",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", list(DRAW_SHA256))
+def test_qrel_draws_are_pinned(seed):
+    ctx = make_context("qrel", seed)
+    got = []
+    for x, y in itertools.product(ctx.objects, repeat=2):
+        doc = serialize.dumps([serialize.qrelation_to_json(f) for f in ctx.homs(x, y)])
+        got.append(hashlib.sha256(doc.encode()).hexdigest())
+    assert tuple(got) == DRAW_SHA256[seed]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qlab.exact import ExactMatrix, parse_scalar, span_of
+from qlab.exact import Q0, Q1, ExactMatrix, parse_scalar, span_of
 from qlab.finrel import BoolRelation, all_relations, fset
 from qlab.lawcheck import make_context
 from qlab.matr import (
@@ -151,6 +151,36 @@ def test_homs_draws_as_sampling_the_eager_list(kind, quantale):
             assert type(got) is list
             assert got == want
     assert ctx.rng.getstate() == ref.getstate()
+
+
+# The structure cells of the qrel base as spans of GaussianRational matrices,
+# the way they were built before they became integer rows.
+
+def reference_commutation_matrix(m, n):
+    """The permutation taking e_i (x) e_j in C^m (x) C^n to e_j (x) e_i."""
+    size = m * n
+    ent = [Q0] * (size * size)
+    for i in range(m):
+        for j in range(n):
+            ent[(j * m + i) * size + (i * n + j)] = Q1
+    return ExactMatrix(size, size, tuple(ent))
+
+
+def reference_vec_identity_column(n):
+    return ExactMatrix.from_vector(ExactMatrix.identity(n).entries, n * n, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qrel_structure_cells_match_reference(n):
+    base = QREL.base
+    cells = [(base.identity(n), span_of(ExactMatrix.identity(n))),
+             (base.eta_cell(n), span_of(reference_vec_identity_column(n))),
+             (base.epsilon_cell(n), span_of(reference_vec_identity_column(n).adjoint()))]
+    cells += [(base.symm_cell(n, m), span_of(reference_commutation_matrix(n, m)))
+              for m in range(1, 5)]
+    for got, want in cells:
+        assert got == want
+        assert got.pivots == want.pivots
 
 
 def test_qrel_blocks_drop_zero():

@@ -4,14 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from qlab.core import is_dagger_iso, is_map, trace_of
-from qlab.exact import ExactMatrix, GaussianRational, parse_scalar, span_of
+from qlab.exact import Q0, ExactMatrix, GaussianRational, nullspace, parse_scalar, span_of
 from qlab.matr import MatrError
 from qlab.qrel import (
     _norm_obstruction,
     _orthonormal_columns,
-    _two_squares,
+    _two_squares_int,
     dagger_kernel,
     effect_to_map,
     instance,
@@ -38,10 +40,9 @@ def _random_block(rng, dc, dr):
     k = rng.randrange(0, 3)
     mats = []
     for _ in range(k):
-        mats.append(ExactMatrix.from_ints(
-            [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(dc)] for _ in range(dr)]
-        ))
-    mats = [m for m in mats if not m.is_zero()]
+        rows = [[rng.choice((-1, 0, 0, 1, 2)) for _ in range(dc)] for _ in range(dr)]
+        if any(any(row) for row in rows):
+            mats.append(ExactMatrix.from_ints(rows))
     if not mats:
         return None
     return span_of(*mats)
@@ -126,36 +127,32 @@ def test_zero_mono_examples():
 
 def test_norm_obstruction_classes():
     # 3 and 7 are primes of the form 4k+3: their class is the prime itself.
-    assert _norm_obstruction(Fraction(1)) == 1
-    assert _norm_obstruction(Fraction(2)) == 1
-    assert _norm_obstruction(Fraction(5)) == 1
-    assert _norm_obstruction(Fraction(3)) == 3
-    assert _norm_obstruction(Fraction(9)) == 1
-    assert _norm_obstruction(Fraction(21)) == 21
-    assert _norm_obstruction(Fraction(3, 4)) == 3
+    # 12 = 3 * 4 stands for the ratio 3/4, as numerator times denominator.
+    assert _norm_obstruction(1) == 1
+    assert _norm_obstruction(2) == 1
+    assert _norm_obstruction(5) == 1
+    assert _norm_obstruction(3) == 3
+    assert _norm_obstruction(9) == 1
+    assert _norm_obstruction(21) == 21
+    assert _norm_obstruction(12) == 3
 
 
 def test_two_squares_values():
-    for q in (Fraction(1), Fraction(2), Fraction(5), Fraction(13, 4), Fraction(9)):
-        z = _two_squares(q)
-        assert z is not None
-        norm = z * z.conjugate()
-        assert norm == GaussianRational(q, Fraction(0))
-    assert _two_squares(Fraction(3)) is None
+    # 52 = 13 * 4 stands for the ratio 13/4, as numerator times denominator.
+    for n in (1, 2, 5, 52, 9):
+        rep = _two_squares_int(n)
+        assert rep is not None
+        x, y = rep
+        assert x * x + y * y == n
+    assert _two_squares_int(3) is None
 
 
 def test_orthonormal_columns_mixed_norm_classes_rejected():
     # squared norms 1 and 2 lie in the same class of Q*/N(Q(i)): fine
-    _orthonormal_columns([
-        ExactMatrix.from_ints([[1], [0], [0]]),
-        ExactMatrix.from_ints([[0], [1], [1]]),
-    ])
+    _orthonormal_columns([([1, 0, 0], [0, 0, 0]), ([0, 1, 1], [0, 0, 0])])
     # squared norms 1 and 3 lie in different classes: no common rescaling exists
     with pytest.raises(MatrError):
-        _orthonormal_columns([
-            ExactMatrix.from_ints([[1], [0], [0], [0]]),
-            ExactMatrix.from_ints([[0], [1], [1], [1]]),
-        ])
+        _orthonormal_columns([([1, 0, 0, 0], [0, 0, 0, 0]), ([0, 1, 1, 1], [0, 0, 0, 0])])
 
 
 def test_effect_map_roundtrip():
@@ -182,6 +179,13 @@ def test_invertible_not_dagger_iso_fixture():
     assert not is_map(INST, v)
 
 
+def _trace(m):
+    acc = Q0
+    for i in range(m.rows):
+        acc = acc + m.at(i, i)
+    return acc
+
+
 def _complex_block(rng, dc, dr):
     entries = (0, 0, 1, -1, 2, 1j, -1j, 1 + 1j, 2 - 1j)
     mats = [ExactMatrix.from_rows([[GaussianRational(Fraction(int(z.real)), Fraction(int(z.imag)))
@@ -203,7 +207,97 @@ def test_is_perp_matches_the_trace_of_products():
             perp = orthocomplement(INST.mor(X2, X2, {("x", "x"): v})).blocks[0][1]
             w = span_of(*rng.sample(perp.basis, rng.randrange(1, perp.dim + 1)))
         r, s = INST.mor(X2, X2, {("x", "x"): v}), INST.mor(X2, X2, {("x", "x"): w})
-        want = all((a.adjoint() @ b).trace().is_zero() for a in v.basis for b in w.basis)
+        want = all(_trace(a.adjoint() @ b).is_zero() for a in v.basis for b in w.basis)
         assert is_perp_blockwise(r, s) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+# -- oracle for the Gaussian-integer dagger kernel --------------------------------
+#
+# The dagger kernel with Gram-Schmidt over GaussianRational field arithmetic,
+# v <- v - (<u,v>/<u,u>) u, and each column then scaled by a Gaussian rational
+# of squared modulus target / (its squared norm).
+
+def _gr_inner(u, v):
+    acc = Q0
+    for x, y in zip(u, v):
+        acc = acc + x.conjugate() * y
+    return acc
+
+
+def reference_dagger_kernel(fs):
+    src = fs[0].source
+    atoms, blocks = [], {}
+    for a, da in src.components:
+        rows = [m.row(i) for f in fs for (x, _), v in f.blocks if x == a
+                for m in v.basis for i in range(m.rows)]
+        ortho = []
+        for v in nullspace(rows, da):
+            for u in ortho:
+                t = _gr_inner(u, v) / _gr_inner(u, u)
+                v = tuple(x - t * y for x, y in zip(v, u))
+            ortho.append(v)
+        if not ortho:
+            continue
+        if len(ortho) > 1:
+            norms = [_gr_inner(u, u).re for u in ortho]
+            sigs = {_norm_obstruction(n.numerator * n.denominator) for n in norms}
+            if len(sigs) != 1:
+                raise MatrError(
+                    "this kernel has no dagger-monic inclusion with Gaussian "
+                    "rational entries (column norms lie in different norm classes)"
+                )
+            target = sigs.pop()
+            scaled = []
+            for u, n in zip(ortho, norms):
+                q = Fraction(target) / n
+                x, y = _two_squares_int(q.numerator * q.denominator)
+                z = GaussianRational(Fraction(x, q.denominator), Fraction(y, q.denominator))
+                scaled.append(tuple(z * t for t in u))
+            ortho = scaled
+        lab = ("k", a)
+        atoms.append((lab, len(ortho)))
+        e = ExactMatrix(da, len(ortho), tuple(u[i] for i in range(da) for u in ortho))
+        blocks[(lab, a)] = span_of(e)
+    k = INST.obj(atoms)
+    return k, INST.mor(k, src, blocks)
+
+
+kernel_entries = st.sampled_from(
+    [parse_scalar(t) for t in ("0", "0", "1", "-1", "2", "3", "i", "1+i", "2-i", "1/2", "-1/3 i")])
+
+
+@st.composite
+def kernel_inputs(draw):
+    """One or two morphisms out of a common source with atoms of dimension 2 to
+    4 into one small atom, each block spanned by at most one matrix, so joint
+    kernels are often of dimension 2 or more."""
+    src = qset([(lab, draw(st.integers(2, 4))) for lab in ("x", "y")[:draw(st.integers(1, 2))]])
+    tgt = qset([("u", draw(st.integers(1, 2)))])
+    (b, db), = tgt.components
+    fs = []
+    for _ in range(draw(st.integers(1, 2))):
+        blocks = {}
+        for a, da in src.components:
+            if draw(st.booleans()):
+                entries = draw(st.lists(kernel_entries, min_size=da * db, max_size=da * db))
+                blocks[(a, b)] = span_of(ExactMatrix(db, da, tuple(entries)))
+        fs.append(INST.mor(src, tgt, blocks))
+    return fs
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(kernel_inputs())
+def test_dagger_kernel_matches_gaussian_rational_reference(fs):
+    # A norm-class error needs two kernel columns, so both branches see kernels
+    # of dimension 2 or more.
+    try:
+        k, incl = reference_dagger_kernel(fs)
+    except MatrError as exc:
+        with pytest.raises(MatrError) as got:
+            dagger_kernel(fs)
+        assert str(got.value) == str(exc)
+        return
+    assume(max((d for _, d in k.components), default=0) >= 2)
+    assert dagger_kernel(fs) == (k, incl)
