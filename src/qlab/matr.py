@@ -24,7 +24,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Any
 
 from .exact import (
@@ -53,6 +53,11 @@ class QuantaleBase:
     def __init__(self, quantale: FiniteQuantale):
         self.quantale = quantale
 
+    # Read on first use, not here, as FiniteQuantale.bottom is.
+    @cached_property
+    def _bottom(self):
+        return self.quantale.bottom
+
     def __eq__(self, other):
         return isinstance(other, QuantaleBase) and self.quantale == other.quantale
 
@@ -78,13 +83,13 @@ class QuantaleBase:
         return self.quantale.meet(m1, m2)
 
     def bottom(self, src, tgt):
-        return self.quantale.bottom
+        return self._bottom
 
     def top(self, src, tgt):
         return self.quantale.top
 
     def is_bottom(self, m, src, tgt):
-        return m == self.quantale.bottom
+        return m == self._bottom
 
     def tensor_obj(self, a, b):
         return "*"
@@ -216,25 +221,29 @@ class FdOSBase:
 
 @dataclass(frozen=True)
 class MatrObject:
-    """A finite indexed family of base objects."""
+    """A finite indexed family of base objects.
+
+    `labels` is the tuple of component labels, and `index` maps each label to
+    (rank, base object), where rank is the label's position in the labels
+    sorted by repr.  Both are computed once; neither takes part in equality.
+    """
 
     base: QuantaleBase | FdOSBase
     components: tuple  # tuple of (label, base object)
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.components]
+        labels = tuple(lab for lab, _ in self.components)
         if len(set(labels)) != len(labels):
-            raise MatrError(f"duplicate component labels: {labels}")
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.components)
+            raise MatrError(f"duplicate component labels: {list(labels)}")
+        rank = {lab: r for r, lab in enumerate(sorted(labels, key=repr))}
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "index", {lab: (rank[lab], b) for lab, b in self.components})
 
     def base_obj(self, label) -> Any:
-        for lab, b in self.components:
-            if lab == label:
-                return b
-        raise MatrError(f"no component labelled {label!r}")
+        try:
+            return self.index[label][1]
+        except KeyError:
+            raise MatrError(f"no component labelled {label!r}") from None
 
     def __repr__(self):
         parts = ", ".join(f"{lab!r}: {b!r}" for lab, b in self.components)
@@ -252,12 +261,6 @@ class MatrMorphism:
     def block_map(self) -> dict:
         return dict(self.blocks)
 
-    def block(self, src_label, tgt_label):
-        for key, m in self.blocks:
-            if key == (src_label, tgt_label):
-                return m
-        return None
-
     def __repr__(self):
         return (
             f"MatrMorphism({self.source.labels} -> {self.target.labels}, "
@@ -266,27 +269,44 @@ class MatrMorphism:
 
 
 class MatrInstance:
-    """The dagger compact quantaloid of matrices over a base."""
+    """The dagger compact quantaloid of matrices over a base.
+
+    Objects are interned: `obj` returns the same MatrObject for equal
+    components, so its label index is built once per object.
+    """
 
     def __init__(self, base: QuantaleBase | FdOSBase, name: str = "matr"):
         self.base = base
         self.name = name
+        self._objects: dict[tuple, MatrObject] = {}
 
     # -- object and morphism builders ----------------------------------------
     def obj(self, components: Iterable[tuple]) -> MatrObject:
-        return MatrObject(self.base, tuple(components))
+        components = tuple(components)
+        x = self._objects.get(components)
+        if x is None:
+            x = self._objects[components] = MatrObject(self.base, components)
+        return x
 
     def mor(self, src: MatrObject, tgt: MatrObject, blocks: dict) -> MatrMorphism:
+        """The morphism with the given blocks, bottom blocks dropped, the rest
+        ordered by the repr of their source label, then of their target label."""
+        src_index, tgt_index = src.index, tgt.index
+        is_bottom = self.base.is_bottom
+        width = len(tgt_index)
         kept = []
-        src_labels = set(src.labels)
-        tgt_labels = set(tgt.labels)
-        for (a, b), m in blocks.items():
-            if a not in src_labels or b not in tgt_labels:
-                raise MatrError(f"block key {(a, b)!r} outside {src.labels} x {tgt.labels}")
-            if not self.base.is_bottom(m, src.base_obj(a), tgt.base_obj(b)):
-                kept.append(((a, b), m))
-        kept.sort(key=lambda item: (repr(item[0][0]), repr(item[0][1])))
-        return MatrMorphism(src, tgt, tuple(kept))
+        for item in blocks.items():
+            (a, b), m = item
+            try:
+                ra, oa = src_index[a]
+                rb, ob = tgt_index[b]
+            except KeyError:
+                raise MatrError(f"block key {(a, b)!r} outside {src.labels} x {tgt.labels}") from None
+            if not is_bottom(m, oa, ob):
+                kept.append((ra * width + rb, item))
+        # The positions are distinct, so the sort never compares two blocks.
+        kept.sort()
+        return MatrMorphism(src, tgt, tuple([item for _, item in kept]))
 
     # -- quantaloid structure ----------------------------------------
     def source(self, f: MatrMorphism) -> MatrObject:
@@ -300,17 +320,21 @@ class MatrInstance:
 
     def compose(self, g: MatrMorphism, f: MatrMorphism) -> MatrMorphism:
         if f.target != g.source:
-            raise MatrError(f"cannot compose: middle objects differ")
-        contributions: dict = {}
+            raise MatrError("cannot compose: middle objects differ, "
+                            f"{f.target.labels} and {g.source.labels}")
+        base = self.base
         gmap: dict = {}
         for (b, c), m in g.blocks:
             gmap.setdefault(b, []).append((c, m))
+        contributions: dict = {}
         for (a, b), m in f.blocks:
-            for c, n in gmap.get(b, []):
-                contributions.setdefault((a, c), []).append(self.base.compose(n, m))
-        blocks = {}
-        for (a, c), ms in contributions.items():
-            blocks[(a, c)] = self.base.sup(ms, f.source.base_obj(a), g.target.base_obj(c))
+            for c, n in gmap.get(b, ()):
+                contributions.setdefault((a, c), []).append(base.compose(n, m))
+        src_index, tgt_index = f.source.index, g.target.index
+        blocks = {
+            (a, c): base.sup(ms, src_index[a][1], tgt_index[c][1])
+            for (a, c), ms in contributions.items()
+        }
         return self.mor(f.source, g.target, blocks)
 
     def dagger(self, f: MatrMorphism) -> MatrMorphism:
@@ -324,8 +348,9 @@ class MatrInstance:
                 raise MatrError("sup of morphisms with different types")
             for key, m in f.blocks:
                 gathered.setdefault(key, []).append(m)
+        src_index, tgt_index = src.index, tgt.index
         blocks = {
-            (a, b): self.base.sup(ms, src.base_obj(a), tgt.base_obj(b))
+            (a, b): self.base.sup(ms, src_index[a][1], tgt_index[b][1])
             for (a, b), ms in gathered.items()
         }
         return self.mor(src, tgt, blocks)
@@ -353,10 +378,12 @@ class MatrInstance:
         if f.source != g.source or f.target != g.target:
             raise MatrError("order compares morphisms of the same type")
         gmap = g.block_map()
-        for (a, b), m in f.blocks:
-            other = gmap.get((a, b))
+        src_index, tgt_index = f.source.index, f.target.index
+        for key, m in f.blocks:
+            other = gmap.get(key)
             if other is None:
-                other = self.base.bottom(f.source.base_obj(a), f.target.base_obj(b))
+                a, b = key
+                other = self.base.bottom(src_index[a][1], tgt_index[b][1])
             if not self.base.leq(m, other):
                 return False
         return True

@@ -245,6 +245,19 @@ def test_mistyped_qrel_field_is_input_error(where, value, message, capsys):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("end", ["from", "to"])
+def test_qrel_block_with_unknown_label_is_input_error(end, capsys):
+    doc = json.loads(QREL_DOC)
+    doc["blocks"][0][end] = "nosuch"
+    code, out, err = run_cli(
+        ["compute", "--instance", "qrel", "--load", f"f={json.dumps(doc)}", "dagger(f)"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "no component labelled 'nosuch'" in err
+
+
 @pytest.mark.parametrize("label", [{"a": 1}, 1.5, True, None], ids=["dict", "float", "bool", "null"])
 @pytest.mark.parametrize("document", ["set", "relation", "quantum set"])
 def test_non_string_non_integer_label_is_input_error(document, label, capsys):

@@ -2,14 +2,20 @@
 module-level function or class is used somewhere in the package.
 
 `__init__.py` is exempt: importing names to re-export them is its job.
+
+The benchmark's tracer (`bench/tracing.py`) patches qlab functions by
+attribute path; every path it names must still exist where it looks.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -70,3 +76,29 @@ def test_scan_sees_orphaned_private_defs():
 def test_no_orphaned_private_defs():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert [d for d in orphaned_private_defs(sources) if not d.startswith("__init__.py:")] == []
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_attribute_paths_resolve():
+    """As `Tracer._patch` does: walk the path with getattr, then find the last
+    part in its owner's own `__dict__`."""
+    tracing = load_tracing()
+    paths = [(module, path) for module, path, _ in tracing.SPANNED.values()]
+    paths += list(tracing.COUNTED.values())
+    missing = []
+    for module, path in paths:
+        owner = importlib.import_module(f"qlab.{module}")
+        *owners, attr = path.split(".")
+        for part in owners:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"qlab.{module}.{path}")
+    assert missing == []
+    suites = importlib.import_module("qlab.lawcheck").SUITES
+    assert suites and all(callable(fn) for fn, _ in suites.values())

@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlab.exact import Q0, Q1, ExactMatrix, parse_scalar, span_of
 from qlab.finrel import BoolRelation, all_relations, fset
 from qlab.lawcheck import make_context
 from qlab.matr import (
     MatrError,
+    MatrObject,
     boolean_complement,
     matr_to_relation,
     matr_to_vrelation,
@@ -210,6 +213,71 @@ def test_mor_rejects_bad_labels():
         REL.mor(xa, xa, {("nope", "a"): True})
 
 
+def test_compose_names_both_middle_objects():
+    xa, xx = set_to_object(REL, A), set_to_object(REL, X)
+    with pytest.raises(MatrError, match=r"\('a', 'b'\) and \('x', 'y', 'z'\)"):
+        REL.compose(REL.identity(xx), REL.identity(xa))
+
+
 def test_duplicate_atom_labels_rejected():
-    with pytest.raises(MatrError):
-        QREL.obj([("u", 1), ("u", 2)])
+    for _ in range(2):  # a failed build must not be interned
+        with pytest.raises(MatrError, match="duplicate"):
+            QREL.obj([("u", 1), ("u", 2)])
+
+
+# -- the label index and block order -------------------------------------------------
+
+# Labels as the JSON boundary admits them: strings, integers (2 sorts after 10
+# by repr) and nested tuples.
+LABELS = st.recursive(st.text(max_size=3) | st.integers(-12, 12),
+                      lambda inner: st.tuples(inner, inner), max_leaves=4)
+LABEL_LISTS = st.lists(LABELS, max_size=5, unique=True)
+
+
+def by_repr(item):
+    (a, b), _ = item
+    return repr(a), repr(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mor_keeps_non_bottom_blocks_in_repr_order(data):
+    inst = vrel_instance(L3)
+    src_labels, tgt_labels = data.draw(LABEL_LISTS), data.draw(LABEL_LISTS)
+    src = inst.obj([(lab, "*") for lab in src_labels])
+    tgt = inst.obj([(lab, "*") for lab in tgt_labels])
+    keys = [(a, b) for a in src_labels for b in tgt_labels]
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    blocks = {key: data.draw(st.sampled_from(L3.elements)) for key in chosen}
+    want = sorted(((k, m) for k, m in blocks.items() if m != L3.bottom), key=by_repr)
+    assert inst.mor(src, tgt, blocks).blocks == tuple(want)
+
+    if src_labels and data.draw(st.booleans()):
+        bad = (data.draw(st.sampled_from(src_labels)),
+               data.draw(LABELS.filter(lambda lab: lab not in tgt_labels)))
+    else:
+        bad = (data.draw(LABELS.filter(lambda lab: lab not in src_labels)), "x")
+    items = list(blocks.items())
+    items.insert(data.draw(st.integers(0, len(items))), (bad, L3.top))
+    with pytest.raises(MatrError, match="outside"):
+        inst.mor(src, tgt, dict(items))
+
+
+def test_object_index_ranks_labels_by_repr():
+    x = VREL.obj([(2, "*"), (10, "*"), ("a", "*")])
+    assert x.labels == (2, 10, "a")
+    # repr order: "'a'" < "10" < "2"
+    assert x.index == {"a": (0, "*"), 10: (1, "*"), 2: (2, "*")}
+    assert x.base_obj(10) == "*"
+    with pytest.raises(MatrError, match="no component labelled 3"):
+        x.base_obj(3)
+
+
+def test_obj_interns_and_equality_ignores_the_index():
+    comps = [("u", 2), ("v", 1)]
+    assert QREL.obj(comps) is QREL.obj(tuple(comps))
+    x = vrel_instance(L3).obj([("a", "*")])
+    y = vrel_instance(lukasiewicz3_quantale()).obj([("a", "*")])
+    assert x is not y
+    assert x == y and hash(x) == hash(y)
+    assert x == MatrObject(x.base, x.components)
