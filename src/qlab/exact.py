@@ -13,12 +13,17 @@ elimination, `_eliminate`.  `span_of_rows` is the integer entry point: the
 subspace spanned by matrices given as row-major Gaussian-integer vectors.  The
 library builds every subspace through it.
 
-`GaussianRational` and `ExactMatrix` are the types at the text boundary (parsing
-and printing) and of the public wrappers: `OperatorSubspace.basis` is the view
-of a subspace as unit-pivot matrices, built when first read, and
-`canonical_basis`, `span_of`, `rref` and `nullspace` take and return Gaussian
-rationals.  `ExactMatrix` keeps only construction, access, the adjoint,
-transpose and product, and its text form.
+The text boundary is integer too: `format_over` prints the Gaussian rational
+(re + im i) / den and `parse_over` reads one back as such a triple, so the qRel
+JSON forms of `qlab.serialize` go between strings and integer rows without
+building a `GaussianRational` or an `ExactMatrix`.  `format_scalar` and
+`parse_scalar` are the same grammar for `GaussianRational`.
+
+`GaussianRational` and `ExactMatrix` are the types of the public wrappers:
+`OperatorSubspace.basis` is the view of a subspace as unit-pivot matrices,
+built when first read, and `canonical_basis`, `span_of`, `rref` and `nullspace`
+take and return Gaussian rationals.  `ExactMatrix` keeps only construction,
+access, the adjoint, transpose and product, and its text form.
 """
 
 from __future__ import annotations
@@ -119,17 +124,33 @@ def _over(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
+def _format_parts(rn: int, rd: int, jn: int, jd: int) -> str:
+    """The text of rn/rd + (jn/jd) i, each fraction in lowest terms with a
+    positive denominator: "a/b+c/d i" with zero parts and unit denominators
+    omitted, and "i" for a unit imaginary part."""
+    real = str(rn) if rd == 1 else f"{rn}/{rd}"
+    if not jn:
+        return real
+    if jd != 1:
+        imag = f"{abs(jn)}/{jd} i"
+    else:
+        imag = "i" if jn in (1, -1) else f"{abs(jn)} i"
+    if not rn:
+        return imag if jn > 0 else "-" + imag
+    return f"{real}{'+' if jn > 0 else '-'}{imag}"
+
+
+def format_over(re: int, im: int, den: int) -> str:
+    """The text of the Gaussian rational (re + im i) / den, for den > 0."""
+    if den == 1:
+        return _format_parts(re, 1, im, 1)
+    g, h = gcd(re, den), gcd(im, den)
+    return _format_parts(re // g, den // g, im // h, den // h)
+
+
 def format_scalar(z: GaussianRational) -> str:
     """Serialize as "a/b+c/d i" with zero parts omitted."""
-    if z.is_zero():
-        return "0"
-    if z.im == 0:
-        return str(z.re)
-    imag = "i" if abs(z.im) == 1 else f"{abs(z.im)} i"
-    if z.re == 0:
-        return imag if z.im > 0 else "-" + imag
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{imag}"
+    return _format_parts(z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
 
 
 _RATIONAL = r"\d+(?:/\d+)?"
@@ -142,8 +163,15 @@ _SCALAR_RE = _re.compile(
 )
 
 
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse the serialization produced by :func:`format_scalar`.
+def _ratio(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
+    return int(num), int(den) if den else 1
+
+
+def parse_over(text: str) -> tuple[int, int, int]:
+    """Parse the text form of :func:`format_over` into integers (re, im, den)
+    with den > 0 and value (re + im i) / den.  den is the lcm of the written
+    denominators, so the triple need not be in lowest terms.
 
     Whitespace anywhere in the string is ignored.
     """
@@ -153,22 +181,30 @@ def parse_scalar(text: str) -> GaussianRational:
     m = _SCALAR_RE.match(compact)
     if not m:
         raise ExactError(f"malformed scalar string {text!r}")
-    try:
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        im_text = m.group("im") or m.group("im_only")
-        if im_text is None:
-            im_part = Fraction(0)
+    rn, rd = _ratio(m.group("re")) if m.group("re") else (0, 1)
+    im_text = m.group("im") or m.group("im_only")
+    if im_text is None:
+        jn, jd = 0, 1
+    else:
+        body = im_text[:-1]
+        if body in ("", "+"):
+            jn, jd = 1, 1
+        elif body == "-":
+            jn, jd = -1, 1
         else:
-            body = im_text[:-1]
-            if body in ("", "+"):
-                im_part = Fraction(1)
-            elif body == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(body)
-    except ZeroDivisionError:
-        raise ExactError(f"zero denominator in scalar {text!r}") from None
-    return GaussianRational(re_part, im_part)
+            jn, jd = _ratio(body)
+    if not rd or not jd:
+        raise ExactError(f"zero denominator in scalar {text!r}")
+    den = lcm(rd, jd)
+    return rn * (den // rd), jn * (den // jd), den
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """Parse the serialization produced by :func:`format_scalar`.
+
+    Whitespace anywhere in the string is ignored.
+    """
+    return _over(*parse_over(text))
 
 
 @dataclass(frozen=True)

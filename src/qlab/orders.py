@@ -186,17 +186,21 @@ def omega_order(inst: MatrInstance) -> OmegaOrder:
 
 
 def omega_eval_identities(inst: MatrInstance, om: OmegaOrder) -> list[tuple[str, bool]]:
-    """The projection identities that make the ordered truth values tick."""
+    """The projection identities that make the ordered truth values tick.
+
+    p_true o le and p_false o ge have the unit of V in both entries, so they
+    equal p_false v p_true, which is the top morphism only when V is integral
+    (its unit is top).
+    """
     p_false, p_true = om.data.projections
-    unit = inst.unit_obj()
     le = om.ordered.order
     ge = inst.dagger(le)
-    top = inst.top(om.data.total, unit)
+    both = inst.join2(p_false, p_true)
     return [
         ("p_false o le = p_false", inst.equal(inst.compose(p_false, le), p_false)),
-        ("p_true o le = top", inst.equal(inst.compose(p_true, le), top)),
+        ("p_true o le = p_false v p_true", inst.equal(inst.compose(p_true, le), both)),
         ("p_true o ge = p_true", inst.equal(inst.compose(p_true, ge), p_true)),
-        ("p_false o ge = top", inst.equal(inst.compose(p_false, ge), top)),
+        ("p_false o ge = p_false v p_true", inst.equal(inst.compose(p_false, ge), both)),
     ]
 
 

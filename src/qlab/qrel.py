@@ -10,7 +10,7 @@ morphisms, zero-monomorphisms, and the classical truth-value correspondence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -149,61 +149,61 @@ def _orthonormal_columns(cols: Sequence[IntRow]) -> IntRow:
     return [u[0][i] for i in d for u in ortho], [u[1][i] for i in d for u in ortho]
 
 
+# Trial division and the two-squares search stop at this bound.  A cofactor
+# below its square that has no smaller prime factor is prime.
+_TRIAL_BOUND = 10**6
+
+
+def _factor(n: int) -> dict[int, int]:
+    """The prime factorization of the positive integer n, as prime -> exponent,
+    by trial division below _TRIAL_BOUND.  Raises MatrError when that leaves a
+    cofactor of _TRIAL_BOUND squared or more."""
+    out: dict[int, int] = {}
+    m, d = n, 2
+    while d * d <= m:
+        if d >= _TRIAL_BOUND:
+            raise MatrError(
+                f"cannot factor {n}, from the squared norms of the kernel columns: "
+                f"a cofactor of at least {_TRIAL_BOUND}**2 has no prime factor below "
+                f"the trial-division bound {_TRIAL_BOUND}"
+            )
+        while m % d == 0:
+            m //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 def _norm_obstruction(n: int) -> int:
     """The square-free product of the primes congruent to 3 mod 4 that occur
     to an odd power in the positive integer n; n is a sum of two squares
     exactly when this is 1."""
-    m = n
-    out = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            count = 0
-            while m % d == 0:
-                m //= d
-                count += 1
-            if d % 4 == 3 and count % 2 == 1:
-                out *= d
-        d += 1
-    if m > 1 and m % 4 == 3:
-        out *= m
-    return out
+    return prod(p for p, e in _factor(n).items() if p % 4 == 3 and e % 2)
 
 
 def _two_squares_int(n: int) -> tuple[int, int] | None:
+    """(x, y) with x^2 + y^2 = n: the square part of n times the representation
+    of its square-free part m with the least x, or None if there is none."""
     if n == 0:
         return (0, 0)
-    # Strip square factors, check the classical two-squares criterion, then
-    # search; the remaining square-free part is small in practice.
-    square = 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        while rest % (d * d) == 0:
-            rest //= d * d
-            square *= d
-        d += 1
-    m = rest
-    dd = 2
-    mm = m
-    while dd * dd <= mm:
-        if mm % dd == 0:
-            count = 0
-            while mm % dd == 0:
-                mm //= dd
-                count += 1
-            if dd % 4 == 3 and count % 2 == 1:
-                return None
-        dd += 1
-    if mm % 4 == 3:
+    factors = _factor(n)
+    if any(p % 4 == 3 and e % 2 for p, e in factors.items()):
         return None
+    square = prod(p ** (e // 2) for p, e in factors.items())
+    m = prod(p for p, e in factors.items() if e % 2)
     a = 0
     while a * a <= m:
-        b2 = m - a * a
-        b = int(b2 ** 0.5)
-        for cand in (b - 1, b, b + 1):
-            if cand >= 0 and cand * cand == b2:
-                return (square * a, square * cand)
+        if a >= _TRIAL_BOUND:
+            raise MatrError(
+                f"cannot write {m}, from the squared norms of the kernel columns, as "
+                f"a sum of two squares a^2 + b^2 with a below the search bound "
+                f"{_TRIAL_BOUND}"
+            )
+        b = isqrt(m - a * a)
+        if b * b == m - a * a:
+            return (square * a, square * b)
         a += 1
     return None
 

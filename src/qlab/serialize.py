@@ -18,9 +18,11 @@ deterministic and roundtrips to an equal value.
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from math import lcm
 from typing import Any
 
-from .exact import ExactMatrix, format_scalar, parse_scalar, span_of
+from .exact import IntRow, OperatorSubspace, format_over, parse_over, span_of_rows
 from .finrel import BoolRelation, FiniteSet
 from .matr import MatrInstance, MatrMorphism, MatrObject
 from .quantale import FiniteQuantale, QuantaleError, VRelation, quantale_from_tables
@@ -184,21 +186,32 @@ def qset_from_json(inst: MatrInstance, doc: dict) -> MatrObject:
     return inst.obj(comps)
 
 
-def _matrix_to_json(m: ExactMatrix) -> list:
-    return [
-        [format_scalar(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)
-    ]
+def _basis_to_json(v: OperatorSubspace) -> list:
+    """The unit-pivot basis of v as matrices of scalar strings.  Entry k of the
+    matrix of canonical row (re, im) with pivot column pc is
+    (re[k] + im[k] i) / re[pc]."""
+    d = v.domain_dim
+    out = []
+    for (re, im), pc in zip(v.rows, v.pivots):
+        texts = list(map(format_over, re, im, repeat(re[pc])))
+        out.append([texts[i:i + d] for i in range(0, len(texts), d)])
+    return out
 
 
-def _scalar_from_json(s: Any):
-    if not isinstance(s, str):
-        raise SerializeError(f"scalar {s!r} is not a JSON string")
-    return parse_scalar(s)
-
-
-def _matrix_from_json(rows: list) -> ExactMatrix:
-    parsed = [[_scalar_from_json(s) for s in row] for row in rows]
-    return ExactMatrix.from_rows(parsed)
+def _vector_from_json(rows: Any, c: int, d: int, key: tuple) -> IntRow:
+    """A c x d basis matrix of scalar strings, as its row-major vectorization
+    scaled to Gaussian integers over one common denominator."""
+    if (not isinstance(rows, list) or len(rows) != c
+            or any(not isinstance(row, list) or len(row) != d for row in rows)):
+        raise SerializeError(f"basis matrix for block {key!r} must be {c}x{d}")
+    parts = []
+    for row in rows:
+        for s in row:
+            if not isinstance(s, str):
+                raise SerializeError(f"scalar {s!r} is not a JSON string")
+            parts.append(parse_over(s))
+    den = lcm(*(e for _, _, e in parts))
+    return [x * (den // e) for x, _, e in parts], [y * (den // e) for _, y, e in parts]
 
 
 def qrelation_to_json(f: MatrMorphism) -> dict:
@@ -208,7 +221,7 @@ def qrelation_to_json(f: MatrMorphism) -> dict:
             {
                 "from": _label_to_json(a),
                 "to": _label_to_json(b),
-                "basis": [_matrix_to_json(m) for m in v.basis],
+                "basis": _basis_to_json(v),
             }
         )
     return {
@@ -226,15 +239,10 @@ def qrelation_from_json(inst: MatrInstance, doc: dict) -> MatrMorphism:
         for blk in doc["blocks"]:
             a = _label_from_json(blk["from"])
             b = _label_from_json(blk["to"])
-            mats = [_matrix_from_json(rows) for rows in blk["basis"]]
             da, db = src.base_obj(a), tgt.base_obj(b)
-            for m in mats:
-                if (m.rows, m.cols) != (db, da):
-                    raise SerializeError(
-                        f"basis matrix for block {(a, b)!r} must be {db}x{da}"
-                    )
-            if mats:
-                blocks[(a, b)] = span_of(*mats)
+            vecs = [_vector_from_json(rows, db, da, (a, b)) for rows in blk["basis"]]
+            if vecs:
+                blocks[(a, b)] = span_of_rows(da, db, vecs)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SerializeError):
             raise

@@ -1,12 +1,17 @@
 """The command-line interface: subcommands, exit codes, and deterministic output."""
 
+import copy
 import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qlab.cli import main
 from qlab.exact import format_scalar, gq, parse_scalar
@@ -274,6 +279,115 @@ def test_non_string_non_integer_label_is_input_error(document, label, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "is not a JSON string, integer or list" in err
+
+
+def test_check_passes_on_a_non_integral_quantale(capsys):
+    # The chain 0 < m < 1 with unit m: its unit is not its top.
+    els = ["0", "m", "1"]
+    doc = {
+        "elements": els,
+        "mul": [["0", "0", "0"], ["0", "m", "1"], ["0", "1", "1"]],
+        "join": [[max(a, b, key=els.index) for b in els] for a in els],
+        "unit": "m",
+    }
+    code, out, err = run_cli(
+        ["check", "--instance", "vrel", "--quantale", json.dumps(doc), "--format", "json"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("basis", [
+    # The kernel's squared column norms are near 2e18 and keep cofactors with
+    # no prime factor below the trial-division bound 10**6.
+    [[["999999937", "1000000007", "999999929"]]],
+    # The kernel columns (x, y, 0, 0) and (0, 0, 1, 0) have squared norms
+    # x^2 + y^2, the product of the first 20 primes 1 mod 4, and 1: every
+    # representation of that product as a^2 + b^2 has a beyond 10**6.
+    [[["-893540203220881136", "1260169942195344313", "0", "0"]], [["0", "0", "0", "1"]]],
+], ids=["large-cofactor", "long-two-squares-search"])
+def test_kernel_beyond_the_factoring_bound_is_input_error(basis):
+    doc = json.loads(QREL_DOC)
+    doc["source"]["atoms"][0]["dim"] = len(basis[0][0])
+    doc["blocks"][0]["basis"] = basis
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlab.cli", "kernel", json.dumps(doc)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "bound 1000000" in proc.stderr
+
+
+# -- malformed quantum relations ----------------------------------------------------
+#
+# Every malformed qRel document must exit 2 with one line on stderr, and every
+# well-formed one exit 0 with nothing there; an uncaught exception fails the test.
+
+FUZZ_BASE = {
+    "source": {"atoms": [{"label": "u", "dim": 2}, {"label": ["v", 1], "dim": 1}]},
+    "target": {"atoms": [{"label": "w", "dim": 2}]},
+    "blocks": [
+        {"from": "u", "to": "w", "basis": [[["1", "0"], ["i", "1/2"]], [["0", "1"], ["0", "0"]]]},
+        {"from": ["v", 1], "to": "w", "basis": [[["1+i"], ["-2/3 i"]]]},
+    ],
+}
+
+_fuzz_scalars = st.sampled_from(["0", "1", "-i", "1/2", "2-i", "1/0", "", "x", "1/2i"])
+_fuzz_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4, allow_nan=False)
+    | _fuzz_scalars | st.text("uvw01/+-i ", max_size=5),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["atoms", "label", "dim", "from", "to", "basis", "x"]), kids, max_size=3),
+    max_leaves=8,
+)
+# Matrices of scalar strings of any small shape, ragged ones included.
+_fuzz_matrix = st.lists(st.lists(_fuzz_scalars, max_size=3), max_size=3)
+
+
+def _fuzz_paths(node, path=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("command", ["compute", "neg", "kernel"])
+@settings(max_examples=120, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_qrel_input_exits_2_with_one_line(command, data):
+    doc = copy.deepcopy(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_fuzz_paths(doc)) or [None]))
+        if path is None:
+            break
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["json", "matrix", "delete"]))
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_fuzz_json if action == "json" else _fuzz_matrix)
+    text = json.dumps(doc)
+    argv = {
+        "compute": ["compute", "--instance", "qrel", "--load", f"f={text}", "dagger(f)"],
+        "neg": ["neg", "--instance", "qrel", text],
+        "kernel": ["kernel", text],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 # sha256 of `qlab check --format json` per instance and seed: qrel at seeds 0-3

@@ -1,5 +1,6 @@
 """Exact scalar and matrix arithmetic, and the canonical subspace form."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -13,13 +14,16 @@ from qlab.exact import (
     ExactError,
     ExactMatrix,
     GaussianRational,
+    _over,
     canonical_basis,
+    format_over,
     format_scalar,
     full_subspace,
     gq,
     hs_orthocomplement,
     kronecker,
     nullspace,
+    parse_over,
     parse_scalar,
     rref,
     span_of,
@@ -152,6 +156,96 @@ def test_shape_mismatch_raises():
 def test_scalar_zero_denominator_is_exact_error(text):
     with pytest.raises(ExactError, match="zero denominator"):
         parse_scalar(text)
+
+
+# -- oracles for the integer text helpers ---------------------------------------
+#
+# format_over and parse_over print and parse without building Fractions.  The
+# references are format_scalar of the equal Gaussian rational, and the
+# Fraction-based parser that parse_scalar used to be.
+
+def reference_parse_scalar(text):
+    compact = "".join(text.split())
+    if not compact:
+        raise ExactError(f"empty scalar string {text!r}")
+    m = re.match(
+        r"^(?:(?P<re>[+-]?\d+(?:/\d+)?)(?P<im>[+-](?:\d+(?:/\d+)?)?i)?"
+        r"|(?P<im_only>[+-]?(?:\d+(?:/\d+)?)?i))$", compact)
+    if not m:
+        raise ExactError(f"malformed scalar string {text!r}")
+    try:
+        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+        im_text = m.group("im") or m.group("im_only")
+        if im_text is None:
+            im_part = Fraction(0)
+        else:
+            body = im_text[:-1]
+            if body in ("", "+"):
+                im_part = Fraction(1)
+            elif body == "-":
+                im_part = Fraction(-1)
+            else:
+                im_part = Fraction(body)
+    except ZeroDivisionError:
+        raise ExactError(f"zero denominator in scalar {text!r}") from None
+    return GaussianRational(re_part, im_part)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+big_ints = st.integers(-10**30, 10**30) | st.integers(-40, 40)
+
+
+@settings(max_examples=300)
+@given(big_ints, big_ints, st.integers(1, 10**30) | st.integers(1, 40))
+def test_format_over_matches_format_scalar(x, y, p):
+    assert format_over(x, y, p) == format_scalar(_over(x, y, p))
+
+
+@st.composite
+def scalar_texts(draw):
+    """Strings of the scalar grammar, with zero denominators, signs and spaces."""
+    digits = st.text("0123456789", min_size=1, max_size=4)
+
+    def rational():
+        den = draw(st.none() | digits)
+        return draw(digits) + ("" if den is None else "/" + den)
+
+    sign = st.sampled_from(["", "+", "-"])
+    kind = draw(st.sampled_from(["re", "im", "both"]))
+    text = draw(sign) + rational() if kind != "im" else ""
+    if kind != "re":
+        coeff = draw(st.sampled_from(["", rational()]))
+        text += draw(st.sampled_from(["+", "-"]) if kind == "both" else sign) + coeff + "i"
+    spaces = draw(st.lists(st.integers(0, len(text)), max_size=3))
+    for k in sorted(spaces, reverse=True):
+        text = text[:k] + " " + text[k:]
+    return text
+
+
+@settings(max_examples=400)
+@given(scalar_texts() | st.text("0123456789/+-i. \t", max_size=10))
+def test_parse_over_matches_the_fraction_parser(text):
+    want = _outcome(reference_parse_scalar, text)
+    assert _outcome(parse_scalar, text) == want
+    got = _outcome(parse_over, text)
+    if isinstance(want, GaussianRational):
+        x, y, den = got
+        assert den > 0 and (Fraction(x, den), Fraction(y, den)) == (want.re, want.im)
+    else:
+        assert got == want
+
+
+def test_parse_over_rejects_like_the_fraction_parser():
+    for text in ["", "  ", "i i", "1/", "/2", "1//2", "i2", "1+", "1/0", "0/0 i", "+-1", "1.5"]:
+        want = _outcome(reference_parse_scalar, text)
+        assert isinstance(want, tuple), text
+        assert _outcome(parse_over, text) == want == _outcome(parse_scalar, text)
 
 
 # -- oracles for the Gaussian-integer kernel -------------------------------------

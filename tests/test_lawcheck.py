@@ -22,7 +22,7 @@ from qlab.lawcheck import (
     run_suite,
 )
 from qlab.matr import qrel_instance, rel_instance, relation_to_matr, set_to_object
-from qlab.quantale import BUILTIN_QUANTALES
+from qlab.quantale import BUILTIN_QUANTALES, quantale_from_tables, validate_quantale
 
 REL = rel_instance()
 QREL = qrel_instance()
@@ -47,6 +47,27 @@ def test_run_all_vrel_green_all_builtins():
     for name, q in BUILTIN_QUANTALES.items():
         reports = run_all("vrel", seed=0, quantale=q, samples=10)
         assert all(rep.ok for rep in reports), name
+
+
+# The chain 0 < m < 1 with unit m: commutative and unital but not integral,
+# since its unit is not its top.
+_C3 = ("0", "m", "1")
+C3_NON_INTEGRAL = quantale_from_tables(
+    _C3,
+    {(a, b): "0" if "0" in (a, b) else b if a == "m" else a if b == "m" else "1"
+     for a in _C3 for b in _C3},
+    "m",
+    join={(a, b): max(a, b, key=_C3.index) for a in _C3 for b in _C3},
+)
+
+
+def test_run_all_vrel_green_on_a_non_integral_quantale():
+    assert validate_quantale(C3_NON_INTEGRAL).ok
+    assert not C3_NON_INTEGRAL.is_affine()
+    reports = run_all("vrel", seed=0, quantale=C3_NON_INTEGRAL)
+    assert all(rep.ok for rep in reports), render_text(
+        [rep for rep in reports if not rep.ok]
+    )
 
 
 def test_run_all_qrel_green():

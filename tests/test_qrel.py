@@ -1,5 +1,6 @@
 """Quantum relations: orthocomplements, dagger kernels, zero-monos, effects."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -137,6 +138,17 @@ def test_norm_obstruction_classes():
     assert _norm_obstruction(12) == 3
 
 
+def test_norm_obstruction_stops_at_the_trial_division_bound():
+    # 999983 and 999979 are primes 3 mod 4 below the bound 10**6, and
+    # 999999999959 is a prime 3 mod 4 below its square: all are classified.
+    assert _norm_obstruction(999983 * 999979) == 999983 * 999979
+    assert _norm_obstruction(2 * 9 * 999999999959) == 999999999959
+    # 1000003 * 1000033 has no prime factor below the bound and is not below
+    # its square, so it cannot be classified by trial division.
+    with pytest.raises(MatrError, match="1000000"):
+        _norm_obstruction(1000003 * 1000033)
+
+
 def test_two_squares_values():
     # 52 = 13 * 4 stands for the ratio 13/4, as numerator times denominator.
     for n in (1, 2, 5, 52, 9):
@@ -145,6 +157,31 @@ def test_two_squares_values():
         x, y = rep
         assert x * x + y * y == n
     assert _two_squares_int(3) is None
+
+
+def reference_two_squares(n):
+    """Strip square factors, then search for the least x with n - x^2 a square."""
+    if n == 0:
+        return (0, 0)
+    square, rest, d = 1, n, 2
+    while d * d <= rest:
+        while rest % (d * d) == 0:
+            rest //= d * d
+            square *= d
+        d += 1
+    a = 0
+    while a * a <= rest:
+        b = math.isqrt(rest - a * a)
+        if b * b == rest - a * a:
+            return (square * a, square * b)
+        a += 1
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**7) | st.integers(0, 200))
+def test_two_squares_matches_the_search(n):
+    assert _two_squares_int(n) == reference_two_squares(n)
 
 
 def test_orthonormal_columns_mixed_norm_classes_rejected():

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlab.exact import ExactMatrix, span_of
+from qlab.exact import ExactMatrix, format_scalar, parse_scalar, span_of
 from qlab.finrel import BoolRelation, fset
 from qlab.matr import qrel_instance
 from qlab.qrel import qmor, qset
@@ -119,3 +121,66 @@ def test_dumps_deterministic():
     b = dumps(qrelation_to_json(r))
     assert a == b
     json.loads(a)
+
+
+# -- oracles for the integer qRel boundary -----------------------------------------
+#
+# qrelation_to_json prints each basis matrix straight from the canonical integer
+# rows, and qrelation_from_json spans integer rows parsed from the strings.  The
+# references are the renderings they replace: format_scalar of every entry of
+# the unit-pivot basis, and the span of the matrices of parsed scalars.
+
+def reference_basis_json(v):
+    return [
+        [[format_scalar(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+        for m in v.basis
+    ]
+
+
+def reference_block(rows_list):
+    return span_of(*[
+        ExactMatrix.from_rows([[parse_scalar(t) for t in row] for row in rows])
+        for rows in rows_list
+    ])
+
+
+_TEXTS = ("0", "0", "1", "-1", "i", "-i", "1+i", "2/4", "-2/3 i", "3/4-1/5 i",
+          " 2 - i ", "+7", "12/8+6/4 i", "-9 i", "5/1")
+
+
+@st.composite
+def qrel_documents(draw):
+    """A raw qRel document: atoms of dimension 1-3 and blocks spanned by a few
+    matrices of scalar strings, not in canonical form."""
+    def atoms(prefix):
+        return [(f"{prefix}{k}", draw(st.integers(1, 3))) for k in range(draw(st.integers(1, 2)))]
+
+    src, tgt = atoms("a"), atoms("b")
+    blocks = []
+    for a, da in src:
+        for b, db in tgt:
+            if draw(st.booleans()):
+                blocks.append({"from": a, "to": b, "basis": [
+                    [[draw(st.sampled_from(_TEXTS)) for _ in range(da)] for _ in range(db)]
+                    for _ in range(draw(st.integers(1, 3)))
+                ]})
+    return {
+        "source": {"atoms": [{"label": a, "dim": d} for a, d in src]},
+        "target": {"atoms": [{"label": b, "dim": d} for b, d in tgt]},
+        "blocks": blocks,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(qrel_documents())
+def test_qrelation_json_matches_the_rational_rendering(doc):
+    f = qrelation_from_json(QREL, doc)
+    want = {}
+    for blk in doc["blocks"]:
+        v = reference_block(blk["basis"])
+        if not v.is_zero():
+            want[(blk["from"], blk["to"])] = v
+    assert dict(f.blocks) == want
+    out = qrelation_to_json(f)
+    assert [blk["basis"] for blk in out["blocks"]] == [reference_basis_json(v) for _, v in f.blocks]
+    assert qrelation_from_json(QREL, out) == f
