@@ -61,9 +61,12 @@ class CliError(Exception):
 
 def _read_json(spec: str):
     text = spec.strip()
-    if text.startswith("{") or text.startswith("["):
+    if not (text.startswith("{") or text.startswith("[")):
+        text = Path(spec).read_text()
+    try:
         return json.loads(text)
-    return json.loads(Path(spec).read_text())
+    except RecursionError:
+        raise CliError("JSON input nested too deeply to parse") from None
 
 
 def _load_quantale(spec: str | None) -> FiniteQuantale:

@@ -542,11 +542,18 @@ def _products(w: OperatorSubspace, v: OperatorSubspace) -> Iterator[IntRow]:
             yield out_re, out_im
 
 
-def subspace_product(w: OperatorSubspace, v: OperatorSubspace) -> OperatorSubspace:
-    """Composite subspace: span of all pairwise products w_i v_j."""
-    if w.domain_dim != v.codomain_dim:
-        raise ExactError("inner dimensions do not match")
-    return span_of_rows(v.domain_dim, w.codomain_dim, _products(w, v))
+def subspace_product(pairs: Iterable[tuple[OperatorSubspace, OperatorSubspace]],
+                     d: int, c: int) -> OperatorSubspace:
+    """The c x d sup of composites: the span of every product w_i v_j, over
+    every pair (w, v) of a c x k and a k x d subspace, in one elimination.
+    No pairs give the zero subspace."""
+    pairs = list(pairs)
+    for w, v in pairs:
+        if w.domain_dim != v.codomain_dim:
+            raise ExactError("inner dimensions do not match")
+        if (v.domain_dim, w.codomain_dim) != (d, c):
+            raise ExactError(f"expected a {c}x{d} product, got {w.codomain_dim}x{v.domain_dim}")
+    return span_of_rows(d, c, (row for w, v in pairs for row in _products(w, v)))
 
 
 def subspace_adjoint(v: OperatorSubspace) -> OperatorSubspace:

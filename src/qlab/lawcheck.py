@@ -140,7 +140,10 @@ class Context:
         if enum is not None:
             if len(enum) <= cap:
                 return list(enum)
-            return self.rng.sample(enum, cap)
+            # random.sample reads only the population's length and the drawn
+            # positions, so sampling the positions makes the same RNG calls and
+            # builds only the morphisms drawn.
+            return [enum[i] for i in self.rng.sample(range(len(enum)), cap)]
         out = []
         for _ in range(cap):
             blocks = {}
@@ -498,18 +501,18 @@ def suite_rel_oracle(ctx: Context) -> list:
     res = _res("rel-oracle", "matrix ops agree with the direct relation ops")
     a = fset("0", "1")
     b = fset("x", "y", "z")
+    after = [(s, relation_to_matr(inst, s)) for s in list(all_relations(b, a))[:16]]
+    beside = [(s, relation_to_matr(inst, s)) for s in list(all_relations(a, b))[:8]]
     for r in all_relations(a, b):
         mr = relation_to_matr(inst, r)
         assert matr_to_relation(mr) == r
         res.record(matr_to_relation(inst.dagger(mr)) == r.dagger(), repr(r.pairs))
-        for s in list(all_relations(b, a))[:16]:
-            ms = relation_to_matr(inst, s)
+        for s, ms in after:
             res.record(
                 matr_to_relation(inst.compose(ms, mr)) == s.compose(r),
                 f"{sorted(r.pairs)};{sorted(s.pairs)}",
             )
-        for s in list(all_relations(a, b))[:8]:
-            ms = relation_to_matr(inst, s)
+        for s, ms in beside:
             res.record(
                 matr_to_relation(inst.join2(mr, ms)) == r.join(s)
                 and inst.leq(mr, ms) == r.leq(s),

@@ -24,7 +24,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from typing import Any
 
 from .exact import (
@@ -64,8 +64,13 @@ class QuantaleBase:
     def __hash__(self):
         return hash(("QuantaleBase", self.quantale))
 
-    def compose(self, g, f):
-        return self.quantale.mul(g, f)
+    def compose_sum(self, pairs, src, tgt):
+        """The join of the products n m over the pairs (n, m)."""
+        join, mul = self.quantale.join_table, self.quantale.mul_table
+        acc = self._bottom
+        for pair in pairs:
+            acc = join[acc, mul[pair]]
+        return acc
 
     def identity(self, b):
         return self.quantale.unit
@@ -145,8 +150,9 @@ class FdOSBase:
     def __hash__(self):
         return hash("FdOSBase")
 
-    def compose(self, g: OperatorSubspace, f: OperatorSubspace) -> OperatorSubspace:
-        return subspace_product(g, f)
+    def compose_sum(self, pairs, src: int, tgt: int) -> OperatorSubspace:
+        """The span of every composite w v over the pairs (w, v)."""
+        return subspace_product(pairs, src, tgt)
 
     @cache
     def identity(self, b: int) -> OperatorSubspace:
@@ -225,7 +231,8 @@ class MatrObject:
 
     `labels` is the tuple of component labels, and `index` maps each label to
     (rank, base object), where rank is the label's position in the labels
-    sorted by repr.  Both are computed once; neither takes part in equality.
+    sorted by repr.  Both are computed once, as is the hash; neither takes
+    part in equality.
     """
 
     base: QuantaleBase | FdOSBase
@@ -238,6 +245,10 @@ class MatrObject:
         rank = {lab: r for r, lab in enumerate(sorted(labels, key=repr))}
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "index", {lab: (rank[lab], b) for lab, b in self.components})
+        object.__setattr__(self, "_hash", hash((self.base, self.components)))
+
+    def __hash__(self):
+        return self._hash
 
     def base_obj(self, label) -> Any:
         try:
@@ -268,17 +279,37 @@ class MatrMorphism:
         )
 
 
+def _built_once(method):
+    """A structure method whose result is kept in the instance's `_built`
+    dict, keyed by the method's name and its argument objects."""
+    name = method.__name__
+
+    @wraps(method)
+    def built(self, *objs):
+        key = (name, *objs)
+        out = self._built.get(key)
+        if out is None:
+            out = self._built[key] = method(self, *objs)
+        return out
+
+    return built
+
+
 class MatrInstance:
     """The dagger compact quantaloid of matrices over a base.
 
     Objects are interned: `obj` returns the same MatrObject for equal
-    components, so its label index is built once per object.
+    components, so its label index is built once per object.  The structure
+    morphisms and objects (identities, unitors, associators, symmetries, units
+    and counits, the unit, duals and tensors) are built once per argument
+    objects.
     """
 
     def __init__(self, base: QuantaleBase | FdOSBase, name: str = "matr"):
         self.base = base
         self.name = name
         self._objects: dict[tuple, MatrObject] = {}
+        self._built: dict[tuple, MatrObject | MatrMorphism] = {}
 
     # -- object and morphism builders ----------------------------------------
     def obj(self, components: Iterable[tuple]) -> MatrObject:
@@ -315,27 +346,46 @@ class MatrInstance:
     def target(self, f: MatrMorphism) -> MatrObject:
         return f.target
 
+    @_built_once
     def identity(self, x: MatrObject) -> MatrMorphism:
         return self.mor(x, x, {(lab, lab): self.base.identity(b) for lab, b in x.components})
 
     def compose(self, g: MatrMorphism, f: MatrMorphism) -> MatrMorphism:
+        """(g o f)_ac = sup over b of g_bc o f_ab, one base call per output block.
+
+        The pairs (g_bc, f_ab) are grouped by the block's position in `mor`'s
+        order, rank(a) |target| + rank(c), so the blocks come out sorted and
+        need no second check."""
         if f.target != g.source:
             raise MatrError("cannot compose: middle objects differ, "
                             f"{f.target.labels} and {g.source.labels}")
-        base = self.base
-        gmap: dict = {}
-        for (b, c), m in g.blocks:
-            gmap.setdefault(b, []).append((c, m))
-        contributions: dict = {}
+        src, tgt = f.source, g.target
+        src_index, tgt_index = src.index, tgt.index
+        width = len(tgt_index)
+        after: dict = {}  # b -> [(rank of c, c, g_bc)]
+        for (b, c), n in g.blocks:
+            after.setdefault(b, []).append((tgt_index[c][0], c, n))
+        groups: dict = {}  # position -> (a, c, [(g_bc, f_ab)])
         for (a, b), m in f.blocks:
-            for c, n in gmap.get(b, ()):
-                contributions.setdefault((a, c), []).append(base.compose(n, m))
-        src_index, tgt_index = f.source.index, g.target.index
-        blocks = {
-            (a, c): base.sup(ms, src_index[a][1], tgt_index[c][1])
-            for (a, c), ms in contributions.items()
-        }
-        return self.mor(f.source, g.target, blocks)
+            row = after.get(b)
+            if row is None:
+                continue
+            offset = src_index[a][0] * width
+            for rc, c, n in row:
+                group = groups.get(offset + rc)
+                if group is None:
+                    groups[offset + rc] = (a, c, [(n, m)])
+                else:
+                    group[2].append((n, m))
+        compose_sum, is_bottom = self.base.compose_sum, self.base.is_bottom
+        blocks = []
+        for pos in sorted(groups):
+            a, c, pairs = groups[pos]
+            oa, oc = src_index[a][1], tgt_index[c][1]
+            m = compose_sum(pairs, oa, oc)
+            if not is_bottom(m, oa, oc):
+                blocks.append(((a, c), m))
+        return MatrMorphism(src, tgt, tuple(blocks))
 
     def dagger(self, f: MatrMorphism) -> MatrMorphism:
         blocks = {(b, a): self.base.dagger(m) for (a, b), m in f.blocks}
@@ -397,6 +447,7 @@ class MatrInstance:
         return self.mor(src, tgt, blocks)
 
     # -- monoidal structure ----------------------------------------
+    @_built_once
     def tensor_obj(self, x: MatrObject, y: MatrObject) -> MatrObject:
         comps = [
             ((la, lb), self.base.tensor_obj(oa, ob))
@@ -414,9 +465,11 @@ class MatrInstance:
                 blocks[((a, b), (c, d))] = self.base.tensor_mor(m, n)
         return self.mor(src, tgt, blocks)
 
+    @_built_once
     def unit_obj(self) -> MatrObject:
         return self.obj([("*", self.base.unit_obj())])
 
+    @_built_once
     def assoc(self, x: MatrObject, y: MatrObject, z: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(self.tensor_obj(x, y), z)
         tgt = self.tensor_obj(x, self.tensor_obj(y, z))
@@ -427,16 +480,19 @@ class MatrInstance:
                     blocks[(((a, b), c), (a, (b, c)))] = self.base.assoc_cell(oa, ob, oc)
         return self.mor(src, tgt, blocks)
 
+    @_built_once
     def lunit(self, x: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(self.unit_obj(), x)
         blocks = {(("*", a), a): self.base.lunit_cell(oa) for a, oa in x.components}
         return self.mor(src, x, blocks)
 
+    @_built_once
     def runit(self, x: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(x, self.unit_obj())
         blocks = {((a, "*"), a): self.base.runit_cell(oa) for a, oa in x.components}
         return self.mor(src, x, blocks)
 
+    @_built_once
     def symm(self, x: MatrObject, y: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(x, y)
         tgt = self.tensor_obj(y, x)
@@ -448,14 +504,17 @@ class MatrInstance:
         return self.mor(src, tgt, blocks)
 
     # -- compact structure ----------------------------------------
+    @_built_once
     def dual_obj(self, x: MatrObject) -> MatrObject:
         return self.obj([(a, self.base.dual_obj(oa)) for a, oa in x.components])
 
+    @_built_once
     def eta(self, x: MatrObject) -> MatrMorphism:
         tgt = self.tensor_obj(self.dual_obj(x), x)
         blocks = {("*", (a, a)): self.base.eta_cell(oa) for a, oa in x.components}
         return self.mor(self.unit_obj(), tgt, blocks)
 
+    @_built_once
     def epsilon(self, x: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(x, self.dual_obj(x))
         blocks = {((a, a), "*"): self.base.epsilon_cell(oa) for a, oa in x.components}

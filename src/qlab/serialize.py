@@ -32,10 +32,16 @@ class SerializeError(ValueError):
     pass
 
 
-def _label_from_json(x: Any):
-    """A label is a JSON string, a JSON integer, or a list of labels."""
+_LABEL_DEPTH = 32
+
+
+def _label_from_json(x: Any, depth: int = 0):
+    """A label is a JSON string, a JSON integer, or a list of labels, nested at
+    most _LABEL_DEPTH lists deep."""
     if isinstance(x, list):
-        return tuple(_label_from_json(y) for y in x)
+        if depth == _LABEL_DEPTH:
+            raise SerializeError(f"label nested more than {_LABEL_DEPTH} lists deep")
+        return tuple(_label_from_json(y, depth + 1) for y in x)
     if isinstance(x, str) or type(x) is int:
         return x
     raise SerializeError(f"label {x!r} is not a JSON string, integer or list")

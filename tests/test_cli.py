@@ -226,6 +226,29 @@ def test_zero_denominator_scalar_is_input_error(tmp_path):
     assert "zero denominator" in proc.stderr
 
 
+def _nested(depth, leaf):
+    return "[" * depth + leaf + "]" * depth
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["power", "--instance", "rel", "{path}"], '{"labels": [' + _nested(900, '"x"') + "]}",
+     "label nested more than 32 lists deep"),
+    (["compute", "--instance", "qrel", "--load", "f={path}", "dagger(f)"],
+     QREL_DOC.replace('"label": "u"', '"label": ' + _nested(900, '"u"'), 1),
+     "label nested more than 32 lists deep"),
+    (["neg", "--instance", "rel", "{path}"], _nested(100_000, ""), "nested too deeply"),
+], ids=["power-label", "qrel-atom-label", "deep-array"])
+def test_deeply_nested_input_is_input_error(tmp_path, command, doc, message):
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    argv = [arg.format(path=path) for arg in command]
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+
 @pytest.mark.parametrize("where, value, message", [
     ("scalar", 0.5, "is not a JSON string"),
     ("scalar", 1, "is not a JSON string"),

@@ -115,8 +115,14 @@ def test_subspace_lattice_and_product():
     j = subspace_join(v, w)
     assert subspace_leq(v, j) and subspace_leq(w, j)
     assert subspace_meet(v, w).is_zero()
-    prod = subspace_product(v, w)
+    prod = subspace_product([(v, w)], 2, 2)
     assert prod == span_of(e11 @ e12)
+    assert subspace_product([(v, w), (w, w)], 2, 2) == prod
+    assert subspace_product([], 2, 2) == zero_subspace(2, 2)
+    with pytest.raises(ExactError, match="inner"):
+        subspace_product([(v, span_of(ExactMatrix.from_ints([[1, 0]])))], 2, 2)
+    with pytest.raises(ExactError, match="expected a 1x2 product"):
+        subspace_product([(v, w)], 2, 1)
 
 
 def test_hs_orthocomplement_involutive():
@@ -512,10 +518,16 @@ def test_canonical_basis_matches_reference(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_subspace_product_matches_reference(data):
-    c, k, d = data.draw(dims), data.draw(dims), data.draw(dims)
-    w, w_ref = data.draw(subspaces(c, k))
-    v, v_ref = data.draw(subspaces(k, d))
-    assert_matches(subspace_product(w, v), reference_product(w_ref, v_ref, c, k, d), d, c)
+    # One to three pairs (w, v), each through its own inner dimension k: the
+    # span of all their products is the join of the pairwise products.
+    c, d = data.draw(dims), data.draw(dims)
+    pairs, ref = [], []
+    for k in data.draw(st.lists(dims, min_size=1, max_size=3)):
+        w, w_ref = data.draw(subspaces(c, k))
+        v, v_ref = data.draw(subspaces(k, d))
+        pairs.append((w, v))
+        ref = reference_join(ref, reference_product(w_ref, v_ref, c, k, d))
+    assert_matches(subspace_product(pairs, d, c), ref, d, c)
 
 
 @settings(max_examples=50, deadline=None)

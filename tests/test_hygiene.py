@@ -4,7 +4,8 @@ module-level function or class is used somewhere in the package.
 `__init__.py` is exempt: importing names to re-export them is its job.
 
 The benchmark's tracer (`bench/tracing.py`) patches qlab functions by
-attribute path; every path it names must still exist where it looks.
+attribute path; every path it names must still exist where it looks, and a
+law run under it must reach the layers it reports.
 """
 
 import ast
@@ -13,6 +14,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from qlab import lawcheck
+from qlab.quantale import BUILTIN_QUANTALES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qlab"
@@ -102,3 +106,25 @@ def test_traced_attribute_paths_resolve():
     assert missing == []
     suites = importlib.import_module("qlab.lawcheck").SUITES
     assert suites and all(callable(fn) for fn, _ in suites.values())
+
+
+@pytest.mark.parametrize("kind, quantale, layers", [
+    ("qrel", None, ("exact.subspace_product", "matr.compose", "matr.mor", "matr.dagger",
+                    "core.trace_of")),
+    ("vrel", BUILTIN_QUANTALES["chain4"],
+     ("matr.compose", "matr.mor", "matr.dagger", "core.trace_of")),
+], ids=["qrel", "vrel-chain4"])
+def test_traced_layers_record_calls(kind, quantale, layers):
+    """A law run under the tracer reaches every traced layer it should, so a
+    refactor that routes around a traced function fails here instead of
+    silently reporting zero for that layer."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reports = lawcheck.run_all(kind, 0, quantale=quantale)
+    finally:
+        tracer.uninstall()
+    assert all(rep.ok for rep in reports)
+    metrics = tracing.derive(tracer.spans, tracer.counts)
+    assert [layer for layer in layers if not metrics[f"{layer}.calls"]] == []

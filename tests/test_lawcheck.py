@@ -210,3 +210,55 @@ def test_qrel_draws_are_pinned(seed):
         doc = serialize.dumps([serialize.qrelation_to_json(f) for f in ctx.homs(x, y)])
         got.append(hashlib.sha256(doc.encode()).hexdigest())
     assert tuple(got) == DRAW_SHA256[seed]
+
+
+# sha256 of the serialised morphisms `Context.homs(x, y)` draws for every pair of
+# the context objects, in order, hashed as one stream per instance and seed:
+# rel, and vrel over each builtin quantale, at seeds 0-3.
+CLASSICAL_DRAW_SHA256 = {
+    "rel": (
+        "73e4fb00030e9a18ac49c1096eaf0205b62be60e61d41a9a491cb37115724701",
+        "5cdc7ffcb2bbaacc92ee5869797b65af58b2a354f07bc60571ac0bc19ba51374",
+        "602bcead79314bef2fadf8571682a2840c4d12379653dfcf615c7ad96bf4d904",
+        "662e9962416c148caacdec9495d3a4fa6945845b95768eefb4b92a06ed0daac0",
+    ),
+    "vrel-bool": (
+        "b3af6cd1d9f3d224d440e3d08915da8136679e7476889d7216a3274080cf71c3",
+        "beaeb52ef9fd33fe139ca2484b65b3a74f6fd52156590fe6ed47a1b2c0933ee2",
+        "88a860c81c7e1590ea2fa65c70578ee0c40963b911f8ba826dd6f209d2d83104",
+        "ec467f1e7a6de91d5b14801dd147f04313beda82c1dcd174d46bace03f3e0203",
+    ),
+    "vrel-chain3": (
+        "560fa20eab3c27638f77cd30cf34848a4caed970ce56a870d5bf2fa15ba34113",
+        "dd069a436e46ccc1dc7dc0d1dc347df2d332bc20eee052434e65f84d94145f17",
+        "d03c07a715b2c372ddbc1d7a78464013cad201f206cc1c809b0cfad58a718d84",
+        "152c5a1c47ad8b65acd0dabe6da286c6189b2f4e6aa4b049eee1dd0cf4a41195",
+    ),
+    "vrel-chain4": (
+        "967b81fd1e622a207961f73a636148255218477ebffd1335f5d69dc1a4e7f7fd",
+        "d56fdbacb172a5350c08595c3bb8edcc1f37d4cbf9530ac104d26bdf81220575",
+        "04e8b5ca63db3882b3d935474fa37aaef73a8b474553d1f7b2bf7fb4aa64b116",
+        "7fee76722153b1bc380d6598d7a71c584884a72166849eed486fbb11abf4d074",
+    ),
+    "vrel-lukasiewicz3": (
+        "59608a240b21eef97b047b2c9b51e75a53e472042d8b5e454b2149318dde7e24",
+        "e63d48b169b89a2a1149ac7cb0a8c9e4f5b80e9e5ac7add498b0ffe130c6054a",
+        "4c4e00ebec7a8f3570102487936f2fb5df368de0f73b6e87760912facd1b2a67",
+        "f224da5deb3a98078dcf8e592ff9f9c760ea95de2e8970709d561183d2b9e3d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASSICAL_DRAW_SHA256))
+def test_classical_draws_are_pinned(name):
+    kind, _, qname = name.partition("-")
+    quantale = BUILTIN_QUANTALES[qname] if qname else None
+    got = []
+    for seed in range(4):
+        ctx = make_context(kind, seed, quantale)
+        h = hashlib.sha256()
+        for x, y in itertools.product(ctx.objects, repeat=2):
+            docs = [serialize.morphism_to_json(kind, ctx.inst, f) for f in ctx.homs(x, y)]
+            h.update(serialize.dumps(docs).encode())
+        got.append(h.hexdigest())
+    assert tuple(got) == CLASSICAL_DRAW_SHA256[name]

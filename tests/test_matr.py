@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab.exact import Q0, Q1, ExactMatrix, parse_scalar, span_of
+from qlab.exact import Q0, Q1, ExactMatrix, parse_scalar, span_of, span_of_rows, subspace_product
 from qlab.finrel import BoolRelation, all_relations, fset
 from qlab.lawcheck import make_context
 from qlab.matr import (
+    FdOSBase,
     MatrError,
     MatrObject,
     boolean_complement,
@@ -23,7 +24,13 @@ from qlab.matr import (
     vrel_instance,
     vrelation_to_matr,
 )
-from qlab.quantale import VRelation, chain_min_quantale, lukasiewicz3_quantale
+from qlab.quantale import (
+    BUILTIN_QUANTALES,
+    VRelation,
+    chain_min_quantale,
+    lukasiewicz3_quantale,
+    quantale_from_tables,
+)
 
 REL = rel_instance()
 L3 = lukasiewicz3_quantale()
@@ -281,3 +288,120 @@ def test_obj_interns_and_equality_ignores_the_index():
     assert x is not y
     assert x == y and hash(x) == hash(y)
     assert x == MatrObject(x.base, x.components)
+
+
+# -- one-pass composition and built-once structure -------------------------------------
+
+def reference_compose(inst, g, f):
+    """Composition as it was built before the one-pass form: contribution
+    lists of single base composites, a base sup per block, then `mor`."""
+    base = inst.base
+
+    def composite(n, m):
+        if isinstance(base, FdOSBase):
+            return subspace_product([(n, m)], m.domain_dim, n.codomain_dim)
+        return base.quantale.mul(n, m)
+
+    gmap = {}
+    for (b, c), n in g.blocks:
+        gmap.setdefault(b, []).append((c, n))
+    contributions = {}
+    for (a, b), m in f.blocks:
+        for c, n in gmap.get(b, ()):
+            contributions.setdefault((a, c), []).append(composite(n, m))
+    blocks = {
+        (a, c): base.sup(ms, f.source.base_obj(a), g.target.base_obj(c))
+        for (a, c), ms in contributions.items()
+    }
+    return inst.mor(f.source, g.target, blocks)
+
+
+# The chain 0 < m < 1 with unit m, which is not integral.
+_C3 = ("0", "m", "1")
+C3_NON_INTEGRAL = quantale_from_tables(
+    _C3,
+    {(a, b): "0" if "0" in (a, b) else b if a == "m" else a if b == "m" else "1"
+     for a in _C3 for b in _C3},
+    "m",
+    join={(a, b): max(a, b, key=_C3.index) for a in _C3 for b in _C3},
+)
+
+COMPOSE_INSTANCES = {
+    "rel": rel_instance,
+    "vrel-chain4": lambda: vrel_instance(BUILTIN_QUANTALES["chain4"]),
+    "vrel-c3-non-integral": lambda: vrel_instance(C3_NON_INTEGRAL),
+    "qrel": qrel_instance,
+}
+
+# Twice 0, 1, -1, i and 1 + i as Gaussian integers, and 1.
+_ENTRIES = st.sampled_from([(0, 0), (2, 0), (-2, 0), (0, 2), (2, 2), (1, 0)])
+
+
+@st.composite
+def block_values(draw, inst, da, db):
+    if isinstance(inst.base, FdOSBase):
+        mats = []
+        for _ in range(draw(st.integers(0, 2))):
+            entries = draw(st.lists(_ENTRIES, min_size=da * db, max_size=da * db))
+            mats.append(([x for x, _ in entries], [y for _, y in entries]))
+        return span_of_rows(da, db, mats)
+    return draw(st.sampled_from(inst.base.quantale.elements))
+
+
+@st.composite
+def matr_objects(draw, inst):
+    # Integers and strings together, so the repr order of the labels often
+    # differs from their order of insertion; no labels gives empty homs.
+    labels = draw(st.one_of(LABEL_LISTS, st.just([2, 10, "a"])))
+    if isinstance(inst.base, FdOSBase):
+        return inst.obj([(lab, draw(st.integers(1, 2))) for lab in labels])
+    return inst.obj([(lab, "*") for lab in labels])
+
+
+@st.composite
+def matr_morphisms(draw, inst, src, tgt):
+    keys = [(a, oa, b, ob) for a, oa in src.components for b, ob in tgt.components]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    return inst.mor(src, tgt, {(a, b): draw(block_values(inst, oa, ob)) for a, oa, b, ob in chosen})
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compose_matches_the_contribution_list_reference(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    x, y, z = (data.draw(matr_objects(inst)) for _ in range(3))
+    f = data.draw(matr_morphisms(inst, x, y))
+    g = data.draw(matr_morphisms(inst, y, z))
+    got = inst.compose(g, f)
+    want = reference_compose(inst, g, f)
+    assert got == want
+    assert [key for key, _ in got.blocks] == [key for key, _ in want.blocks]
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+def test_structure_is_built_once_and_equals_a_fresh_build(name):
+    inst = COMPOSE_INSTANCES[name]()
+    if isinstance(inst.base, FdOSBase):
+        objs = [inst.obj([("a", 1)]), inst.obj([("a", 2)]), inst.obj([(2, 2), (10, 1)])]
+    else:
+        objs = [inst.obj([]), inst.obj([("a", "*")]), inst.obj([(2, "*"), (10, "*"), ("a", "*")])]
+    for x in objs:
+        assert inst.identity(x) is inst.identity(x)
+        assert inst.dual_obj(x) is inst.dual_obj(x)
+        for method in (inst.lunit, inst.runit, inst.eta, inst.epsilon):
+            method(x)
+        for y in objs:
+            assert inst.tensor_obj(x, y) is inst.tensor_obj(x, y)
+            inst.symm(x, y)
+            for z in objs:
+                inst.assoc(x, y, z)
+    assert inst.unit_obj() is inst.unit_obj()
+    fresh = COMPOSE_INSTANCES[name]()
+    built = list(inst._built.items())
+    assert {method for (method, *_), _ in built} == {
+        "identity", "lunit", "runit", "assoc", "symm", "eta", "epsilon",
+        "unit_obj", "dual_obj", "tensor_obj"}
+    for (method, *args), value in built:
+        args = [fresh.obj(arg.components) for arg in args]
+        assert getattr(fresh, method)(*args) == value
