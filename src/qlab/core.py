@@ -105,34 +105,70 @@ def is_projection(inst: MatrInstance, f: Any) -> Check:
     return OK
 
 
-def endorelation_class(inst: MatrInstance, r: Any) -> frozenset[str]:
-    """The set of endorelation flags the morphism satisfies."""
+def _endo_source(inst: MatrInstance, r: Any, message: str) -> Any:
     x = inst.source(r)
     if x != inst.target(r):
-        raise StructureError("endorelation flags need an endomorphism")
+        raise StructureError(message)
+    return x
+
+
+# The three tests the composite endorelation flags are built from; rr is r o r.
+def _reflexive(inst: MatrInstance, r: Any) -> bool:
+    return inst.leq(inst.identity(inst.source(r)), r)
+
+
+def _symmetric(inst: MatrInstance, r: Any, rd: Any) -> bool:
+    return inst.equal(rd, r)
+
+
+def _transitive(inst: MatrInstance, r: Any, rr: Any) -> bool:
+    return inst.leq(rr, r)
+
+
+def is_preorder(inst: MatrInstance, r: Any) -> bool:
+    """id <= r, then r o r <= r; r o r is built only if the first holds."""
+    _endo_source(inst, r, "preorders need an endomorphism")
+    return _reflexive(inst, r) and _transitive(inst, r, inst.compose(r, r))
+
+
+def is_per(inst: MatrInstance, r: Any) -> bool:
+    """dagger(r) = r, then r o r <= r; r o r is built only if the first holds."""
+    _endo_source(inst, r, "PERs need an endomorphism")
+    return _symmetric(inst, r, inst.dagger(r)) and _transitive(inst, r, inst.compose(r, r))
+
+
+def endorelation_class(inst: MatrInstance, r: Any) -> frozenset[str]:
+    """The set of endorelation flags the morphism satisfies.
+
+    A caller that reads one flag should ask `is_preorder` or `is_per` instead:
+    this computes all eleven, a categorical trace among them."""
+    x = _endo_source(inst, r, "endorelation flags need an endomorphism")
     one = inst.identity(x)
     rd = inst.dagger(r)
     rr = inst.compose(r, r)
     flags = set()
-    if inst.leq(one, r):
+    reflexive = _reflexive(inst, r)
+    transitive = _transitive(inst, r, rr)
+    symmetric = _symmetric(inst, r, rd)
+    if reflexive:
         flags.add("reflexive")
-    if inst.leq(rr, r):
+    if transitive:
         flags.add("transitive")
     if inst.equal(rr, r):
         flags.add("idempotent")
-    if inst.equal(rd, r):
+    if symmetric:
         flags.add("symmetric")
     if inst.leq(inst.meet2(r, rd), one):
         flags.add("antisymmetric")
-    if {"reflexive", "transitive"} <= flags:
+    if reflexive and transitive:
         flags.add("preorder")
         if "antisymmetric" in flags:
             flags.add("order")
-    if {"symmetric", "transitive"} <= flags:
+    if symmetric and transitive:
         flags.add("PER")
-        if "reflexive" in flags:
+        if reflexive:
             flags.add("equivalence")
-    if {"symmetric", "idempotent"} <= flags:
+    if symmetric and "idempotent" in flags:
         flags.add("projection")
     unit = inst.unit_obj()
     if inst.equal(trace_of(inst, r), inst.bottom(unit, unit)):
@@ -216,9 +252,7 @@ def star_of(inst: MatrInstance, f: Any) -> Any:
 
 def trace_of(inst: MatrInstance, f: Any) -> Any:
     """The categorical trace of an endomorphism, a scalar I -> I."""
-    x = inst.source(f)
-    if x != inst.target(f):
-        raise StructureError("trace needs an endomorphism")
+    x = _endo_source(inst, f, "trace needs an endomorphism")
     xd = inst.dual_obj(x)
     eps = inst.epsilon(x)
     return inst.compose(

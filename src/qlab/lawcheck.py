@@ -22,9 +22,6 @@ from .finrel import (
     downset_adjoint,
     exponential_via_power,
     fset,
-    is_equivalence,
-    is_per,
-    is_preorder,
     powerset_adjoint,
     product_set,
 )
@@ -480,18 +477,23 @@ def suite_endo_flags(ctx: Context) -> list:
     inst = ctx.inst
     agree = _res("endorelation-flags", "flags agree with the direct relational oracle")
     a = fset("0", "1", "2")
-    x = set_to_object(inst, a)
+    diagonal = {(u, u) for u in a.labels}
     for r in all_relations(a, a):
-        m = relation_to_matr(inst, r)
-        flags = core.endorelation_class(inst, m)
-        ok = (
-            (("preorder" in flags) == is_preorder(r))
-            and (("PER" in flags) == is_per(r))
-            and (("equivalence" in flags) == is_equivalence(r))
-            and (("symmetric" in flags) == (r.dagger() == r))
-            and (("reflexive" in flags) == (r.identity(a).pairs <= r.pairs))
-        )
-        agree.record(ok, repr(sorted(r.pairs)))
+        pairs = r.pairs
+        square = {(u, w) for u, v in pairs for v2, w in pairs if v == v2}
+        converse = {(v, u) for u, v in pairs}
+        refl, trans, sym = diagonal <= pairs, square <= pairs, converse == pairs
+        idem, anti = square == pairs, pairs & converse <= diagonal
+        direct = {
+            "reflexive": refl, "transitive": trans, "idempotent": idem,
+            "symmetric": sym, "antisymmetric": anti, "irreflexive": not pairs & diagonal,
+            "preorder": refl and trans, "order": refl and trans and anti,
+            "PER": sym and trans, "equivalence": sym and trans and refl,
+            "projection": sym and idem,
+        }
+        flags = core.endorelation_class(inst, relation_to_matr(inst, r))
+        agree.record(flags == {name for name, holds in direct.items() if holds},
+                     repr(sorted(pairs)))
     return [agree]
 
 
@@ -566,11 +568,11 @@ def suite_vrel_embedding(ctx: Context) -> list:
     a = fset("0", "1")
     b = fset("x", "y")
     seen = set()
+    after = [(s, circ_embed(q, s)) for s in itertools.islice(all_relations(b, a), 8)]
     for r in all_relations(a, b):
         er = circ_embed(q, r)
         seen.add(er)
-        for s in list(all_relations(b, a))[:8]:
-            es = circ_embed(q, s)
+        for s, es in after:
             functorial.record(es.compose(er) == circ_embed(q, s.compose(r)))
         functorial.record(er.dagger() == circ_embed(q, r.dagger()))
         quote_match.record(
@@ -615,11 +617,11 @@ def suite_quote(ctx: Context) -> list:
     b = fset("x", "y")
     seen = set()
     rels = list(all_relations(a, b))
+    after = [(s, relation_to_matr(inst, s)) for s in itertools.islice(all_relations(b, a), 6)]
     for r in rels:
         qr = relation_to_matr(inst, r)
         seen.add(qr)
-        for s in list(all_relations(b, a))[:6]:
-            qs = relation_to_matr(inst, s)
+        for s, qs in after:
             functorial.record(
                 inst.equal(inst.compose(qs, qr),
                            relation_to_matr(inst, s.compose(r)))
@@ -713,8 +715,7 @@ def suite_qrel_zero_mono(ctx: Context) -> list:
             k, e = qrel.dagger_kernel([f])
             char.record(bool(k.components), repr(f))
     for r in ctx.homs(x, x, 60):
-        flags = core.endorelation_class(inst, r)
-        if "PER" in flags and qrel.is_zero_mono(r):
+        if core.is_per(inst, r) and qrel.is_zero_mono(r):
             per_law.record(inst.leq(inst.identity(x), r), repr(r))
     # the identity itself is the canonical example
     per_law.record(inst.leq(inst.identity(x), inst.identity(x)))
@@ -803,8 +804,7 @@ def suite_orders(ctx: Context) -> list:
     x = ctx.some_objects(2)[1]
     preorders = []
     for r in ctx.homs(x, x, 120):
-        flags = core.endorelation_class(inst, r)
-        if "preorder" in flags:
+        if core.is_preorder(inst, r):
             preorders.append(orders.preordered(inst, x, r))
     preorders = preorders[:4] or [orders.discrete(inst, x)]
     maps_xx = [inst.identity(x)]
@@ -841,7 +841,7 @@ def suite_orders_structure(ctx: Context) -> list:
     x = ctx.some_objects(2)[1]
     preorders = []
     for r in ctx.homs(x, x, 120):
-        if "preorder" in core.endorelation_class(inst, r):
+        if core.is_preorder(inst, r):
             preorders.append(orders.preordered(inst, x, r))
     preorders = preorders[:3] or [orders.discrete(inst, x)]
     for p in preorders:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .calculus import BiproductData, biproduct_data, omega_data, tuple_into
-from .core import star_of
+from .core import is_preorder, star_of
 from .matr import MatrInstance
 
 
@@ -29,11 +29,8 @@ class PreorderedObject:
 def preordered(inst: MatrInstance, obj: Any, order: Any) -> PreorderedObject:
     if inst.source(order) != obj or inst.target(order) != obj:
         raise OrderError("the order must be an endomorphism of the object")
-    one = inst.identity(obj)
-    if not inst.leq(one, order):
-        raise OrderError("the order is not reflexive")
-    if not inst.leq(inst.compose(order, order), order):
-        raise OrderError("the order is not transitive")
+    if not is_preorder(inst, order):
+        raise OrderError("the order is not a preorder: id <= r and r o r <= r")
     return PreorderedObject(obj, order)
 
 

@@ -59,9 +59,21 @@ def qmor(src: MatrObject, tgt: MatrObject, blocks: dict) -> MatrMorphism:
 
 # -- orthocomplement ---------------------------------------------------------
 
+# An orthocomplement may hold up to (d_a d_b)^2 scalars per pair of atoms (the
+# full subspace of a missing block), so it refuses inputs above this many.
+_ORTHO_BOUND = 2**20
+
+
 def orthocomplement(f: MatrMorphism) -> MatrMorphism:
     """Blockwise Hilbert-Schmidt orthocomplement; missing blocks complement
-    to the full subspace."""
+    to the full subspace.  Raises MatrError, before building any block, when
+    the result could hold more than _ORTHO_BOUND scalars."""
+    size = sum((oa * ob) ** 2 for _, oa in f.source.components for _, ob in f.target.components)
+    if size > _ORTHO_BOUND:
+        raise MatrError(
+            f"orthocomplement could hold {size} scalars, the sum of (d_a*d_b)**2 over "
+            f"pairs of atoms, above the bound {_ORTHO_BOUND}"
+        )
     inst = _INSTANCE
     bmap = f.block_map()
     blocks = {}

@@ -7,6 +7,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -123,6 +124,31 @@ def test_neg_qrel_involutive(capsys):
     code, out, _ = run_cli(["neg", "--instance", "qrel", json.dumps(first)], capsys)
     assert code == 0
     assert json.loads(out) == json.loads(QREL_DOC)
+
+
+def _one_atom_each_side(dim):
+    return json.dumps({
+        "source": {"atoms": [{"label": "u", "dim": dim}]},
+        "target": {"atoms": [{"label": "v", "dim": dim}]},
+        "blocks": [],
+    })
+
+
+@pytest.mark.parametrize("dim", [33, 60])
+def test_neg_qrel_refuses_an_oversized_orthocomplement(dim, capsys):
+    # The missing block complements to the full subspace, (dim*dim)**2 scalars,
+    # above the 2**20 bound from dim 33 on; it must be refused before it is built.
+    start = time.perf_counter()
+    code, out, err = run_cli(["neg", "--instance", "qrel", _one_atom_each_side(dim)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "1048576" in err
+
+
+def test_neg_qrel_below_the_bound(capsys):
+    code, out, err = run_cli(["neg", "--instance", "qrel", _one_atom_each_side(20)], capsys)
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["blocks"][0]["basis"]) == 20 * 20
 
 
 def test_neg_vrel_rejected(capsys):

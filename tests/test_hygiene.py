@@ -113,7 +113,9 @@ def test_traced_attribute_paths_resolve():
                     "core.trace_of")),
     ("vrel", BUILTIN_QUANTALES["chain4"],
      ("matr.compose", "matr.mor", "matr.dagger", "core.trace_of")),
-], ids=["qrel", "vrel-chain4"])
+    # Only the rel suite `endorelation-flags` asks for every endorelation flag.
+    ("rel", None, ("core.endorelation_class", "core.is_map")),
+], ids=["qrel", "vrel-chain4", "rel"])
 def test_traced_layers_record_calls(kind, quantale, layers):
     """A law run under the tracer reaches every traced layer it should, so a
     refactor that routes around a traced function fails here instead of

@@ -21,7 +21,13 @@ from qlab.lawcheck import (
     run_all,
     run_suite,
 )
-from qlab.matr import qrel_instance, rel_instance, relation_to_matr, set_to_object
+from qlab.matr import (
+    qrel_instance,
+    rel_instance,
+    relation_to_matr,
+    set_to_object,
+    vrel_instance,
+)
 from qlab.quantale import BUILTIN_QUANTALES, quantale_from_tables, validate_quantale
 
 REL = rel_instance()
@@ -75,6 +81,43 @@ def test_run_all_qrel_green():
     assert all(rep.ok for rep in reports), render_text(
         [rep for rep in reports if not rep.ok]
     )
+
+
+def _endorelations():
+    """Every rel endorelation on 3 elements, every vrel one on 2 elements over
+    chain3 and over the non-integral chain, and the qrel draws on [a:2] and
+    [a:2, b:1] at seeds 0-3."""
+    three = set_to_object(REL, fset("0", "1", "2"))
+    yield from ((REL, r) for r in REL.enum_hom(three, three))
+    for q in (BUILTIN_QUANTALES["chain3"], C3_NON_INTEGRAL):
+        inst = vrel_instance(q)
+        two = set_to_object(inst, fset("0", "1"))
+        yield from ((inst, r) for r in inst.enum_hom(two, two))
+    for seed in range(4):
+        ctx = make_context("qrel", seed)
+        for x in ctx.objects[1:]:
+            yield from ((QREL, r) for r in ctx.homs(x, x, 120))
+
+
+def test_flag_predicates_agree_with_endorelation_class():
+    counts = {"preorder": 0, "PER": 0}
+    total = 0
+    for inst, r in _endorelations():
+        flags = core.endorelation_class(inst, r)
+        assert core.is_preorder(inst, r) == ("preorder" in flags), r
+        assert core.is_per(inst, r) == ("PER" in flags), r
+        counts["preorder"] += "preorder" in flags
+        counts["PER"] += "PER" in flags
+        total += 1
+    assert total == 512 + 2 * 81 + 4 * 2 * 120
+    assert all(counts.values()), counts
+
+
+def test_flag_predicates_need_an_endomorphism():
+    f = REL.enum_hom(set_to_object(REL, fset("0")), set_to_object(REL, fset("0", "1")))[0]
+    for predicate in (core.is_preorder, core.is_per, core.endorelation_class):
+        with pytest.raises(core.StructureError):
+            predicate(REL, f)
 
 
 def test_run_suite_deterministic():
