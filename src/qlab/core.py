@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .matr import MatrInstance
+from .matr import MatrError, MatrInstance
 
 
 class StructureError(ValueError):
@@ -236,8 +236,28 @@ def coname_inverse(inst: MatrInstance, k: Any, x: Any, y: Any) -> Any:
     return inst.compose(inst.lunit(y), step)
 
 
+# star_of builds cells on X* (x) X (x) Y*; it refuses an input whose cells
+# there would hold more than this many scalars (a rel or vrel cell is one).
+_STAR_BOUND = 2**20
+
+
+def _star_scalars(inst: MatrInstance, f: Any) -> int:
+    """The scalars of star_of's widest cells, the identities on X* (x) X (x) Y*
+    and id (x) f (x) id: sx sy (sx + sf), where sx and sy add up the scalars
+    of the identity cells of X and of Y, and sf those of the blocks of f."""
+    base = inst.base
+    sx = sum(base.size(base.identity(o)) for _, o in inst.source(f).components)
+    sy = sum(base.size(base.identity(o)) for _, o in inst.target(f).components)
+    return sx * sy * (sx + sum(base.size(m) for _, m in f.blocks))
+
+
 def star_of(inst: MatrInstance, f: Any) -> Any:
-    """The transpose f* : Y* -> X*."""
+    """The transpose f* : Y* -> X*.  Raises MatrError, before building any
+    tensor, when its cells could hold more than _STAR_BOUND scalars."""
+    size = _star_scalars(inst, f)
+    if size > _STAR_BOUND:
+        raise MatrError(f"star would build cells of {size} scalars on X* (x) X (x) Y*, "
+                        f"above the bound {_STAR_BOUND}")
     x, y = inst.source(f), inst.target(f)
     xd, yd = inst.dual_obj(x), inst.dual_obj(y)
     idxd = inst.identity(xd)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import calculus, core, orders, power, qrel
@@ -61,9 +62,13 @@ class LawResult:
     def ok(self) -> bool:
         return not self.failures and self.checked > 0
 
-    def record(self, ok: bool, witness: str = "") -> None:
+    def record(self, ok: bool, witness: str | Callable[[], str] = "") -> None:
+        """Count one check.  A witness may be a string or a zero-argument
+        callable returning one, which is called only if the check failed."""
         self.checked += 1
         if not ok and len(self.failures) < 5:
+            if callable(witness):
+                witness = witness()
             self.failures.append(witness or "unnamed counterexample")
 
     def as_dict(self) -> dict:
@@ -197,13 +202,13 @@ def suite_composition(ctx: Context) -> list:
     unit_r = _res("composition", "f o id = f")
     x, y, z = ctx.some_objects(3)
     for f in ctx.homs(x, y, 12):
-        unit_l.record(inst.equal(inst.compose(inst.identity(y), f), f), repr(f))
-        unit_r.record(inst.equal(inst.compose(f, inst.identity(x)), f), repr(f))
+        unit_l.record(inst.equal(inst.compose(inst.identity(y), f), f), lambda: repr(f))
+        unit_r.record(inst.equal(inst.compose(f, inst.identity(x)), f), lambda: repr(f))
         for g in ctx.homs(y, z, 6):
             for h in ctx.homs(z, x, 4):
                 lhs = inst.compose(h, inst.compose(g, f))
                 rhs = inst.compose(inst.compose(h, g), f)
-                assoc.record(inst.equal(lhs, rhs), f"{f!r};{g!r};{h!r}")
+                assoc.record(inst.equal(lhs, rhs), lambda: f"{f!r};{g!r};{h!r}")
     return [assoc, unit_l, unit_r]
 
 
@@ -221,12 +226,12 @@ def suite_order(ctx: Context) -> list:
         s = inst.sup(fs, x, y)
         lhs = inst.compose(g, s)
         rhs = inst.sup([inst.compose(g, f) for f in fs], x, z)
-        dist_l.record(inst.equal(lhs, rhs), repr(g))
+        dist_l.record(inst.equal(lhs, rhs), lambda: repr(g))
     for f in fs[:4]:
         s = inst.sup(gs, y, z)
         lhs = inst.compose(s, f)
         rhs = inst.sup([inst.compose(g, f) for g in gs], x, z)
-        dist_r.record(inst.equal(lhs, rhs), repr(f))
+        dist_r.record(inst.equal(lhs, rhs), lambda: repr(f))
     for f, g in zip(fs, fs[1:]):
         j = inst.join2(f, g)
         m = inst.meet2(f, g)
@@ -235,11 +240,11 @@ def suite_order(ctx: Context) -> list:
             and inst.leq(m, f) and inst.leq(m, g)
             and inst.leq(inst.meet2(j, f), f)
         )
-        lattice.record(ok, f"{f!r};{g!r}")
+        lattice.record(ok, lambda: f"{f!r};{g!r}")
     bot = inst.bottom(x, y)
     for g in gs[:4]:
         bot_law.record(
-            inst.equal(inst.compose(g, bot), inst.bottom(x, z)), repr(g)
+            inst.equal(inst.compose(g, bot), inst.bottom(x, z)), lambda: repr(g)
         )
     return [dist_l, dist_r, lattice, bot_law]
 
@@ -254,17 +259,17 @@ def suite_dagger(ctx: Context) -> list:
     x, y, z = ctx.some_objects(3)
     ident.record(inst.equal(inst.dagger(inst.identity(x)), inst.identity(x)))
     for f in ctx.homs(x, y, 10):
-        invol.record(inst.equal(inst.dagger(inst.dagger(f)), f), repr(f))
+        invol.record(inst.equal(inst.dagger(inst.dagger(f)), f), lambda: repr(f))
         for g in ctx.homs(y, z, 5):
             lhs = inst.dagger(inst.compose(g, f))
             rhs = inst.compose(inst.dagger(f), inst.dagger(g))
-            contra.record(inst.equal(lhs, rhs), f"{f!r};{g!r}")
+            contra.record(inst.equal(lhs, rhs), lambda: f"{f!r};{g!r}")
     fs = ctx.homs(x, y, 10)
     for f in fs:
         for g in fs[:5]:
             j = inst.join2(f, g)
             monot.record(
-                inst.leq(inst.dagger(f), inst.dagger(j)), f"{f!r};{g!r}"
+                inst.leq(inst.dagger(f), inst.dagger(j)), lambda: f"{f!r};{g!r}"
             )
     return [invol, contra, monot, ident]
 
@@ -291,7 +296,7 @@ def suite_monoidal(ctx: Context) -> list:
             s_tgt = inst.symm(y, z)
             lhs = inst.compose(s_tgt, inst.tensor_mor(f, g))
             rhs = inst.compose(inst.tensor_mor(g, f), s_src)
-            nat_sym.record(inst.equal(lhs, rhs), f"{f!r};{g!r}")
+            nat_sym.record(inst.equal(lhs, rhs), lambda: f"{f!r};{g!r}")
     for f in ctx.homs(x, y, 3):
         a_src = inst.assoc(x, x, x)
         a_tgt = inst.assoc(y, y, y)
@@ -299,7 +304,7 @@ def suite_monoidal(ctx: Context) -> list:
         fff_r = inst.tensor_mor(f, inst.tensor_mor(f, f))
         nat_assoc.record(
             inst.equal(inst.compose(a_tgt, fff_l), inst.compose(fff_r, a_src)),
-            repr(f),
+            lambda: repr(f),
         )
     for obj in (x, y):
         for cell_fn in (inst.lunit, inst.runit):
@@ -311,7 +316,7 @@ def suite_monoidal(ctx: Context) -> list:
             one = inst.identity(inst.unit_obj())
             lhs = inst.compose(lu_tgt, inst.tensor_mor(one, f))
             rhs = inst.compose(f, lu_src)
-            unitors.record(inst.equal(lhs, rhs), repr(f))
+            unitors.record(inst.equal(lhs, rhs), lambda: repr(f))
     # pentagon on (x, y, x, y) and triangle on (x, y)
     a, b, c, d = x, y, x, y
     top1 = inst.compose(inst.assoc(a, b, inst.tensor_obj(c, d)),
@@ -352,17 +357,17 @@ def suite_compact(ctx: Context) -> list:
               inst.compose(inst.tensor_mor(idx, inst.eta(x)),
                            inst.dagger(inst.runit(x)))))
         lhs = inst.compose(inst.lunit(x), lhs)
-        snake1.record(inst.equal(lhs, idx), repr(x))
+        snake1.record(inst.equal(lhs, idx), lambda: repr(x))
         lhs2 = inst.compose(inst.tensor_mor(idxd, inst.epsilon(x)),
                inst.compose(inst.assoc(xd, x, xd),
                inst.compose(inst.tensor_mor(inst.eta(x), idxd),
                             inst.dagger(inst.lunit(xd)))))
         lhs2 = inst.compose(inst.runit(xd), lhs2)
-        snake2.record(inst.equal(lhs2, idxd), repr(x))
+        snake2.record(inst.equal(lhs2, idxd), lambda: repr(x))
         dag_eps.record(
             inst.equal(inst.compose(inst.symm(x, xd), inst.dagger(inst.epsilon(x))),
                        inst.eta(x)),
-            repr(x),
+            lambda: repr(x),
         )
     return [snake1, snake2, dag_eps]
 
@@ -379,23 +384,23 @@ def suite_compact_calculus(ctx: Context) -> list:
     x, y, _ = ctx.some_objects(3)
     for f in ctx.homs(x, y, 10):
         n = core.name_of(inst, f)
-        name_rt.record(inst.equal(core.name_inverse(inst, n, x, y), f), repr(f))
+        name_rt.record(inst.equal(core.name_inverse(inst, n, x, y), f), lambda: repr(f))
         k = core.coname_of(inst, f)
-        coname_rt.record(inst.equal(core.coname_inverse(inst, k, x, y), f), repr(f))
+        coname_rt.record(inst.equal(core.coname_inverse(inst, k, x, y), f), lambda: repr(f))
         star_inv.record(
-            inst.equal(core.star_of(inst, core.star_of(inst, f)), f), repr(f)
+            inst.equal(core.star_of(inst, core.star_of(inst, f)), f), lambda: repr(f)
         )
     for f, g in ctx.hom_pairs(x, y, x, 5)[:10]:
         sl = core.star_of(inst, inst.compose(g, f))
         sr = inst.compose(core.star_of(inst, f), core.star_of(inst, g))
-        star_contra.record(inst.equal(sl, sr), f"{f!r};{g!r}")
+        star_contra.record(inst.equal(sl, sr), lambda: f"{f!r};{g!r}")
         t1 = core.trace_of(inst, inst.compose(g, f))
         t2 = core.trace_of(inst, inst.compose(f, g))
-        trace_cyc.record(inst.equal(t1, t2), f"{f!r};{g!r}")
+        trace_cyc.record(inst.equal(t1, t2), lambda: f"{f!r};{g!r}")
     for r in ctx.homs(x, x, 8):
         t1 = core.trace_of(inst, inst.dagger(r))
         t2 = inst.dagger(core.trace_of(inst, r))
-        trace_dag.record(inst.equal(t1, t2), repr(r))
+        trace_dag.record(inst.equal(t1, t2), lambda: repr(r))
     return [name_rt, coname_rt, star_inv, star_contra, trace_cyc, trace_dag]
 
 
@@ -415,7 +420,7 @@ def suite_biproduct(ctx: Context) -> list:
                 ok = inst.equal(comp, inst.identity([x, y][k]))
             else:
                 ok = inst.equal(comp, inst.bottom([x, y][k], [x, y][l]))
-            structural.record(ok, f"{k},{l}")
+            structural.record(ok, lambda: f"{k},{l}")
     s = inst.sup(
         [inst.compose(i, p) for i, p in zip(data.injections, data.projections)],
         data.total, data.total,
@@ -428,18 +433,18 @@ def suite_biproduct(ctx: Context) -> list:
                 inst.equal(inst.compose(data.projections[0], t), f)
                 and inst.equal(inst.compose(data.projections[1], t), g)
             )
-            tupling.record(ok, f"{f!r};{g!r}")
+            tupling.record(ok, lambda: f"{f!r};{g!r}")
             ct = calculus.cotuple_from(inst, data, [inst.dagger(f), inst.dagger(g)])
             ok2 = (
                 inst.equal(inst.compose(ct, data.injections[0]), inst.dagger(f))
                 and inst.equal(inst.compose(ct, data.injections[1]), inst.dagger(g))
             )
-            tupling.record(ok2, f"{f!r};{g!r}")
+            tupling.record(ok2, lambda: f"{f!r};{g!r}")
     fs = ctx.homs(x, y, 8)
     for f, g in zip(fs, fs[1:]):
         sup_sum.record(
             inst.equal(calculus.superposition_sum(inst, f, g), inst.join2(f, g)),
-            f"{f!r};{g!r}",
+            lambda: f"{f!r};{g!r}",
         )
     d, _, _ = calculus.distributor(inst, x, [y, z])
     distrib.record(core.is_dagger_iso(inst, d).ok)
@@ -459,11 +464,11 @@ def suite_maps(ctx: Context) -> list:
     ids.record(core.is_map(inst, inst.symm(x, y)).ok)
     for f in maps_xy[:8]:
         for g in maps_yz[:8]:
-            closed.record(core.is_map(inst, inst.compose(g, f)).ok, f"{f!r};{g!r}")
+            closed.record(core.is_map(inst, inst.compose(g, f)).ok, lambda: f"{f!r};{g!r}")
     for f in maps_xy[:10]:
         for g in maps_xy[:10]:
             if inst.leq(f, g):
-                rigid.record(inst.equal(f, g), f"{f!r};{g!r}")
+                rigid.record(inst.equal(f, g), lambda: f"{f!r};{g!r}")
     if not maps_xy or not maps_yz:
         closed.record(True)
         rigid.record(True)
@@ -493,7 +498,7 @@ def suite_endo_flags(ctx: Context) -> list:
         }
         flags = core.endorelation_class(inst, relation_to_matr(inst, r))
         agree.record(flags == {name for name, holds in direct.items() if holds},
-                     repr(sorted(pairs)))
+                     lambda: repr(sorted(pairs)))
     return [agree]
 
 
@@ -508,17 +513,17 @@ def suite_rel_oracle(ctx: Context) -> list:
     for r in all_relations(a, b):
         mr = relation_to_matr(inst, r)
         assert matr_to_relation(mr) == r
-        res.record(matr_to_relation(inst.dagger(mr)) == r.dagger(), repr(r.pairs))
+        res.record(matr_to_relation(inst.dagger(mr)) == r.dagger(), lambda: repr(r.pairs))
         for s, ms in after:
             res.record(
                 matr_to_relation(inst.compose(ms, mr)) == s.compose(r),
-                f"{sorted(r.pairs)};{sorted(s.pairs)}",
+                lambda: f"{sorted(r.pairs)};{sorted(s.pairs)}",
             )
         for s, ms in beside:
             res.record(
                 matr_to_relation(inst.join2(mr, ms)) == r.join(s)
                 and inst.leq(mr, ms) == r.leq(s),
-                f"{sorted(r.pairs)};{sorted(s.pairs)}",
+                lambda: f"{sorted(r.pairs)};{sorted(s.pairs)}",
             )
     r0 = BoolRelation(a, b, frozenset([("0", "x"), ("1", "z")]))
     s0 = BoolRelation(b, a, frozenset([("x", "1")]))
@@ -600,7 +605,7 @@ def suite_vrel_facts(ctx: Context) -> list:
     modular.record(w is not None, "no witness in the Lukasiewicz 3-chain")
     if w is not None:
         v, r = w
-        modular.record(not lk.leq(v, lk.mul(v, lk.mul(v, v))), repr(v))
+        modular.record(not lk.leq(v, lk.mul(v, lk.mul(v, v))), lambda: repr(v))
     frame = chain_min_quantale(3)
     modular.record(allegory_witness(frame) is None, "frame produced a witness")
     return [affine, nondeg, modular]
@@ -677,15 +682,15 @@ def suite_qrel_kernel(ctx: Context) -> list:
     for f in ctx.homs(x, y, 25):
         k, e = qrel.dagger_kernel([f])
         if k.components:
-            monic.record(core.is_dagger_mono(inst, e).ok, repr(f))
+            monic.record(core.is_dagger_mono(inst, e).ok, lambda: repr(f))
             kills.record(
-                inst.equal(inst.compose(f, e), inst.bottom(k, y)), repr(f)
+                inst.equal(inst.compose(f, e), inst.bottom(k, y)), lambda: repr(f)
             )
         proj = inst.compose(e, inst.dagger(e)) if k.components else inst.bottom(x, x)
         for g in ctx.homs(y, x, 6):
             if inst.equal(inst.compose(f, g), inst.bottom(y, y)):
                 maximal.record(
-                    inst.equal(inst.compose(proj, g), g), f"{f!r};{g!r}"
+                    inst.equal(inst.compose(proj, g), g), lambda: f"{f!r};{g!r}"
                 )
     if monic.checked == 0:
         monic.record(True)
@@ -710,13 +715,13 @@ def suite_qrel_zero_mono(ctx: Context) -> list:
                 found = True
                 break
         if zm:
-            char.record(not found, repr(f))
+            char.record(not found, lambda: repr(f))
         else:
             k, e = qrel.dagger_kernel([f])
-            char.record(bool(k.components), repr(f))
+            char.record(bool(k.components), lambda: repr(f))
     for r in ctx.homs(x, x, 60):
         if core.is_per(inst, r) and qrel.is_zero_mono(r):
-            per_law.record(inst.leq(inst.identity(x), r), repr(r))
+            per_law.record(inst.leq(inst.identity(x), r), lambda: repr(r))
     # the identity itself is the canonical example
     per_law.record(inst.leq(inst.identity(x), inst.identity(x)))
     return [char, per_law]
@@ -734,7 +739,7 @@ def suite_qrel_neg(ctx: Context) -> list:
     fs = ctx.homs(x, y, 25)
     for f in fs:
         invol.record(
-            inst.equal(qrel.orthocomplement(qrel.orthocomplement(f)), f), repr(f)
+            inst.equal(qrel.orthocomplement(qrel.orthocomplement(f)), f), lambda: repr(f)
         )
     for f, g in zip(fs, fs[1:]):
         j = inst.join2(f, g)
@@ -744,14 +749,14 @@ def suite_qrel_neg(ctx: Context) -> list:
                 qrel.orthocomplement(j),
                 inst.meet2(qrel.orthocomplement(f), qrel.orthocomplement(g)),
             ),
-            f"{f!r};{g!r}",
+            lambda: f"{f!r};{g!r}",
         )
         r, s = inst.meet2(f, g), j
         rec = inst.join2(r, inst.meet2(s, qrel.orthocomplement(r)))
-        orthomod.record(inst.equal(rec, s), f"{r!r};{s!r}")
+        orthomod.record(inst.equal(rec, s), lambda: f"{r!r};{s!r}")
         perp_routes.record(
             qrel.is_perp_blockwise(f, g) == core.is_perp(inst, f, g),
-            f"{f!r};{g!r}",
+            lambda: f"{f!r};{g!r}",
         )
     return [invol, antitone, demorgan, orthomod, perp_routes]
 
@@ -766,8 +771,8 @@ def suite_qrel_classical(ctx: Context) -> list:
     x = ctx.some_objects(2)[1]
     for r in ctx.homs(x, unit, 20):
         f = qrel.effect_to_map(om, r)
-        mapness.record(core.is_map(inst, f).ok, repr(r))
-        bij.record(inst.equal(qrel.map_to_effect(om, f), r), repr(r))
+        mapness.record(core.is_map(inst, f).ok, lambda: repr(r))
+        bij.record(inst.equal(qrel.map_to_effect(om, f), r), lambda: repr(r))
     fixture, _ = qrel.invertible_not_dagger_iso()
     mapness.record(not core.is_dagger_iso(inst, fixture).ok)
     return [bij, mapness]
@@ -787,7 +792,7 @@ def suite_qrel_fixtures(ctx: Context) -> list:
     for obj in ctx.some_objects(3):
         d = core.dimension_of(inst, obj)
         unit = inst.unit_obj()
-        dims.record(inst.equal(d, inst.top(unit, unit)), repr(obj))
+        dims.record(inst.equal(d, inst.top(unit, unit)), lambda: repr(obj))
     return [fix, dims]
 
 
@@ -813,11 +818,11 @@ def suite_orders(ctx: Context) -> list:
         for q in preorders:
             for f in maps_xx[:6]:
                 c1, c2, c3 = orders.monotone_map_conditions(inst, p, q, f)
-                mono_eq.record(c1 == c2 == c3, f"{p.order!r};{q.order!r};{f!r}")
+                mono_eq.record(c1 == c2 == c3, lambda: f"{p.order!r};{q.order!r};{f!r}")
                 if c1:
                     adjoint.record(
                         orders.diamond_adjunction_check(inst, p, q, f),
-                        f"{p.order!r};{f!r}",
+                        lambda: f"{p.order!r};{f!r}",
                     )
         idm = orders.monrel_identity(inst, p)
         for v in ctx.homs(x, x, 10):
@@ -825,7 +830,7 @@ def suite_orders(ctx: Context) -> list:
             monrel.record(
                 inst.equal(inst.compose(idm, s), s)
                 and inst.equal(inst.compose(s, idm), s),
-                repr(v),
+                lambda: repr(v),
             )
     if adjoint.checked == 0:
         adjoint.record(True)
@@ -862,7 +867,7 @@ def suite_orders_structure(ctx: Context) -> list:
                 bi.ordered.obj, bi.ordered.obj,
             )
             ok = ok and inst.equal(s, orders.monrel_identity(inst, bi.ordered))
-            bi_law.record(ok, f"{p.order!r};{q.order!r}")
+            bi_law.record(ok, lambda: f"{p.order!r};{q.order!r}")
         mc = orders.monrel_compact(inst, p)
         obj = p.obj
         ge = orders.converse(inst, p)
@@ -871,7 +876,7 @@ def suite_orders_structure(ctx: Context) -> list:
               inst.compose(inst.tensor_mor(ge, mc.eta),
                            inst.dagger(inst.runit(obj)))))
         lhs = inst.compose(inst.lunit(obj), lhs)
-        compact_law.record(inst.equal(lhs, ge), repr(p.order))
+        compact_law.record(inst.equal(lhs, ge), lambda: repr(p.order))
     return [tensor_law, bi_law, compact_law]
 
 
@@ -899,11 +904,11 @@ def suite_downsets(ctx: Context) -> list:
                 and orders.is_monotone_map(inst, p, om.ordered, f)
                 and inst.equal(orders.monotone_map_to_downset(inst, om, f), r)
             )
-            bij.record(ok, repr(r))
+            bij.record(ok, lambda: repr(r))
     data = downset_adjoint(a, matr_to_relation(chain))
     oracle.record(
         len(downsets) == len(data.downsets),
-        f"{len(downsets)} vs {len(data.downsets)}",
+        lambda: f"{len(downsets)} vs {len(data.downsets)}",
     )
     return [bij, oracle]
 
@@ -920,12 +925,12 @@ def suite_power(ctx: Context) -> list:
     data = powerset_adjoint(xset)
     data_a = powerset_adjoint(a)
     for v in all_relations(a, xset):
-        adj.record(power.power_counit_check(data, v), repr(sorted(v.pairs)))
-        adj.record(power.power_uniqueness_check(data, v), repr(sorted(v.pairs)))
-        funct.record(power.power_functor_check(data_a, data, v), repr(sorted(v.pairs)))
+        adj.record(power.power_counit_check(data, v), lambda: repr(sorted(v.pairs)))
+        adj.record(power.power_uniqueness_check(data, v), lambda: repr(sorted(v.pairs)))
+        funct.record(power.power_functor_check(data_a, data, v), lambda: repr(sorted(v.pairs)))
     qp = power.quoted_power(inst, xset)
     for v in list(all_relations(a, xset))[:10]:
-        quoted.record(power.quoted_power_check(inst, qp, v), repr(sorted(v.pairs)))
+        quoted.record(power.quoted_power_check(inst, qp, v), lambda: repr(sorted(v.pairs)))
     yset = fset(0, 1)
     z = fset("z",)
     ed = exponential_via_power(xset, yset)
@@ -936,7 +941,7 @@ def suite_power(ctx: Context) -> list:
             gz = g.apply(zz)
             for xx in xset:
                 ok = ok and ed.evaluation.apply((gz, xx)) == f.apply((zz, xx))
-        expo.record(ok, repr(sorted(f.pairs)))
+        expo.record(ok, lambda: repr(sorted(f.pairs)))
     return [adj, funct, quoted, expo]
 
 
@@ -974,7 +979,7 @@ def suite_scalars(ctx: Context) -> list:
                 rhs = core.scalar_mul(inst, inst.compose(s, t), f)
                 act.record(inst.equal(lhs, rhs))
     for f in ctx.homs(x, y, 4):
-        act.record(inst.equal(core.scalar_mul(inst, one, f), f), repr(f))
+        act.record(inst.equal(core.scalar_mul(inst, one, f), f), lambda: repr(f))
     flags.record(core.is_nondegenerate(inst))
     if ctx.kind == "rel":
         flags.record(core.is_affine(inst))
@@ -997,7 +1002,7 @@ def suite_classical_maps(ctx: Context) -> list:
     for f in ctx.homs(x, data.total, 60):
         lhs = core.is_map(inst, f).ok
         rhs = calculus.is_map_onto_quoted_set(inst, f, data)
-        crit.record(lhs == rhs, repr(f))
+        crit.record(lhs == rhs, lambda: repr(f))
     return [crit]
 
 

@@ -12,6 +12,15 @@ Both answer the same calls.  Base objects are hashable, base morphisms have a
 canonical equality, and sup, bottom and top take explicit source and target
 objects since base morphisms need not know their own type.
 
+Results are kept per instance, never process-wide: a `MatrInstance` builds
+each structure morphism and object once per argument objects, and an
+`FdOSBase` computes each block product `compose_sum(pairs, src, tgt)`, each
+adjoint `dagger(m)` and each structure cell once per arguments (one
+elimination each), all through `_built_once`.  QuantaleBase keeps nothing:
+its products are table lookups.  A memo lives exactly as long as its
+instance: one law suite (`lawcheck.make_context` builds a fresh instance per
+suite), one CLI command, or the process for the `qrel.instance()` singleton.
+
 Quoting also lives here: a finite set becomes a biproduct of copies of the
 tensor unit, and a boolean relation a matrix of identity cells, in any of
 the three instances; the conversions to and from the direct models of
@@ -24,7 +33,7 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, wraps
+from functools import cached_property, wraps
 from typing import Any
 
 from .exact import (
@@ -45,6 +54,23 @@ from .quantale import FiniteQuantale, VRelation, boolean_quantale
 
 class MatrError(ValueError):
     pass
+
+
+def _built_once(method):
+    """A method whose result is kept in its owner's `_built` dict, keyed by
+    the method's name and its (hashable) arguments, so it runs at most once
+    per owner and arguments."""
+    name = method.__name__
+
+    @wraps(method)
+    def built(self, *objs):
+        key = (name, *objs)
+        out = self._built.get(key)
+        if out is None:
+            out = self._built[key] = method(self, *objs)
+        return out
+
+    return built
 
 
 class QuantaleBase:
@@ -96,6 +122,9 @@ class QuantaleBase:
     def is_bottom(self, m, src, tgt):
         return m == self._bottom
 
+    def size(self, m):
+        return 1
+
     def tensor_obj(self, a, b):
         return "*"
 
@@ -144,20 +173,25 @@ class FdOSBase:
     """Base for quantum relations: objects are positive dimensions, morphisms
     are operator subspaces between the corresponding matrix spaces."""
 
+    def __init__(self):
+        self._built: dict[tuple, OperatorSubspace] = {}
+
     def __eq__(self, other):
         return isinstance(other, FdOSBase)
 
     def __hash__(self):
         return hash("FdOSBase")
 
-    def compose_sum(self, pairs, src: int, tgt: int) -> OperatorSubspace:
+    @_built_once
+    def compose_sum(self, pairs: tuple, src: int, tgt: int) -> OperatorSubspace:
         """The span of every composite w v over the pairs (w, v)."""
         return subspace_product(pairs, src, tgt)
 
-    @cache
+    @_built_once
     def identity(self, b: int) -> OperatorSubspace:
         return _span_of_ones(b, b, range(0, b * b, b + 1))
 
+    @_built_once
     def dagger(self, m: OperatorSubspace) -> OperatorSubspace:
         return subspace_adjoint(m)
 
@@ -182,6 +216,10 @@ class FdOSBase:
     def is_bottom(self, m, src, tgt):
         return m.is_zero()
 
+    def size(self, m):
+        """The scalars of m's basis: dim m times the entries of a matrix."""
+        return m.dim * m.domain_dim * m.codomain_dim
+
     def tensor_obj(self, a, b):
         return a * b
 
@@ -200,7 +238,7 @@ class FdOSBase:
     def runit_cell(self, a):
         return self.identity(a)
 
-    @cache
+    @_built_once
     def symm_cell(self, a, b):
         # The permutation taking e_i (x) e_j in C^a (x) C^b to e_j (x) e_i.
         n = a * b
@@ -210,12 +248,12 @@ class FdOSBase:
     def dual_obj(self, a):
         return a
 
-    @cache
+    @_built_once
     def eta_cell(self, a):
         # span{vec I}, with vec I as an a^2 x 1 column; epsilon is its adjoint.
         return _span_of_ones(1, a * a, range(0, a * a, a + 1))
 
-    @cache
+    @_built_once
     def epsilon_cell(self, a):
         return _span_of_ones(a * a, 1, range(0, a * a, a + 1))
 
@@ -277,22 +315,6 @@ class MatrMorphism:
             f"MatrMorphism({self.source.labels} -> {self.target.labels}, "
             f"{len(self.blocks)} blocks)"
         )
-
-
-def _built_once(method):
-    """A structure method whose result is kept in the instance's `_built`
-    dict, keyed by the method's name and its argument objects."""
-    name = method.__name__
-
-    @wraps(method)
-    def built(self, *objs):
-        key = (name, *objs)
-        out = self._built.get(key)
-        if out is None:
-            out = self._built[key] = method(self, *objs)
-        return out
-
-    return built
 
 
 class MatrInstance:
@@ -382,7 +404,7 @@ class MatrInstance:
         for pos in sorted(groups):
             a, c, pairs = groups[pos]
             oa, oc = src_index[a][1], tgt_index[c][1]
-            m = compose_sum(pairs, oa, oc)
+            m = compose_sum(tuple(pairs), oa, oc)
             if not is_bottom(m, oa, oc):
                 blocks.append(((a, c), m))
         return MatrMorphism(src, tgt, tuple(blocks))

@@ -366,7 +366,12 @@ def v_power_adjoint(q: FiniteQuantale, x: FiniteSet) -> VPowerData:
 
 
 def v_power_transpose(data: VPowerData, v: VRelation) -> BoolRelation:
-    """The unique function f : A -> V^X with counit o f_embedded = v."""
+    """The canonical transpose of v : A -> X, the function f : A -> V^X with
+    f(a) = (x |-> v(a, x)); the counit composed with f embedded gives v back.
+
+    It need not be the only such function: for some quantales other functions
+    A -> V^X factor v through the counit too (on P(Z2) and on 2x2, for
+    instance), so this is a choice, not a uniqueness claim."""
     if v.target != data.base:
         raise QuantaleError("relation target is not the powerset base")
     from .finrel import function_graph

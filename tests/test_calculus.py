@@ -1,5 +1,7 @@
 """Biproduct calculus, distributors, and quoting of finite sets."""
 
+import pytest
+
 from qlab.calculus import (
     biproduct_data,
     cotuple_from,
@@ -14,9 +16,10 @@ from qlab.calculus import (
     superposition_sum,
     tuple_into,
 )
-from qlab.core import is_dagger_iso
+from qlab.core import is_dagger_iso, star_of
 from qlab.finrel import BoolRelation, all_relations, fset, product_set
 from qlab.matr import (
+    MatrError,
     matr_to_relation,
     qrel_instance,
     rel_instance,
@@ -135,3 +138,13 @@ def test_omega_data_shape():
     data = omega_data(REL)
     assert len(data.injections) == 2
     assert len(data.total.components) == 2
+
+
+def test_star_refuses_oversized_rel_cells():
+    # Each rel cell counts as one scalar: the full relation on 32 elements
+    # would need 32 * 32 * (32 + 32 * 32) > 2**20 cells (on 30 elements,
+    # just under, it runs 2 s and peaks near 400 MB).
+    a = fset(*range(32))
+    full = BoolRelation(a, a, frozenset((i, j) for i in range(32) for j in range(32)))
+    with pytest.raises(MatrError, match="1081344 scalars .* above the bound 1048576"):
+        star_of(REL, relation_to_matr(REL, full))

@@ -151,6 +151,41 @@ def test_neg_qrel_below_the_bound(capsys):
     assert len(json.loads(out)["blocks"][0]["basis"]) == 20 * 20
 
 
+def _identity_each_side(dim):
+    eye = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    return json.dumps({
+        "source": {"atoms": [{"label": "u", "dim": dim}]},
+        "target": {"atoms": [{"label": "v", "dim": dim}]},
+        "blocks": [{"from": "u", "to": "v", "basis": [eye]}],
+    })
+
+
+def test_star_qrel_refuses_oversized_cells(tmp_path):
+    # At dim 20 star's cells would hold 400 * 400 * (400 + 400) scalars, above
+    # the 2**20 bound; built, they ran 33 s and peaked at 3.9 GB.
+    path = tmp_path / "f.json"
+    path.write_text(_identity_each_side(20))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlab.cli", "compute", "--instance", "qrel",
+         "--load", f"f={path}", "star(f)"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "128000000" in proc.stderr and "1048576" in proc.stderr
+
+
+def test_star_qrel_below_the_bound(capsys):
+    # dim 8: 64 * 64 * (64 + 64) scalars, under the bound; the transpose of
+    # span{I} is span{I}.
+    code, out, err = run_cli(["compute", "--instance", "qrel", "--load",
+                              f"f={_identity_each_side(8)}", "star(f)"], capsys)
+    assert code == 0 and err == ""
+    (block,) = json.loads(out)["blocks"]
+    assert (block["from"], block["to"]) == ("v", "u")
+    assert block["basis"] == json.loads(_identity_each_side(8))["blocks"][0]["basis"]
+
+
 def test_neg_vrel_rejected(capsys):
     code, _, err = run_cli(
         ["neg", "--instance", "vrel", "--quantale", "lukasiewicz3", REL_DOC], capsys

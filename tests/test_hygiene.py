@@ -6,16 +6,21 @@ module-level function or class is used somewhere in the package.
 The benchmark's tracer (`bench/tracing.py`) patches qlab functions by
 attribute path; every path it names must still exist where it looks, and a
 law run under it must reach the layers it reports.
+
+A qrel law run computes each block product and each adjoint at most once per
+instance, so a change that routes around the memo of `FdOSBase` fails here.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from qlab import lawcheck
+from qlab import exact, lawcheck
 from qlab.quantale import BUILTIN_QUANTALES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,3 +135,33 @@ def test_traced_layers_record_calls(kind, quantale, layers):
     assert all(rep.ok for rep in reports)
     metrics = tracing.derive(tracer.spans, tracer.counts)
     assert [layer for layer in layers if not metrics[f"{layer}.calls"]] == []
+
+
+def test_qrel_law_run_computes_no_product_or_adjoint_twice_per_instance(monkeypatch):
+    """Every binding of exact.subspace_product and exact.subspace_adjoint in
+    the package is wrapped to count executions by arguments and by the base
+    instance whose method called them (None for any other caller)."""
+    counts = collections.Counter()
+    callers = {}  # id(base) -> base, kept alive so no id is reused
+
+    def counting(fn):
+        def wrapper(*args):
+            owner = sys._getframe(1).f_locals.get("self")
+            callers[id(owner)] = owner
+            key = (fn.__name__, tuple(args[0]) if fn is exact.subspace_product else args[0],
+                   *args[1:])
+            counts[id(owner), key] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (exact.subspace_product, exact.subspace_adjoint):
+        wrapped = counting(fn)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qlab"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
+    assert all(rep.ok for rep in lawcheck.run_all("qrel", 0))
+    names = collections.Counter(key[0] for (_, key) in counts)
+    assert names["subspace_product"] and names["subspace_adjoint"]
+    assert [key for key, n in counts.items() if n > 1] == []

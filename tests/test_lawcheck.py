@@ -6,6 +6,7 @@ checkers the suites use, proving the suites can actually fail.
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -22,6 +23,7 @@ from qlab.lawcheck import (
     run_suite,
 )
 from qlab.matr import (
+    MatrInstance,
     qrel_instance,
     rel_instance,
     relation_to_matr,
@@ -192,6 +194,64 @@ def test_failure_witnesses_recorded():
     assert not res.ok
     assert res.checked == 2
     assert "broken input" in res.failures
+
+
+def test_callable_witness_is_rendered_only_for_kept_failures():
+    from qlab.lawcheck import LawResult
+
+    calls = []
+
+    def witness():
+        calls.append(1)
+        return f"failure {len(calls)}"
+
+    res = LawResult("demo", "a law")
+    res.record(True, witness)
+    assert calls == []
+    for _ in range(7):
+        res.record(False, witness)
+    assert res.checked == 8 and len(calls) == 5
+    assert res.failures == [f"failure {k}" for k in range(1, 6)]
+    res.record(False, lambda: "")
+    assert res.failures[-1] == "failure 5"
+
+
+def test_forced_failure_renders_the_eager_witness(monkeypatch):
+    # suite_composition draws some_objects(3), then homs(x, y, 12), and records
+    # repr(f) for each f when id o f = f fails.
+    monkeypatch.setattr(MatrInstance, "equal", lambda self, f, g: False)
+    ctx = make_context("rel", 0)
+    x, y, _ = ctx.some_objects(3)
+    fs = ctx.homs(x, y, 12)
+    unit_l = next(r for r in SUITES["composition"][0](make_context("rel", 0))
+                  if r.law == "id o f = f")
+    assert unit_l.checked == len(fs)
+    assert unit_l.failures == [repr(f) for f in fs[:5]]
+
+
+# sha256 of the reports of every suite of rel, vrel over chain4 and qrel at seed
+# 0, run once with MatrInstance.equal and once with MatrInstance.leq answering
+# False (a suite that then raises is recorded by the exception's name).  Taken
+# when every witness string was built eagerly: 553 failure witnesses, which
+# lazy witnesses must render to the same text.
+FORCED_FAILURE_SHA256 = "9b5a36cf90dafb942dda97a256e950c5a077e2318b53c877d396fa5af9da3654"
+
+
+def test_forced_failure_reports_are_pinned(monkeypatch):
+    out = []
+    for broken in ("equal", "leq"):
+        with monkeypatch.context() as patch:
+            patch.setattr(MatrInstance, broken, lambda self, f, g: False)
+            for kind, q in (("rel", None), ("vrel", BUILTIN_QUANTALES["chain4"]), ("qrel", None)):
+                for name in available_suites(kind):
+                    try:
+                        out.append(run_suite(name, kind, 0, q, 60).as_dict())
+                    except Exception as exc:
+                        out.append([name, type(exc).__name__])
+    text = json.dumps(out, sort_keys=True)
+    assert sum(len(law["failures"]) for rep in out if isinstance(rep, dict)
+               for law in rep["laws"]) == 553
+    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_FAILURE_SHA256
 
 
 # sha256 of the serialised morphisms `Context.homs(x, y)` draws for every pair of

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlab.exact import Q0, Q1, ExactMatrix, parse_scalar, span_of, span_of_rows, subspace_product
+from qlab.exact import (
+    Q0,
+    Q1,
+    ExactMatrix,
+    full_subspace,
+    parse_scalar,
+    span_of,
+    span_of_rows,
+    subspace_adjoint,
+    subspace_product,
+)
 from qlab.finrel import BoolRelation, all_relations, fset
 from qlab.lawcheck import make_context
 from qlab.matr import (
@@ -405,3 +415,62 @@ def test_structure_is_built_once_and_equals_a_fresh_build(name):
     for (method, *args), value in built:
         args = [fresh.obj(arg.components) for arg in args]
         assert getattr(fresh, method)(*args) == value
+
+
+# -- the per-instance memo of the qrel base ---------------------------------------------
+
+def distinct_copy(v):
+    """A subspace equal to v that shares no object with it."""
+    return span_of_rows(v.domain_dim, v.codomain_dim, [(list(re), list(im)) for re, im in v.rows])
+
+
+def fresh_compose(g, f):
+    """g o f with one direct subspace_product per output block, no memo."""
+    pairs = {}
+    for (b, c), n in g.blocks:
+        for (a, b2), m in f.blocks:
+            if b2 == b:
+                pairs.setdefault((a, c), []).append((n, m))
+    blocks = {
+        (a, c): subspace_product(ps, f.source.base_obj(a), g.target.base_obj(c))
+        for (a, c), ps in pairs.items()
+    }
+    return QREL.mor(f.source, g.target, blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_qrel_memo_matches_fresh_products_and_adjoints(data):
+    inst = qrel_instance()
+    x, y, z = (data.draw(matr_objects(inst)) for _ in range(3))
+    f = data.draw(matr_morphisms(inst, x, y))
+    g = data.draw(matr_morphisms(inst, y, z))
+    want = fresh_compose(g, f)
+    want_dagger = QREL.mor(y, x, {(b, a): subspace_adjoint(m) for (a, b), m in f.blocks})
+    first = inst.compose(g, f)
+    assert first == want
+    assert inst.dagger(f) == want_dagger
+    entries = len(inst.base._built)
+    # Repeated arguments, and equal arguments that are distinct objects, are
+    # answered from the memo: equal results, no new entries.
+    f_copy = inst.mor(x, y, {key: distinct_copy(m) for key, m in f.blocks})
+    g_copy = inst.mor(y, z, {key: distinct_copy(n) for key, n in g.blocks})
+    for gg, ff in ((g, f), (g_copy, f_copy), (g, f_copy)):
+        again = inst.compose(gg, ff)
+        assert again == want
+        assert all(m is m0 for (_, m), (_, m0) in zip(again.blocks, first.blocks))
+        assert inst.dagger(ff) == want_dagger
+    assert len(inst.base._built) == entries
+
+
+def test_qrel_instances_do_not_share_memo_entries():
+    one, two = qrel_instance(), qrel_instance()
+    x = one.obj([("u", 2)])
+    f = one.mor(x, x, {("u", "u"): full_subspace(2, 2)})
+    ff, fd, ident = one.compose(f, f), one.dagger(f), one.base.identity(3)
+    assert one.base._built and two.base._built == {}
+    assert {name for name, *_ in one.base._built} == {"compose_sum", "dagger", "identity"}
+    # The second instance computes its own, equal values.
+    assert two.compose(f, f) == ff and two.dagger(f) == fd
+    assert two.compose(f, f).blocks[0][1] is not ff.blocks[0][1]
+    assert two.base.identity(3) == ident and two.base.identity(3) is not ident
