@@ -107,8 +107,7 @@ def quote_product_cell(inst: MatrInstance, a: FiniteSet, b: FiniteSet) -> MatrMo
     src = inst.tensor_obj(set_to_object(inst, a), set_to_object(inst, b))
     ab = product_set(a, b)
     tgt = set_to_object(inst, ab)
-    unit = inst.base.unit_obj()
-    cell = inst.base.lunit_cell(unit)
+    cell = inst.base.identity(inst.base.unit_obj())
     blocks = {((x, y), (x, y)): cell for x in a.labels for y in b.labels}
     return inst.mor(src, tgt, blocks)
 

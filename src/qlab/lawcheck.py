@@ -352,11 +352,7 @@ def suite_compact(ctx: Context) -> list:
         idx = inst.identity(x)
         xd = inst.dual_obj(x)
         idxd = inst.identity(xd)
-        lhs = inst.compose(inst.tensor_mor(inst.epsilon(x), idx),
-              inst.compose(inst.dagger(inst.assoc(x, xd, x)),
-              inst.compose(inst.tensor_mor(idx, inst.eta(x)),
-                           inst.dagger(inst.runit(x)))))
-        lhs = inst.compose(inst.lunit(x), lhs)
+        lhs = core.name_inverse(inst, inst.eta(x), x, x)
         snake1.record(inst.equal(lhs, idx), lambda: repr(x))
         lhs2 = inst.compose(inst.tensor_mor(idxd, inst.epsilon(x)),
                inst.compose(inst.assoc(xd, x, xd),
@@ -810,7 +806,7 @@ def suite_orders(ctx: Context) -> list:
     preorders = []
     for r in ctx.homs(x, x, 120):
         if core.is_preorder(inst, r):
-            preorders.append(orders.preordered(inst, x, r))
+            preorders.append(orders.PreorderedObject(x, r))
     preorders = preorders[:4] or [orders.discrete(inst, x)]
     maps_xx = [inst.identity(x)]
     maps_xx += [f for f in ctx.homs(x, x, 80) if core.is_map(inst, f)]
@@ -847,7 +843,7 @@ def suite_orders_structure(ctx: Context) -> list:
     preorders = []
     for r in ctx.homs(x, x, 120):
         if core.is_preorder(inst, r):
-            preorders.append(orders.preordered(inst, x, r))
+            preorders.append(orders.PreorderedObject(x, r))
     preorders = preorders[:3] or [orders.discrete(inst, x)]
     for p in preorders:
         for q in preorders[:2]:

@@ -8,9 +8,15 @@ Two bases give the three instances:
   * QuantaleBase over the boolean quantale -> the category of relations,
   * QuantaleBase over any finite quantale -> quantale-valued relations,
   * FdOSBase (operator subspaces between finite dimensions) -> quantum relations.
-Both answer the same calls.  Base objects are hashable, base morphisms have a
-canonical equality, and sup, bottom and top take explicit source and target
-objects since base morphisms need not know their own type.
+Both answer the same sixteen calls, the ones in which they differ:
+compose_sum, identity, dagger, sup, leq, meet, bottom, top, is_bottom, size,
+tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.  Base
+objects are hashable, base morphisms have a canonical equality, and sup,
+bottom and top take explicit source and target objects since base morphisms
+need not know their own type.  The rest of the structure is the same in every
+dagger compact quantaloid built here, so `MatrInstance` derives it: the
+associators and unitors have base identities as cells, every object is its
+own dual, and epsilon is the dagger of eta.
 
 Results are kept per instance, never process-wide: a `MatrInstance` builds
 each structure morphism and object once per argument objects, and an
@@ -134,25 +140,10 @@ class QuantaleBase:
     def unit_obj(self):
         return "*"
 
-    def assoc_cell(self, a, b, c):
-        return self.quantale.unit
-
-    def lunit_cell(self, a):
-        return self.quantale.unit
-
-    def runit_cell(self, a):
-        return self.quantale.unit
-
     def symm_cell(self, a, b):
         return self.quantale.unit
 
-    def dual_obj(self, a):
-        return "*"
-
     def eta_cell(self, a):
-        return self.quantale.unit
-
-    def epsilon_cell(self, a):
         return self.quantale.unit
 
     def enum_hom(self, src, tgt):
@@ -229,15 +220,6 @@ class FdOSBase:
     def unit_obj(self):
         return 1
 
-    def assoc_cell(self, a, b, c):
-        return self.identity(a * b * c)
-
-    def lunit_cell(self, a):
-        return self.identity(a)
-
-    def runit_cell(self, a):
-        return self.identity(a)
-
     @_built_once
     def symm_cell(self, a, b):
         # The permutation taking e_i (x) e_j in C^a (x) C^b to e_j (x) e_i.
@@ -245,17 +227,10 @@ class FdOSBase:
         return _span_of_ones(n, n, ((j * a + i) * n + i * b + j
                                     for i in range(a) for j in range(b)))
 
-    def dual_obj(self, a):
-        return a
-
     @_built_once
     def eta_cell(self, a):
-        # span{vec I}, with vec I as an a^2 x 1 column; epsilon is its adjoint.
+        # span{vec I}, with vec I as an a^2 x 1 column.
         return _span_of_ones(1, a * a, range(0, a * a, a + 1))
-
-    @_built_once
-    def epsilon_cell(self, a):
-        return _span_of_ones(a * a, 1, range(0, a * a, a + 1))
 
     def enum_hom(self, src, tgt):
         if src == 1 and tgt == 1:
@@ -323,8 +298,7 @@ class MatrInstance:
     Objects are interned: `obj` returns the same MatrObject for equal
     components, so its label index is built once per object.  The structure
     morphisms and objects (identities, unitors, associators, symmetries, units
-    and counits, the unit, duals and tensors) are built once per argument
-    objects.
+    and counits, the unit and tensors) are built once per argument objects.
     """
 
     def __init__(self, base: QuantaleBase | FdOSBase, name: str = "matr"):
@@ -495,24 +469,21 @@ class MatrInstance:
     def assoc(self, x: MatrObject, y: MatrObject, z: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(self.tensor_obj(x, y), z)
         tgt = self.tensor_obj(x, self.tensor_obj(y, z))
-        blocks = {}
-        for a, oa in x.components:
-            for b, ob in y.components:
-                for c, oc in z.components:
-                    blocks[(((a, b), c), (a, (b, c)))] = self.base.assoc_cell(oa, ob, oc)
+        ident = self.base.identity
+        blocks = {(((a, b), c), (a, (b, c))): ident(o) for ((a, b), c), o in src.components}
         return self.mor(src, tgt, blocks)
 
     @_built_once
     def lunit(self, x: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(self.unit_obj(), x)
-        blocks = {(("*", a), a): self.base.lunit_cell(oa) for a, oa in x.components}
-        return self.mor(src, x, blocks)
+        ident = self.base.identity
+        return self.mor(src, x, {(("*", a), a): ident(o) for (_, a), o in src.components})
 
     @_built_once
     def runit(self, x: MatrObject) -> MatrMorphism:
         src = self.tensor_obj(x, self.unit_obj())
-        blocks = {((a, "*"), a): self.base.runit_cell(oa) for a, oa in x.components}
-        return self.mor(src, x, blocks)
+        ident = self.base.identity
+        return self.mor(src, x, {((a, "*"), a): ident(o) for (a, _), o in src.components})
 
     @_built_once
     def symm(self, x: MatrObject, y: MatrObject) -> MatrMorphism:
@@ -526,9 +497,9 @@ class MatrInstance:
         return self.mor(src, tgt, blocks)
 
     # -- compact structure ----------------------------------------
-    @_built_once
     def dual_obj(self, x: MatrObject) -> MatrObject:
-        return self.obj([(a, self.base.dual_obj(oa)) for a, oa in x.components])
+        """Every object is its own dual."""
+        return x
 
     @_built_once
     def eta(self, x: MatrObject) -> MatrMorphism:
@@ -538,9 +509,7 @@ class MatrInstance:
 
     @_built_once
     def epsilon(self, x: MatrObject) -> MatrMorphism:
-        src = self.tensor_obj(x, self.dual_obj(x))
-        blocks = {((a, a), "*"): self.base.epsilon_cell(oa) for a, oa in x.components}
-        return self.mor(src, self.unit_obj(), blocks)
+        return self.dagger(self.eta(x))
 
     # -- biproducts ----------------------------------------
     def biproduct(self, objs: Sequence[MatrObject]) -> tuple[MatrObject, list, list]:

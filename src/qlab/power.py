@@ -51,10 +51,10 @@ def power_uniqueness_check(data: PowersetData, v: BoolRelation) -> bool:
 def power_functor_check(
     data_x: PowersetData, data_y: PowersetData, g: BoolRelation
 ) -> bool:
-    """P(g) is the transpose of g after membership, and is a function."""
+    """P(g) is a function, and membership is natural along it:
+    membership_Y o P(g) = g o membership_X."""
     pg = power_on_morphisms(data_x, data_y, g)
-    expected = power_transpose(data_y, g.compose(data_x.membership))
-    return pg == expected and pg.is_function()
+    return pg.is_function() and data_y.membership.compose(pg) == g.compose(data_x.membership)
 
 
 def v_power_counit_check(data: VPowerData, v: VRelation) -> bool:

@@ -1,7 +1,9 @@
 """The matrix-completion kernel shared by the boolean, valued, and quantum instances."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from qlab.exact import (
     subspace_product,
 )
 from qlab.finrel import BoolRelation, all_relations, fset
+from qlab import matr
 from qlab.lawcheck import make_context
 from qlab.matr import (
     FdOSBase,
@@ -195,7 +198,8 @@ def test_qrel_structure_cells_match_reference(n):
     base = QREL.base
     cells = [(base.identity(n), span_of(ExactMatrix.identity(n))),
              (base.eta_cell(n), span_of(reference_vec_identity_column(n))),
-             (base.epsilon_cell(n), span_of(reference_vec_identity_column(n).adjoint()))]
+             (QREL.epsilon(QREL.obj([("a", n)])).block_map()[(("a", "a"), "*")],
+              span_of(reference_vec_identity_column(n).adjoint()))]
     cells += [(base.symm_cell(n, m), span_of(reference_commutation_matrix(n, m)))
               for m in range(1, 5)]
     for got, want in cells:
@@ -411,10 +415,49 @@ def test_structure_is_built_once_and_equals_a_fresh_build(name):
     built = list(inst._built.items())
     assert {method for (method, *_), _ in built} == {
         "identity", "lunit", "runit", "assoc", "symm", "eta", "epsilon",
-        "unit_obj", "dual_obj", "tensor_obj"}
+        "unit_obj", "tensor_obj"}
     for (method, *args), value in built:
         args = [fresh.obj(arg.components) for arg in args]
         assert getattr(fresh, method)(*args) == value
+
+
+# -- the base protocol -----------------------------------------------------------------
+
+BASE_PROTOCOL = {
+    "bottom", "compose_sum", "dagger", "enum_hom", "eta_cell", "identity", "is_bottom",
+    "leq", "meet", "size", "sup", "symm_cell", "tensor_mor", "tensor_obj", "top", "unit_obj",
+}
+MATR_CLASSES = {
+    node.name: node
+    for node in ast.parse(Path(matr.__file__).read_text()).body
+    if isinstance(node, ast.ClassDef)
+}
+
+
+def public_methods(cls: ast.ClassDef) -> set[str]:
+    return {node.name for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def base_reads(cls: ast.ClassDef) -> set[str]:
+    """The names n of every `self.base.n` in the class."""
+    return {
+        node.attr for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "base"
+        and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"
+    }
+
+
+def test_both_bases_answer_exactly_the_protocol():
+    assert public_methods(MATR_CLASSES["QuantaleBase"]) == BASE_PROTOCOL
+    assert public_methods(MATR_CLASSES["FdOSBase"]) == BASE_PROTOCOL
+
+
+def test_matr_instance_reads_only_the_protocol():
+    reads = base_reads(MATR_CLASSES["MatrInstance"])
+    assert {"compose_sum", "identity", "eta_cell"} <= reads
+    assert reads <= BASE_PROTOCOL
 
 
 # -- the per-instance memo of the qrel base ---------------------------------------------

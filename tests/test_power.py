@@ -1,6 +1,15 @@
 """Power objects: the powerset adjunction and its valued and quoted forms."""
 
-from qlab.finrel import all_relations, curry, exponential_via_power, fset, powerset_adjoint
+from qlab import finrel, power
+from qlab.finrel import (
+    BoolRelation,
+    all_relations,
+    curry,
+    exponential_via_power,
+    fset,
+    function_graph,
+    powerset_adjoint,
+)
 from qlab.matr import qrel_instance, rel_instance
 from qlab.power import (
     power_counit_check,
@@ -26,6 +35,19 @@ def test_power_adjunction_exhaustive():
         assert power_counit_check(data, v)
         assert power_uniqueness_check(data, v)
         assert power_functor_check(data_a, data, v)
+
+
+def test_power_functor_check_sees_a_broken_transpose(monkeypatch):
+    """With every transpose the constant-empty graph, P(g) stays a function
+    but membership is natural along it only for the empty relation."""
+    def empty_graph(data, v):
+        return function_graph(v.source, data.power, lambda a: ())
+
+    monkeypatch.setattr(finrel, "power_transpose", empty_graph)
+    monkeypatch.setattr(power, "power_transpose", empty_graph)
+    data, data_a = powerset_adjoint(X), powerset_adjoint(A)
+    holds = [v for v in all_relations(A, X) if power_functor_check(data_a, data, v)]
+    assert holds == [BoolRelation(A, X, frozenset())]
 
 
 def test_quoted_power_in_both_instances():
