@@ -16,6 +16,7 @@ found a failure, 2 bad input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -325,7 +326,11 @@ def cmd_embed(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It records only the
+    subcommand's name; `main` looks up `cmd_<name>` at each call, so a handler
+    replaced after the parser was built (by a tracer, say) is the one called."""
     parser = argparse.ArgumentParser(
         prog="qlab",
         description="Exact dagger compact quantaloids: relations, valued "
@@ -348,33 +353,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable); defaults to all")
     p.add_argument("--samples", type=int, default=60)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("compute", help="evaluate an expression over loaded morphisms")
     common(p)
     p.add_argument("expression")
     p.add_argument("--load", action="append", default=None, metavar="NAME=FILE")
-    p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("kernel", help="dagger kernel of a quantum relation")
     common(p, instance_default="qrel")
     p.add_argument("relation", help="quantum relation file or inline JSON")
-    p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("neg", help="complement / orthocomplement of a relation")
     common(p)
     p.add_argument("relation")
-    p.set_defaults(fn=cmd_neg)
 
     p = sub.add_parser("power", help="power data for an object")
     common(p)
     p.add_argument("object", help="set or quantum set file or inline JSON")
-    p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("embed", help="embed a boolean relation into an instance")
     common(p)
     p.add_argument("relation", help="boolean relation file or inline JSON")
-    p.set_defaults(fn=cmd_embed)
 
     return parser
 
@@ -386,7 +385,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

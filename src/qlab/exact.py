@@ -343,7 +343,8 @@ def _primitive(re: Sequence[int], im: Sequence[int]) -> IntRow | None:
 
 
 def _clear(row: IntRow, pivot: IntRow, col: int) -> IntRow | None:
-    """Row r with r[col] cleared: primitive(p[col] r - r[col] p), where p[col] > 0."""
+    """Row r with r[col] cleared: primitive(p[col] r - r[col] p), where p[col] > 0;
+    None if that leaves the zero row."""
     re, im = row
     fr, fi = re[col], im[col]
     if not fr and not fi:
@@ -351,10 +352,14 @@ def _clear(row: IntRow, pivot: IntRow, col: int) -> IntRow | None:
     p_re, p_im = pivot
     g = gcd(p_re[col], fr, fi)
     n, fr, fi = p_re[col] // g, fr // g, fi // g
-    return _primitive(
-        [n * x - fr * c + fi * d for x, c, d in zip(re, p_re, p_im)],
-        [n * y - fr * d - fi * c for y, c, d in zip(im, p_re, p_im)],
-    )
+    re = [n * x - fr * c + fi * d for x, c, d in zip(re, p_re, p_im)]
+    im = [n * y - fr * d - fi * c for y, c, d in zip(im, p_re, p_im)]
+    g = gcd(*re, *im)
+    if g == 1:
+        return re, im
+    if g == 0:
+        return None
+    return [x // g for x in re], [y // g for y in im]
 
 
 def _reduce(row: IntRow, rows: Sequence[IntRow], pivots: Sequence[int]) -> IntRow | None:
@@ -373,36 +378,55 @@ def _eliminate(vecs: Iterable[IntRow], ncols: int, rows: Sequence[IntRow] = (),
     """The canonical echelon (see OperatorSubspace) of the span of a canonical
     echelon `rows` (with pivot columns `pivots`) and some Gaussian-integer vectors.
 
-    Incremental fraction-free Gauss-Jordan elimination over Z[i].  Each vector is
-    made primitive and cleared at every pivot column by r <- p[col] r - r[col] p.
-    If anything is left, its first nonzero entry becomes a new pivot: the row is
-    multiplied by the conjugate of that entry (or by -1) so the pivot is real and
-    positive, and the column is cleared from every other row.  Every row stays
-    primitive, so entries stay small.  The vectors are read lazily and not past
-    the point where the rank reaches ncols.  Returns the rows in pivot order and
-    their pivot columns.
+    Incremental fraction-free Gauss-Jordan elimination over Z[i], one pass over
+    the vectors.  Each vector is divided by the gcd of its parts (the zero vector
+    is skipped) and cleared at every pivot column by r <- p[col] r - r[col] p,
+    which `_clear` keeps primitive.  If anything is left, its first nonzero entry
+    becomes a new pivot: the row is multiplied by the conjugate of that entry (or
+    by -1) so the pivot is real and positive, and the column is cleared from
+    every other row.  Every row stays primitive, so entries stay small.  The
+    vectors are read lazily and not past the point where the rank reaches ncols.
+    Returns the rows in pivot order and their pivot columns; below rank 2 there
+    is nothing to sort.  The echelon is canonical, so any elimination order
+    gives the same rows.
     """
     rows, pivots = list(rows), list(pivots)
     if len(pivots) < ncols:
         for re, im in vecs:
-            row = _primitive(re, im)
-            if row is not None:
-                row = _reduce(row, rows, pivots)
-            if row is None:
+            g = gcd(*re, *im)
+            if g == 0:
                 continue
-            re, im = row
-            col = next(j for j in range(ncols) if re[j] or im[j])
-            a, b = re[col], im[col]
-            if b:
-                row = _primitive([x * a + y * b for x, y in zip(re, im)],
-                                 [y * a - x * b for x, y in zip(re, im)])
-            elif a < 0:
-                row = [-x for x in re], [-y for y in im]
-            rows = [_clear(r, row, col) for r in rows]
-            rows.append(row)
-            pivots.append(col)
-            if len(pivots) == ncols:
-                break
+            if g != 1:
+                re, im = [x // g for x in re], [y // g for y in im]
+            for pc, p in zip(pivots, rows):
+                if re[pc] or im[pc]:
+                    row = _clear((re, im), p, pc)
+                    if row is None:
+                        break
+                    re, im = row
+            else:
+                col = 0
+                while not (re[col] or im[col]):
+                    col += 1
+                a, b = re[col], im[col]
+                if b:
+                    re, im = ([x * a + y * b for x, y in zip(re, im)],
+                              [y * a - x * b for x, y in zip(re, im)])
+                    g = gcd(*re, *im)
+                    if g != 1:
+                        re, im = [x // g for x in re], [y // g for y in im]
+                elif a < 0:
+                    re, im = [-x for x in re], [-y for y in im]
+                row = re, im
+                for k, r in enumerate(rows):
+                    if r[0][col] or r[1][col]:
+                        rows[k] = _clear(r, row, col)
+                rows.append(row)
+                pivots.append(col)
+                if len(pivots) == ncols:
+                    break
+    if len(pivots) < 2:
+        return rows, pivots
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
     return [rows[k] for k in order], [pivots[k] for k in order]
 
@@ -446,7 +470,7 @@ def nullspace(rows: Sequence[Vector], ncols: int) -> list[Vector]:
     return _unit_pivot(*_eliminate(_null_rows(reduced, pivots, ncols), ncols))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorSubspace:
     """A linear subspace of the codomain_dim x domain_dim matrices.
 
@@ -463,9 +487,18 @@ class OperatorSubspace:
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pivots: tuple[int, ...] = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.domain_dim < 0 or self.codomain_dim < 0:
+    def __init__(self, domain_dim: int, codomain_dim: int,
+                 rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+                 pivots: tuple[int, ...]) -> None:
+        # Written straight into the instance dict: the frozen dataclass's own
+        # __init__ pays for object.__setattr__ on every field.
+        if domain_dim < 0 or codomain_dim < 0:
             raise ExactError("dimensions must be nonnegative")
+        d = self.__dict__
+        d["domain_dim"] = domain_dim
+        d["codomain_dim"] = codomain_dim
+        d["rows"] = rows
+        d["pivots"] = pivots
 
     @property
     def dim(self) -> int:
@@ -481,7 +514,7 @@ class OperatorSubspace:
         if basis is None:
             c, d = self.codomain_dim, self.domain_dim
             basis = tuple(ExactMatrix(c, d, v) for v in _unit_pivot(self.rows, self.pivots))
-            object.__setattr__(self, "_basis", basis)
+            self.__dict__["_basis"] = basis
         return basis
 
 

@@ -274,13 +274,21 @@ class MatrObject:
         return f"MatrObject({parts})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatrMorphism:
     """A matrix of base morphisms; bottom blocks are omitted."""
 
     source: MatrObject
     target: MatrObject
     blocks: tuple  # sorted tuple of ((source label, target label), base morphism)
+
+    def __init__(self, source: MatrObject, target: MatrObject, blocks: tuple) -> None:
+        # Written straight into the instance dict: the frozen dataclass's own
+        # __init__ pays for object.__setattr__ on every field.
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["blocks"] = blocks
 
     def block_map(self) -> dict:
         return dict(self.blocks)

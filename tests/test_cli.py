@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import random
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from qlab.cli import main
 from qlab.exact import format_scalar, gq, parse_scalar
+from qlab.matr import MatrInstance
 
 REL_DOC = json.dumps({
     "source": {"labels": ["a", "b"]},
@@ -259,6 +262,58 @@ def test_unknown_subcommand_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def _load_tracing():
+    """bench/tracing.py, loaded by path: it patches `qlab.cli.cmd_*` in place."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("qlab_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cached_parser_calls_handlers_patched_after_it_was_built(capsys):
+    argv = ["compute", "--instance", "rel", "--load", f"r={REL_DOC}", "dagger(r) ∘ r"]
+    first = run_cli(argv, capsys)
+    assert first[0] == 0
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert run_cli(argv, capsys) == first
+        assert run_cli(argv, capsys) == first
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("cli.cmd_compute") == 2
+
+
+def test_bad_usage_after_a_good_call_still_exits_2(capsys):
+    assert run_cli(["neg", "--instance", "rel", REL_DOC], capsys)[0] == 0
+    code, out, err = run_cli(["neg", "--instance", "nosuch", REL_DOC], capsys)
+    assert code == 2 and not out and "invalid choice" in err
+    assert run_cli(["frobnicate"], capsys)[0] == 2
+    assert run_cli(["neg", "--instance", "rel", REL_DOC], capsys)[0] == 0
+
+
+def test_a_broken_order_fails_laws_instead_of_aborting(monkeypatch, capsys):
+    # With leq answering False no order is a preorder, so `orders.preordered`
+    # raises inside the order suites; each is reported as one failed law.
+    monkeypatch.setattr(MatrInstance, "leq", lambda self, f, g: False)
+    expected = {"rel": ["downsets", "orders", "orders-structure"],
+                "vrel": ["orders", "orders-structure"],
+                "qrel": ["orders", "orders-structure"]}
+    for instance, suites in expected.items():
+        code, out, err = run_cli(["check", "--instance", instance], capsys)
+        assert code == 1 and not err
+        aborted = {rep["suite"]: rep["laws"] for rep in json.loads(out)["suites"]
+                   if rep["laws"][0]["law"] == "the suite runs to the end"}
+        assert sorted(aborted) == suites
+        for laws in aborted.values():
+            assert laws == [{
+                "suite": laws[0]["suite"], "law": "the suite runs to the end",
+                "checked": 1, "ok": False,
+                "failures": ["OrderError: the order is not a preorder: id <= r and r o r <= r"],
+            }]
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact scalar and matrix arithmetic, and the canonical subspace form."""
 
+import dataclasses
 import re
 from fractions import Fraction
 from math import gcd
@@ -14,7 +15,10 @@ from qlab.exact import (
     ExactError,
     ExactMatrix,
     GaussianRational,
+    OperatorSubspace,
+    _eliminate,
     _over,
+    _primitive,
     canonical_basis,
     format_over,
     format_scalar,
@@ -588,3 +592,174 @@ def test_kronecker_restores_primitive_rows():
     assert_matches(k, reference_kronecker([m.entries for m in v.basis],
                                           [m.entries for m in v.basis], 1, 2, 1, 2), 4, 1)
     assert k.rows == (((2, 1, 1, 0), (0, 1, 1, 1)),)
+
+
+# -- oracle for the elimination kernel -------------------------------------------
+#
+# The fraction-free elimination written step by step: each vector made primitive
+# by `_primitive`, reduced through `reference_reduce` and `reference_clear`, and
+# the rows sorted at the end.  `_eliminate` must return exactly the same rows and
+# pivots, and read exactly as many vectors.
+
+def reference_clear(row, pivot, col):
+    re, im = row
+    fr, fi = re[col], im[col]
+    if not fr and not fi:
+        return row
+    p_re, p_im = pivot
+    g = gcd(p_re[col], fr, fi)
+    n, fr, fi = p_re[col] // g, fr // g, fi // g
+    return _primitive(
+        [n * x - fr * c + fi * d for x, c, d in zip(re, p_re, p_im)],
+        [n * y - fr * d - fi * c for y, c, d in zip(im, p_re, p_im)],
+    )
+
+
+def reference_reduce(row, rows, pivots):
+    for pc, p in zip(pivots, rows):
+        if row[0][pc] or row[1][pc]:
+            row = reference_clear(row, p, pc)
+            if row is None:
+                return None
+    return row
+
+
+def reference_eliminate(vecs, ncols, rows=(), pivots=()):
+    rows, pivots = list(rows), list(pivots)
+    if len(pivots) < ncols:
+        for re, im in vecs:
+            row = _primitive(re, im)
+            if row is not None:
+                row = reference_reduce(row, rows, pivots)
+            if row is None:
+                continue
+            re, im = row
+            col = next(j for j in range(ncols) if re[j] or im[j])
+            a, b = re[col], im[col]
+            if b:
+                row = _primitive([x * a + y * b for x, y in zip(re, im)],
+                                 [y * a - x * b for x, y in zip(re, im)])
+            elif a < 0:
+                row = [-x for x in re], [-y for y in im]
+            rows = [reference_clear(r, row, col) for r in rows]
+            rows.append(row)
+            pivots.append(col)
+            if len(pivots) == ncols:
+                break
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [rows[k] for k in order], [pivots[k] for k in order]
+
+
+def _as_tuples(rows):
+    return [(tuple(re), tuple(im)) for re, im in rows]
+
+
+class _Counted:
+    """An iterator over the vectors that counts how many were read."""
+
+    def __init__(self, vecs):
+        self.vecs, self.read = iter(vecs), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        vec = next(self.vecs)
+        self.read += 1
+        return vec
+
+
+gaussian_ints = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def int_vector_sets(draw, ncols, max_vecs=6):
+    """Gaussian-integer vectors of length ncols with zero, repeated, scaled and
+    dependent ones among them."""
+    vec = st.lists(gaussian_ints, min_size=ncols, max_size=ncols).map(
+        lambda v: ([x for x, _ in v], [y for _, y in v]))
+    vecs = draw(st.lists(vec, max_size=max_vecs))
+    if vecs:
+        for kind in draw(st.lists(st.sampled_from(["zero", "dup", "scaled", "comb"]), max_size=4)):
+            if kind == "zero":
+                vecs.append(([0] * ncols, [0] * ncols))
+            elif kind == "dup":
+                vecs.append(draw(st.sampled_from(vecs)))
+            else:
+                (u_re, u_im), (v_re, v_im) = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+                (s, t), (p, q) = draw(gaussian_ints), draw(gaussian_ints)
+                if kind == "scaled":
+                    p = q = 0
+                vecs.append(([s * a - t * b + p * c - q * d
+                              for a, b, c, d in zip(u_re, u_im, v_re, v_im)],
+                             [s * b + t * a + p * d + q * c
+                              for a, b, c, d in zip(u_re, u_im, v_re, v_im)]))
+        vecs = draw(st.permutations(vecs))
+    return vecs
+
+
+def assert_eliminates_like_the_reference(vecs, ncols, rows=(), pivots=()):
+    got, expected = _Counted(vecs), _Counted(vecs)
+    new_rows, new_pivots = _eliminate(got, ncols, rows, pivots)
+    ref_rows, ref_pivots = reference_eliminate(expected, ncols, rows, pivots)
+    assert _as_tuples(new_rows) == _as_tuples(ref_rows)
+    assert list(new_pivots) == list(ref_pivots)
+    assert got.read == expected.read
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eliminate_matches_the_reference(data):
+    ncols = data.draw(st.integers(0, 6))
+    assert_eliminates_like_the_reference(data.draw(int_vector_sets(ncols)), ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eliminate_onto_a_seeded_echelon_matches_the_reference(data):
+    # The call shape of subspace_join and subspace_meet: a canonical echelon
+    # first, more vectors after it.
+    ncols = data.draw(st.integers(1, 6))
+    rows, pivots = reference_eliminate(data.draw(int_vector_sets(ncols, max_vecs=4)), ncols)
+    rows = tuple((tuple(re), tuple(im)) for re, im in rows)
+    assert_eliminates_like_the_reference(data.draw(int_vector_sets(ncols)), ncols, rows, pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_eliminate_stops_reading_at_full_rank(data):
+    ncols = data.draw(st.integers(1, 4))
+    full = [([int(i == j) for j in range(ncols)], [0] * ncols) for i in range(ncols)]
+    before = data.draw(int_vector_sets(ncols))
+    vecs = before + full + data.draw(int_vector_sets(ncols))
+    got = _Counted(vecs)
+    rows, pivots = _eliminate(got, ncols)
+    assert pivots == list(range(ncols))
+    assert got.read <= len(before) + ncols
+    assert_eliminates_like_the_reference(vecs, ncols)
+    # A seeded echelon of full rank reads nothing.
+    seeded = _Counted(vecs)
+    assert _eliminate(seeded, ncols, rows, pivots) == (rows, pivots)
+    assert seeded.read == 0
+
+
+def test_operator_subspace_is_a_frozen_value():
+    v = span_of(ExactMatrix.from_rows([[gq(0, 2), gq(1)]]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.rows = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.dim_cache = 1
+    same = OperatorSubspace(v.domain_dim, v.codomain_dim, v.rows, v.pivots)
+    assert same == v and hash(same) == hash(v) and same is not v
+    # The pivots follow from the rows, so they take no part in equality or repr.
+    other_pivots = OperatorSubspace(v.domain_dim, v.codomain_dim, v.rows, (1,))
+    assert other_pivots == v and hash(other_pivots) == hash(v)
+    assert repr(v) == f"OperatorSubspace(domain_dim=2, codomain_dim=1, rows={v.rows!r})"
+    assert v != OperatorSubspace(1, 2, v.rows, v.pivots)
+    for d, c in ((-1, 1), (1, -1)):
+        with pytest.raises(ExactError):
+            OperatorSubspace(d, c, (), ())
+    assert "_basis" not in vars(v)
+    basis = v.basis
+    assert vars(v)["_basis"] is basis and v.basis is basis
+    assert basis == (ExactMatrix.from_rows([[Q1, gq(0, Fraction(-1, 2))]]),)

@@ -1,6 +1,7 @@
 """The matrix-completion kernel shared by the boolean, valued, and quantum instances."""
 
 import ast
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -26,6 +27,7 @@ from qlab.lawcheck import make_context
 from qlab.matr import (
     FdOSBase,
     MatrError,
+    MatrMorphism,
     MatrObject,
     boolean_complement,
     matr_to_relation,
@@ -302,6 +304,20 @@ def test_obj_interns_and_equality_ignores_the_index():
     assert x is not y
     assert x == y and hash(x) == hash(y)
     assert x == MatrObject(x.base, x.components)
+
+
+def test_matr_morphism_is_a_frozen_value():
+    x, y = QREL.obj([("u", 2)]), QREL.obj([("v", 1)])
+    f = QREL.mor(x, y, {("u", "v"): span_of(ExactMatrix.from_rows([[Q1, Q0]]))})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.blocks = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.cached = 1
+    same = MatrMorphism(f.source, f.target, tuple(f.blocks))
+    assert same == f and hash(same) == hash(f) and same is not f
+    assert same != MatrMorphism(f.source, f.target, ())
+    assert [fld.name for fld in dataclasses.fields(MatrMorphism)] == ["source", "target", "blocks"]
+    assert repr(f) == "MatrMorphism(('u',) -> ('v',), 1 blocks)"
 
 
 # -- one-pass composition and built-once structure -------------------------------------
