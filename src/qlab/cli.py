@@ -52,7 +52,6 @@ INPUT_ERRORS = (
     json.JSONDecodeError,
     ValueError,
     OSError,
-    KeyError,
 )
 
 

@@ -237,18 +237,22 @@ def coname_inverse(inst: MatrInstance, k: Any, x: Any, y: Any) -> Any:
 
 
 # star_of builds cells on X* (x) X (x) Y*; it refuses an input whose cells
-# there would hold more than this many scalars (a rel or vrel cell is one).
+# there would cost more than this many scalars of an operator subspace.
 _STAR_BOUND = 2**20
 
 
 def _star_scalars(inst: MatrInstance, f: Any) -> int:
-    """The scalars of star_of's widest cells, the identities on X* (x) X (x) Y*
-    and id (x) f (x) id: sx sy (sx + sf), where sx and sy add up the scalars
-    of the identity cells of X and of Y, and sf those of the blocks of f."""
+    """The cost of star_of's widest cells, the identities on X* (x) X (x) Y*
+    and id (x) f (x) id, in the scalars that `base.size` charges.  A tensor
+    of cells m (x) n costs size(m) size(n) / u, where u is the size of the
+    identity on the tensor unit, so these cells cost sx sy (sx + sf) / u^2:
+    sx and sy add up the sizes of the identity cells of X and of Y, and sf
+    those of the blocks of f."""
     base = inst.base
+    u = base.size(base.identity(base.unit_obj()))
     sx = sum(base.size(base.identity(o)) for _, o in inst.source(f).components)
     sy = sum(base.size(base.identity(o)) for _, o in inst.target(f).components)
-    return sx * sy * (sx + sum(base.size(m) for _, m in f.blocks))
+    return sx * sy * (sx + sum(base.size(m) for _, m in f.blocks)) // (u * u)
 
 
 def star_of(inst: MatrInstance, f: Any) -> Any:

@@ -9,8 +9,12 @@ Two bases give the three instances:
   * QuantaleBase over any finite quantale -> quantale-valued relations,
   * FdOSBase (operator subspaces between finite dimensions) -> quantum relations.
 Both answer the same sixteen calls, the ones in which they differ:
-compose_sum, identity, dagger, sup, leq, meet, bottom, top, is_bottom, size,
-tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.  Base
+compose_blocks, identity, dagger, sup, leq, meet, bottom, top, is_bottom,
+size, tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.
+`compose_blocks(g, f)` returns the non-bottom blocks of a whole composite
+in position order: the quantale base folds each output block straight from
+its join and multiplication tables, the operator-subspace base groups the
+pairs (g_bc, f_ab) per output block and spans their products.  Base
 objects are hashable, base morphisms have a canonical equality, and sup,
 bottom and top take explicit source and target objects since base morphisms
 need not know their own type.  The rest of the structure is the same in every
@@ -18,9 +22,18 @@ dagger compact quantaloid built here, so `MatrInstance` derives it: the
 associators and unitors have base identities as cells, every object is its
 own dual, and epsilon is the dagger of eta.
 
+Every morphism keeps its non-bottom blocks sorted by position, rank(a)
+|target| + rank(b), so equality is a comparison of block tuples.  `mor` is
+the validating constructor for callers: it checks each key and drops bottom
+blocks.  compose, dagger, sup, meet2 and tensor_mor skip it: they take their
+keys from morphisms already built and write their blocks straight in
+position order (dagger and sup cannot produce bottom; compose, meet2 and
+tensor_mor drop it, since a product or meet of non-bottom values can be
+bottom, as 1/2 (x) 1/2 = 0 in lukasiewicz3).
+
 Results are kept per instance, never process-wide: a `MatrInstance` builds
 each structure morphism and object once per argument objects, and an
-`FdOSBase` computes each block product `compose_sum(pairs, src, tgt)`, each
+`FdOSBase` computes each block product `_compose_sum(pairs, src, tgt)`, each
 adjoint `dagger(m)` and each structure cell once per arguments (one
 elimination each), all through `_built_once`.  QuantaleBase keeps nothing:
 its products are table lookups.  A memo lives exactly as long as its
@@ -64,9 +77,9 @@ class MatrError(ValueError):
 
 def _built_once(method):
     """A method whose result is kept in its owner's `_built` dict, keyed by
-    the method's name and its (hashable) arguments, so it runs at most once
-    per owner and arguments."""
-    name = method.__name__
+    the method's name without leading underscores and its (hashable)
+    arguments, so it runs at most once per owner and arguments."""
+    name = method.__name__.lstrip("_")
 
     @wraps(method)
     def built(self, *objs):
@@ -90,19 +103,51 @@ class QuantaleBase:
     def _bottom(self):
         return self.quantale.bottom
 
+    @cached_property
+    def _rows(self):
+        """The multiplication and join tables by rows, n -> {m: n m} and
+        x -> {y: x v y}, so a fold looks up no pair."""
+        q = self.quantale
+        return ({n: {m: q.mul_table[n, m] for m in q.elements} for n in q.elements},
+                {x: {y: q.join_table[x, y] for y in q.elements} for x in q.elements})
+
     def __eq__(self, other):
         return isinstance(other, QuantaleBase) and self.quantale == other.quantale
 
     def __hash__(self):
         return hash(("QuantaleBase", self.quantale))
 
-    def compose_sum(self, pairs, src, tgt):
-        """The join of the products n m over the pairs (n, m)."""
-        join, mul = self.quantale.join_table, self.quantale.mul_table
-        acc = self._bottom
-        for pair in pairs:
-            acc = join[acc, mul[pair]]
-        return acc
+    def compose_blocks(self, g, f):
+        """The blocks of g o f in position order.  The block at position
+        rank(a) |target| + rank(c) is the join, from bottom, of the table
+        products g_bc f_ab over b; blocks equal to bottom are dropped."""
+        mul, join = self._rows
+        bottom = self._bottom
+        tgt_index = g.target.index
+        width = len(tgt_index)
+        after: dict = {}  # b -> [(rank of c, c, the row of g_bc in mul)]
+        for (b, c), n in g.blocks:
+            row = after.get(b)
+            if row is None:
+                after[b] = [(tgt_index[c][0], c, mul[n])]
+            else:
+                row.append((tgt_index[c][0], c, mul[n]))
+        src_index = f.source.index
+        acc: dict = {}  # position -> join so far
+        keys: dict = {}  # position -> (a, c)
+        for (a, b), m in f.blocks:
+            row = after.get(b)
+            if row is None:
+                continue
+            offset = src_index[a][0] * width
+            for rc, c, times_n in row:
+                pos = offset + rc
+                if pos in acc:
+                    acc[pos] = join[acc[pos]][times_n[m]]
+                else:
+                    keys[pos] = (a, c)
+                    acc[pos] = join[bottom][times_n[m]]
+        return tuple([(keys[pos], v) for pos, v in sorted(acc.items()) if v != bottom])
 
     def identity(self, b):
         return self.quantale.unit
@@ -129,7 +174,11 @@ class QuantaleBase:
         return m == self._bottom
 
     def size(self, m):
-        return 1
+        """What a cell costs, in scalars of an operator subspace: star on the
+        full relation on 20 to 30 elements keeps about 390 bytes per cell,
+        where star on span{I} at dimension 7 to 10 keeps 30 to 40 bytes per
+        scalar."""
+        return 12
 
     def tensor_obj(self, a, b):
         return "*"
@@ -173,8 +222,38 @@ class FdOSBase:
     def __hash__(self):
         return hash("FdOSBase")
 
+    def compose_blocks(self, g, f):
+        """The blocks of g o f in position order: the pairs (g_bc, f_ab) are
+        grouped by output position rank(a) |target| + rank(c), and each
+        group's span of products is computed once per instance; zero blocks
+        are dropped."""
+        src_index, tgt_index = f.source.index, g.target.index
+        width = len(tgt_index)
+        after: dict = {}  # b -> [(rank of c, c, g_bc)]
+        for (b, c), n in g.blocks:
+            after.setdefault(b, []).append((tgt_index[c][0], c, n))
+        groups: dict = {}  # position -> (a, c, [(g_bc, f_ab)])
+        for (a, b), m in f.blocks:
+            row = after.get(b)
+            if row is None:
+                continue
+            offset = src_index[a][0] * width
+            for rc, c, n in row:
+                group = groups.get(offset + rc)
+                if group is None:
+                    groups[offset + rc] = (a, c, [(n, m)])
+                else:
+                    group[2].append((n, m))
+        blocks = []
+        for pos in sorted(groups):
+            a, c, pairs = groups[pos]
+            m = self._compose_sum(tuple(pairs), src_index[a][1], tgt_index[c][1])
+            if not m.is_zero():
+                blocks.append(((a, c), m))
+        return tuple(blocks)
+
     @_built_once
-    def compose_sum(self, pairs: tuple, src: int, tgt: int) -> OperatorSubspace:
+    def _compose_sum(self, pairs: tuple, src: int, tgt: int) -> OperatorSubspace:
         """The span of every composite w v over the pairs (w, v)."""
         return subspace_product(pairs, src, tgt)
 
@@ -300,6 +379,14 @@ class MatrMorphism:
         )
 
 
+def _in_position_order(src: MatrObject, tgt: MatrObject, kept: list) -> MatrMorphism:
+    """The morphism src -> tgt with the blocks of `kept`, a list of
+    (position, block) pairs, sorted by position."""
+    # The positions are distinct, so the sort never compares two blocks.
+    kept.sort()
+    return MatrMorphism(src, tgt, tuple([item for _, item in kept]))
+
+
 class MatrInstance:
     """The dagger compact quantaloid of matrices over a base.
 
@@ -339,9 +426,7 @@ class MatrInstance:
                 raise MatrError(f"block key {(a, b)!r} outside {src.labels} x {tgt.labels}") from None
             if not is_bottom(m, oa, ob):
                 kept.append((ra * width + rb, item))
-        # The positions are distinct, so the sort never compares two blocks.
-        kept.sort()
-        return MatrMorphism(src, tgt, tuple([item for _, item in kept]))
+        return _in_position_order(src, tgt, kept)
 
     # -- quantaloid structure ----------------------------------------
     def source(self, f: MatrMorphism) -> MatrObject:
@@ -355,69 +440,56 @@ class MatrInstance:
         return self.mor(x, x, {(lab, lab): self.base.identity(b) for lab, b in x.components})
 
     def compose(self, g: MatrMorphism, f: MatrMorphism) -> MatrMorphism:
-        """(g o f)_ac = sup over b of g_bc o f_ab, one base call per output block.
-
-        The pairs (g_bc, f_ab) are grouped by the block's position in `mor`'s
-        order, rank(a) |target| + rank(c), so the blocks come out sorted and
-        need no second check."""
-        if f.target != g.source:
+        """(g o f)_ac = sup over b of g_bc o f_ab, every block from one base call."""
+        if f.target is not g.source and f.target != g.source:
             raise MatrError("cannot compose: middle objects differ, "
                             f"{f.target.labels} and {g.source.labels}")
-        src, tgt = f.source, g.target
-        src_index, tgt_index = src.index, tgt.index
-        width = len(tgt_index)
-        after: dict = {}  # b -> [(rank of c, c, g_bc)]
-        for (b, c), n in g.blocks:
-            after.setdefault(b, []).append((tgt_index[c][0], c, n))
-        groups: dict = {}  # position -> (a, c, [(g_bc, f_ab)])
-        for (a, b), m in f.blocks:
-            row = after.get(b)
-            if row is None:
-                continue
-            offset = src_index[a][0] * width
-            for rc, c, n in row:
-                group = groups.get(offset + rc)
-                if group is None:
-                    groups[offset + rc] = (a, c, [(n, m)])
-                else:
-                    group[2].append((n, m))
-        compose_sum, is_bottom = self.base.compose_sum, self.base.is_bottom
-        blocks = []
-        for pos in sorted(groups):
-            a, c, pairs = groups[pos]
-            oa, oc = src_index[a][1], tgt_index[c][1]
-            m = compose_sum(tuple(pairs), oa, oc)
-            if not is_bottom(m, oa, oc):
-                blocks.append(((a, c), m))
-        return MatrMorphism(src, tgt, tuple(blocks))
+        return MatrMorphism(f.source, g.target, self.base.compose_blocks(g, f))
 
     def dagger(self, f: MatrMorphism) -> MatrMorphism:
-        blocks = {(b, a): self.base.dagger(m) for (a, b), m in f.blocks}
-        return self.mor(f.target, f.source, blocks)
+        src_index, tgt_index = f.source.index, f.target.index
+        width = len(src_index)
+        dagger = self.base.dagger
+        return _in_position_order(f.target, f.source, [
+            (tgt_index[b][0] * width + src_index[a][0], ((b, a), dagger(m)))
+            for (a, b), m in f.blocks
+        ])
 
     def sup(self, fs: Sequence[MatrMorphism], src: MatrObject, tgt: MatrObject) -> MatrMorphism:
         gathered: dict = {}
         for f in fs:
-            if f.source != src or f.target != tgt:
+            if ((f.source is not src and f.source != src)
+                    or (f.target is not tgt and f.target != tgt)):
                 raise MatrError("sup of morphisms with different types")
             for key, m in f.blocks:
                 gathered.setdefault(key, []).append(m)
         src_index, tgt_index = src.index, tgt.index
-        blocks = {
-            (a, b): self.base.sup(ms, src_index[a][1], tgt_index[b][1])
-            for (a, b), ms in gathered.items()
-        }
-        return self.mor(src, tgt, blocks)
+        width = len(tgt_index)
+        sup = self.base.sup
+        kept = []
+        for (a, b), ms in gathered.items():
+            ra, oa = src_index[a]
+            rb, ob = tgt_index[b]
+            kept.append((ra * width + rb, ((a, b), ms[0] if len(ms) == 1 else sup(ms, oa, ob))))
+        return _in_position_order(src, tgt, kept)
 
     def meet2(self, f: MatrMorphism, g: MatrMorphism) -> MatrMorphism:
-        if f.source != g.source or f.target != g.target:
+        if ((f.source is not g.source and f.source != g.source)
+                or (f.target is not g.target and f.target != g.target)):
             raise MatrError("meet of morphisms with different types")
         gmap = g.block_map()
-        blocks = {}
+        src_index, tgt_index = f.source.index, f.target.index
+        meet, is_bottom = self.base.meet, self.base.is_bottom
+        # A subsequence of f's blocks, so already in position order.
+        blocks = []
         for key, m in f.blocks:
-            if key in gmap:
-                blocks[key] = self.base.meet(m, gmap[key])
-        return self.mor(f.source, f.target, blocks)
+            n = gmap.get(key)
+            if n is not None:
+                v = meet(m, n)
+                a, b = key
+                if not is_bottom(v, src_index[a][1], tgt_index[b][1]):
+                    blocks.append((key, v))
+        return MatrMorphism(f.source, f.target, tuple(blocks))
 
     def bottom(self, src: MatrObject, tgt: MatrObject) -> MatrMorphism:
         return self.mor(src, tgt, {})
@@ -429,7 +501,8 @@ class MatrInstance:
         return f == g
 
     def leq(self, f: MatrMorphism, g: MatrMorphism) -> bool:
-        if f.source != g.source or f.target != g.target:
+        if ((f.source is not g.source and f.source != g.source)
+                or (f.target is not g.target and f.target != g.target)):
             raise MatrError("order compares morphisms of the same type")
         gmap = g.block_map()
         src_index, tgt_index = f.source.index, f.target.index
@@ -463,11 +536,19 @@ class MatrInstance:
     def tensor_mor(self, f: MatrMorphism, g: MatrMorphism) -> MatrMorphism:
         src = self.tensor_obj(f.source, g.source)
         tgt = self.tensor_obj(f.target, g.target)
-        blocks = {}
+        src_index, tgt_index = src.index, tgt.index
+        width = len(tgt_index)
+        tensor, is_bottom = self.base.tensor_mor, self.base.is_bottom
+        kept = []
         for (a, c), m in f.blocks:
             for (b, d), n in g.blocks:
-                blocks[((a, b), (c, d))] = self.base.tensor_mor(m, n)
-        return self.mor(src, tgt, blocks)
+                v = tensor(m, n)
+                ab, cd = (a, b), (c, d)
+                rs, o_src = src_index[ab]
+                rt, o_tgt = tgt_index[cd]
+                if not is_bottom(v, o_src, o_tgt):
+                    kept.append((rs * width + rt, ((ab, cd), v)))
+        return _in_position_order(src, tgt, kept)
 
     @_built_once
     def unit_obj(self) -> MatrObject:

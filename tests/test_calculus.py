@@ -16,6 +16,7 @@ from qlab.calculus import (
     superposition_sum,
     tuple_into,
 )
+from qlab import core
 from qlab.core import is_dagger_iso, star_of
 from qlab.finrel import BoolRelation, all_relations, fset, product_set
 from qlab.matr import (
@@ -140,11 +141,21 @@ def test_omega_data_shape():
     assert len(data.total.components) == 2
 
 
+def _full_relation(n):
+    a = fset(*range(n))
+    return relation_to_matr(REL, BoolRelation(a, a, frozenset((i, j) for i in a for j in a)))
+
+
 def test_star_refuses_oversized_rel_cells():
-    # Each rel cell counts as one scalar: the full relation on 32 elements
-    # would need 32 * 32 * (32 + 32 * 32) > 2**20 cells (on 30 elements,
-    # just under, it runs 2 s and peaks near 400 MB).
-    a = fset(*range(32))
-    full = BoolRelation(a, a, frozenset((i, j) for i in range(32) for j in range(32)))
-    with pytest.raises(MatrError, match="1081344 scalars .* above the bound 1048576"):
-        star_of(REL, relation_to_matr(REL, full))
+    # Each rel cell costs 12 scalars: the full relation on 32 elements would
+    # need 12 * 32 * 32 * (32 + 32 * 32) > 2**20 of them.
+    with pytest.raises(MatrError, match="12976128 scalars .* above the bound 1048576"):
+        star_of(REL, _full_relation(32))
+
+
+def test_star_bound_on_rel_lies_between_16_and_17_elements():
+    # On 16 elements (835,584 charged) star runs in about 0.3 s and 45 MB.
+    assert core._star_scalars(REL, _full_relation(16)) == 12 * 16 * 16 * (16 + 16 * 16)
+    assert core._star_scalars(REL, _full_relation(16)) <= core._STAR_BOUND
+    with pytest.raises(MatrError, match="1061208 scalars .* above the bound"):
+        star_of(REL, _full_relation(17))

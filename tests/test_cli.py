@@ -316,6 +316,33 @@ def test_a_broken_order_fails_laws_instead_of_aborting(monkeypatch, capsys):
             }]
 
 
+def test_a_lookup_bug_in_the_library_is_not_reported_as_bad_input(monkeypatch, capsys):
+    # The morphism layer indexes label dicts directly, so a KeyError there is
+    # a library fault: it must not exit 2 as if the input were malformed.
+    def broken(self, f):
+        raise KeyError("lost label")
+
+    monkeypatch.setattr(MatrInstance, "dagger", broken)
+    with pytest.raises(KeyError, match="lost label"):
+        main(["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagger(f)"])
+    assert capsys.readouterr().err == ""
+
+
+def test_star_refuses_the_full_relation_on_30_elements(capsys):
+    # 12 * 30 * 30 * (30 + 900) charged scalars; built, its cells ran for
+    # seconds and peaked near 350 MB.
+    labels = list(range(30))
+    doc = json.dumps({"source": {"labels": labels}, "target": {"labels": labels},
+                      "pairs": [[i, j] for i in labels for j in labels]})
+    start = time.perf_counter()
+    code, out, err = run_cli(["compute", "--instance", "rel", "--load", f"f={doc}",
+                              "star(f)"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "10044000" in err and "1048576" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -22,7 +22,7 @@ from qlab.exact import (
     subspace_product,
 )
 from qlab.finrel import BoolRelation, all_relations, fset
-from qlab import matr
+from qlab import lawcheck, matr
 from qlab.lawcheck import make_context
 from qlab.matr import (
     FdOSBase,
@@ -360,6 +360,9 @@ COMPOSE_INSTANCES = {
     "rel": rel_instance,
     "vrel-chain4": lambda: vrel_instance(BUILTIN_QUANTALES["chain4"]),
     "vrel-c3-non-integral": lambda: vrel_instance(C3_NON_INTEGRAL),
+    # 1/2 (x) 1/2 = 0: products of non-bottom blocks reach bottom, in
+    # compose and in tensor_mor.
+    "vrel-lukasiewicz3": lambda: vrel_instance(L3),
     "qrel": qrel_instance,
 }
 
@@ -437,10 +440,126 @@ def test_structure_is_built_once_and_equals_a_fresh_build(name):
         assert getattr(fresh, method)(*args) == value
 
 
+# -- positional builds ------------------------------------------------------------------
+#
+# dagger, sup, meet2 and tensor_mor as they were built before they wrote their
+# blocks in position order themselves: a dict of blocks handed to `mor`.
+
+def reference_dagger(inst, f):
+    blocks = {(b, a): inst.base.dagger(m) for (a, b), m in f.blocks}
+    return inst.mor(f.target, f.source, blocks)
+
+
+def reference_sup(inst, fs, src, tgt):
+    gathered = {}
+    for f in fs:
+        if f.source != src or f.target != tgt:
+            raise MatrError("sup of morphisms with different types")
+        for key, m in f.blocks:
+            gathered.setdefault(key, []).append(m)
+    blocks = {
+        (a, b): inst.base.sup(ms, src.base_obj(a), tgt.base_obj(b))
+        for (a, b), ms in gathered.items()
+    }
+    return inst.mor(src, tgt, blocks)
+
+
+def reference_meet2(inst, f, g):
+    if f.source != g.source or f.target != g.target:
+        raise MatrError("meet of morphisms with different types")
+    gmap = g.block_map()
+    blocks = {key: inst.base.meet(m, gmap[key]) for key, m in f.blocks if key in gmap}
+    return inst.mor(f.source, f.target, blocks)
+
+
+def reference_tensor_mor(inst, f, g):
+    src = inst.tensor_obj(f.source, g.source)
+    tgt = inst.tensor_obj(f.target, g.target)
+    blocks = {}
+    for (a, c), m in f.blocks:
+        for (b, d), n in g.blocks:
+            blocks[((a, b), (c, d))] = inst.base.tensor_mor(m, n)
+    return inst.mor(src, tgt, blocks)
+
+
+@st.composite
+def small_matr_objects(draw, inst):
+    """At most three labels, so that a tensor of two morphisms stays small."""
+    labels = draw(st.lists(LABELS, max_size=3, unique=True))
+    if isinstance(inst.base, FdOSBase):
+        return inst.obj([(lab, draw(st.integers(1, 2))) for lab in labels])
+    return inst.obj([(lab, "*") for lab in labels])
+
+
+def assert_same_blocks(got, want):
+    """Same type, keys, block order and values, in repr order: the ranks of
+    the labels are their places in repr order, so that is position order,
+    checked here without the sort that `mor` shares with the positional
+    builds."""
+    assert (got.source, got.target) == (want.source, want.target)
+    keys = [key for key, _ in got.blocks]
+    assert keys == [key for key, _ in want.blocks]
+    assert keys == sorted(keys, key=lambda key: (repr(key[0]), repr(key[1])))
+    assert got.blocks == want.blocks
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_positional_builds_match_the_mor_references(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    x, y = data.draw(matr_objects(inst)), data.draw(matr_objects(inst))
+    fs = [data.draw(matr_morphisms(inst, x, y)) for _ in range(data.draw(st.integers(0, 3)))]
+    for f in fs:
+        assert_same_blocks(inst.dagger(f), reference_dagger(inst, f))
+    assert_same_blocks(inst.sup(fs, x, y), reference_sup(inst, fs, x, y))
+    for f, g in itertools.product(fs, repeat=2):
+        assert_same_blocks(inst.meet2(f, g), reference_meet2(inst, f, g))
+        assert_same_blocks(inst.join2(f, g), reference_sup(inst, [f, g], x, y))
+    z = data.draw(small_matr_objects(inst))
+    if z != x:
+        with pytest.raises(MatrError, match="different types"):
+            inst.sup([data.draw(matr_morphisms(inst, z, y))], x, y)
+        with pytest.raises(MatrError, match="different types"):
+            inst.meet2(data.draw(matr_morphisms(inst, x, y)), data.draw(matr_morphisms(inst, z, y)))
+    a, b, c, d = (data.draw(small_matr_objects(inst)) for _ in range(4))
+    f, g = data.draw(matr_morphisms(inst, a, b)), data.draw(matr_morphisms(inst, c, d))
+    assert_same_blocks(inst.tensor_mor(f, g), reference_tensor_mor(inst, f, g))
+
+
+@pytest.mark.parametrize("kind, quantale", [
+    ("rel", None), ("vrel", L3), ("vrel", C3_NON_INTEGRAL), ("qrel", None),
+], ids=["rel", "vrel-lukasiewicz3", "vrel-c3-non-integral", "qrel"])
+def test_law_runs_build_only_sorted_morphisms_without_bottom_blocks(kind, quantale, monkeypatch):
+    """Every morphism a law run builds, through `mor` or not, has its blocks at
+    strictly increasing positions rank(a) |target| + rank(b) and none of them
+    bottom: the invariant that `equal` relies on."""
+    init = MatrMorphism.__init__
+    built, multi = 0, 0
+
+    def checked_init(self, source, target, blocks):
+        nonlocal built, multi
+        src_index, tgt_index, base = source.index, target.index, source.base
+        positions = []
+        for (a, b), m in blocks:
+            ra, oa = src_index[a]
+            rb, ob = tgt_index[b]
+            assert not base.is_bottom(m, oa, ob), f"bottom block at {(a, b)!r}"
+            positions.append(ra * len(tgt_index) + rb)
+        assert all(p < q for p, q in zip(positions, positions[1:])), positions
+        built += 1
+        multi += len(positions) > 1
+        init(self, source, target, blocks)
+
+    monkeypatch.setattr(MatrMorphism, "__init__", checked_init)
+    assert all(rep.ok for rep in lawcheck.run_all(kind, 0, quantale=quantale))
+    assert built > 1000 and multi > 100
+
+
 # -- the base protocol -----------------------------------------------------------------
 
 BASE_PROTOCOL = {
-    "bottom", "compose_sum", "dagger", "enum_hom", "eta_cell", "identity", "is_bottom",
+    "bottom", "compose_blocks", "dagger", "enum_hom", "eta_cell", "identity", "is_bottom",
     "leq", "meet", "size", "sup", "symm_cell", "tensor_mor", "tensor_obj", "top", "unit_obj",
 }
 MATR_CLASSES = {
@@ -472,7 +591,7 @@ def test_both_bases_answer_exactly_the_protocol():
 
 def test_matr_instance_reads_only_the_protocol():
     reads = base_reads(MATR_CLASSES["MatrInstance"])
-    assert {"compose_sum", "identity", "eta_cell"} <= reads
+    assert {"compose_blocks", "identity", "eta_cell"} <= reads
     assert reads <= BASE_PROTOCOL
 
 
