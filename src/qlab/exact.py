@@ -144,7 +144,10 @@ def format_over(re: int, im: int, den: int) -> str:
     """The text of the Gaussian rational (re + im i) / den, for den > 0."""
     if den == 1:
         return _format_parts(re, 1, im, 1)
-    g, h = gcd(re, den), gcd(im, den)
+    g = gcd(re, den)
+    if not im:
+        return _format_parts(re // g, den // g, 0, 1)
+    h = gcd(im, den)
     return _format_parts(re // g, den // g, im // h, den // h)
 
 

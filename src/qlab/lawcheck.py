@@ -543,18 +543,28 @@ def suite_vrel_oracle(ctx: Context) -> list:
     b = fset("x", "y")
     rels_ab = list(all_vrelations(q, a, b))
     rels_ba = list(all_vrelations(q, b, a))
+    # Each sampled relation is quoted once.  The keys are ids, since hashing a
+    # VRelation costs half a quote; rels_ab and rels_ba keep every key alive.
+    quoted = {}
+
+    def quote(r):
+        m = quoted.get(id(r))
+        if m is None:
+            m = quoted[id(r)] = vrelation_to_matr(inst, r)
+        return m
+
     cap = min(len(rels_ab), 30)
     for r in ctx.rng.sample(rels_ab, cap):
-        mr = vrelation_to_matr(inst, r)
+        mr = quote(r)
         assert matr_to_vrelation(inst, mr) == r
         res.record(matr_to_vrelation(inst, inst.dagger(mr)) == r.dagger())
         for s in ctx.rng.sample(rels_ba, min(len(rels_ba), 10)):
-            ms = vrelation_to_matr(inst, s)
+            ms = quote(s)
             res.record(
                 matr_to_vrelation(inst, inst.compose(ms, mr)) == s.compose(r)
             )
         for s in ctx.rng.sample(rels_ab, 6):
-            ms = vrelation_to_matr(inst, s)
+            ms = quote(s)
             res.record(
                 matr_to_vrelation(inst, inst.join2(mr, ms)) == r.join(s)
                 and inst.leq(mr, ms) == r.leq(s)

@@ -77,8 +77,17 @@ class FiniteQuantale:
         return self.__dict__["_top"]
 
     def meet(self, a: Label, b: Label) -> Label:
-        lower = [x for x in self.elements if self.leq(x, a) and self.leq(x, b)]
-        return self.sup(lower)
+        """The join of every common lower bound of a and b, read from a table
+        built on first call."""
+        if "_meet" not in self.__dict__:
+            es = self.elements
+            below = {y: [x for x in es if self.leq(x, y)] for y in es}
+            table = {
+                (y, z): self.sup([x for x in below[y] if self.leq(x, z)])
+                for y in es for z in es
+            }
+            object.__setattr__(self, "_meet", table)
+        return self.__dict__["_meet"][(a, b)]
 
     # -- flags ----------------------------------------------------------------
     def is_nontrivial(self) -> bool:

@@ -12,13 +12,14 @@ Formats:
                   with each matrix a list of rows of exact scalar strings
 
 Output iteration orders are canonical (by label), so serialization is
-deterministic and roundtrips to an equal value.
+deterministic and roundtrips to an equal value.  `dumps` is the one writer of
+output text: it writes the bytes of json.dumps(doc, indent=2, sort_keys=True)
+in one pass.
 """
 
 from __future__ import annotations
 
-import json
-from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from typing import Any
 
@@ -60,7 +61,7 @@ def set_to_json(a: FiniteSet) -> dict:
 
 
 def set_from_json(doc: dict) -> FiniteSet:
-    if not isinstance(doc, dict) or "labels" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise SerializeError("a set needs a 'labels' list")
     return FiniteSet(tuple(_label_from_json(x) for x in doc["labels"]))
 
@@ -195,11 +196,12 @@ def qset_from_json(inst: MatrInstance, doc: dict) -> MatrObject:
 def _basis_to_json(v: OperatorSubspace) -> list:
     """The unit-pivot basis of v as matrices of scalar strings.  Entry k of the
     matrix of canonical row (re, im) with pivot column pc is
-    (re[k] + im[k] i) / re[pc]."""
+    (re[k] + im[k] i) / re[pc], and "0" where both parts are zero."""
     d = v.domain_dim
     out = []
     for (re, im), pc in zip(v.rows, v.pivots):
-        texts = list(map(format_over, re, im, repeat(re[pc])))
+        den = re[pc]
+        texts = [format_over(x, y, den) if x or y else "0" for x, y in zip(re, im)]
         out.append([texts[i:i + d] for i in range(0, len(texts), d)])
     return out
 
@@ -284,5 +286,60 @@ def morphism_from_json(kind: str, inst: MatrInstance, doc: dict) -> MatrMorphism
     raise SerializeError(f"unknown instance kind {kind!r}")
 
 
+# -- output text ---------------------------------------------------------------------
+
 def dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The text of json.dumps(doc, indent=2, sort_keys=True), for a document
+    made of dicts with str keys, lists, str, int, bool and None; any other
+    value raises TypeError.  Strings go through the stdlib encoder's own
+    escaping function, and a list of strings is written with one join."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(x: Any, nl: str, out: list) -> None:
+    """Append the text of x to out; nl is a newline and x's indent."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        try:
+            out.append("[" + inner + sep.join(map(_quote, x)) + nl + "]")
+            return
+        except TypeError:  # not a list of strings
+            pass
+        out.append("[" + inner)
+        for i, y in enumerate(x):
+            if i:
+                out.append(sep)
+            _write(y, inner, out)
+        out.append(nl + "]")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("{" + inner)
+        for i, k in enumerate(sorted(x)):
+            if type(k) is not str:
+                raise TypeError(f"dict key {k!r} is not a str")
+            if i:
+                out.append(sep)
+            out.append(_quote(k) + ": ")
+            _write(x[k], inner, out)
+        out.append(nl + "}")
+    elif x is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif t is int:
+        out.append(repr(x))
+    else:
+        raise TypeError(f"{t.__name__} {x!r} is not a qlab output value")

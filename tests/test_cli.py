@@ -488,6 +488,21 @@ def test_kernel_beyond_the_factoring_bound_is_input_error(basis):
     assert proc.stderr.count("\n") == 1 and "bound 1000000" in proc.stderr
 
 
+@pytest.mark.parametrize("instance", ["rel", "vrel"])
+@pytest.mark.parametrize("labels", [5, "ab"], ids=["int", "str"])
+def test_power_needs_a_labels_list(instance, labels):
+    # A string is iterable: it must not be read as the set of its characters.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlab.cli", "power", "--instance", instance,
+         json.dumps({"labels": labels})],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: a set needs a 'labels' list\n"
+
+
 # -- malformed quantum relations ----------------------------------------------------
 #
 # Every malformed qRel document must exit 2 with one line on stderr, and every
@@ -625,7 +640,9 @@ def test_qrel_report_is_byte_identical(case, capsys):
 # rendered.  These pin the printed morphisms of compute, neg and kernel on
 # fixed seeded qrel inputs.  The inputs are raw JSON documents of random
 # spanning matrices (zeros, pure imaginaries, denominators up to 5), so their
-# canonical form is computed by the command itself.
+# canonical form is computed by the command itself.  The same table pins
+# power, embed, neg and compute on seeded sets and on boolean and chain3-valued
+# relations, so every printing command's output is fixed byte for byte.
 
 _PALETTE = ("0", "0", "1", "-1", "i", "-i", "1+i", "1/2", "-2/3 i", "3/4-1/5 i", "2-i")
 
@@ -664,6 +681,32 @@ def _qrel_docs(seed):
     }
 
 
+def _classical_docs(seed):
+    """Seeded sets, quantum sets, and boolean and chain3-valued relations, named
+    in capitals so that a compute expression never loads a qrel document."""
+    rng = random.Random(f"qlab-cli-classical-pins:{seed}")
+    x, y = rng.sample(["p", "q", "r", "s"], 3), rng.sample(["x", "y"], 2)
+
+    def labels(a):
+        return {"labels": a}
+
+    def rel(src, tgt):
+        return {"source": labels(src), "target": labels(tgt),
+                "pairs": [[a, b] for a in src for b in tgt if rng.random() < 0.5]}
+
+    def vrel(src, tgt):
+        return {"source": labels(src), "target": labels(tgt),
+                "values": [[a, b, rng.choice("12")] for a in src for b in tgt
+                           if rng.random() < 0.7]}
+
+    return {
+        "A": labels(x),
+        "X": {"atoms": [{"label": lab, "dim": rng.randint(1, 3)} for lab in y]},
+        "R": rel(y, x), "S": rel(x, y), "T": rel(x, x),
+        "V": vrel(y, x), "W": vrel(x, y), "Z": vrel(x, x),
+    }
+
+
 PRINT_COMMANDS = {
     "compose-join": ["compute", "--instance", "qrel", "a ∘ b ∨ c"],
     "trace": ["compute", "--instance", "qrel", "trace(e)"],
@@ -672,6 +715,15 @@ PRINT_COMMANDS = {
     "star": ["compute", "--instance", "qrel", "star(s)"],
     "neg": ["neg", "--instance", "qrel", "f"],
     "kernel": ["kernel", "k"],
+    "power-rel": ["power", "--instance", "rel", "A"],
+    "power-vrel": ["power", "--instance", "vrel", "--quantale", "chain3", "A"],
+    "power-qrel": ["power", "--instance", "qrel", "X"],
+    "embed-vrel": ["embed", "--instance", "vrel", "--quantale", "chain3", "S"],
+    "embed-qrel": ["embed", "--instance", "qrel", "S"],
+    "neg-rel": ["neg", "--instance", "rel", "S"],
+    "compute-rel": ["compute", "--instance", "rel", "R ∘ S ∨ T"],
+    "compute-vrel": ["compute", "--instance", "vrel", "--quantale", "chain3",
+                     "(V ∘ W ∨ Z) ⊗ W"],
 }
 
 # sha256 of stdout per command and seed (0-2).
@@ -697,11 +749,35 @@ PRINT_SHA256 = {
     "star-2": "ab9c0f3856f9fbd92b85a4dfea73b3e7e64a1742cc7164710a660a00d7609dec",
     "neg-2": "40c7a3f6e1e4b133f93703217517a37682ba256445768390148a24f17909208e",
     "kernel-2": "bd88bdf586c8dd38545bde8cd606dc9a527fbdc6c9b1dd8758a60d7e3e197978",
+    "power-rel-0": "24aef4bfda105471c69386b05b41e7248ee2a60746d2712fb2a5f2e4bc7524d9",
+    "power-vrel-0": "66f9497bf85ebe0c2ba31f80f7442c36d972209604174b896b2fc4457b15c1c0",
+    "power-qrel-0": "4c8ec1406feebd442acd7b626ee3f06c8e4162fa86044e49b067630578d7f7d2",
+    "embed-vrel-0": "4ba2eda49e46bae1d56c8780b012befe88f8edcc618a5cfafb3d78c8757780b3",
+    "embed-qrel-0": "20c6d5790747cd55696f2d1a52db434ac617da2bf3c08ccc89748724cd1e688f",
+    "neg-rel-0": "1ee1ec933c6b9ec6df9ce32575ea2bae6c5c339d1914a45c3d1d2dbaebbdad70",
+    "compute-rel-0": "b28d4d49dc9bed158d7bc29d4059db8833c09149d4891d09550d2a78df102a02",
+    "compute-vrel-0": "863a6ee7f72ada1b283353aefa6994a68f6d773dd1f2058ab2579646981a989c",
+    "power-rel-1": "f9cf5428a327dcd7b09151b4d373fdbf946917752763b801728fd2633ed8a365",
+    "power-vrel-1": "0c5083042ca459f4be6191404a1ba95c335dfac2cc8c524193c76d73f135a0f5",
+    "power-qrel-1": "41c7a66fa39365e6e58545c99e24324efd55cdb774a472fe6e36d699dae800c7",
+    "embed-vrel-1": "3756d80d07d1d3b9068cd781092abb2e7decba4c91c5f9d7d1a8f7ac7b69606e",
+    "embed-qrel-1": "508f5a1d566ed406612dc7721b8d35c160fe32c6354628239e72577c0604f7a4",
+    "neg-rel-1": "ecf056ff36f2c62ee308901a44311a3d18629070677aa46c5454b2806a1b1092",
+    "compute-rel-1": "0089a75a4bc2e3fe5ad45110181845745706b4cde63507931d28a47733f4dccb",
+    "compute-vrel-1": "ccc4ba01389d898ac0785f490eeaf1760339f5d3b6669a63681c9429c8a90a34",
+    "power-rel-2": "7d7e7bf5368f2bf6fb729ecd210cc92279714291eadc489edb84a166defeb005",
+    "power-vrel-2": "f55605aa294d3693870934e72521c23f4d540976561ab7b2f84cf6724d9e5642",
+    "power-qrel-2": "015b88d26394692f53c09e8d54d268d6ee65ee3c64e6ca7f810b4d823aebde88",
+    "embed-vrel-2": "7540735d74a64fbedbdb85e4377d7b3ae0ad74f354e050389241c39d60262d60",
+    "embed-qrel-2": "0479d8c9693989275e953ad4a7f346a7fb24709918b28f82e97c80e4e3eff52e",
+    "neg-rel-2": "bf1dc412c41b737df133e1a9f1889b2c799e17a79a5aecce79f8bfef0f25e365",
+    "compute-rel-2": "f0b9f7471836ab7ad5c4a6c3054294d035020e4f921147b86d24bf86e5dbc5e3",
+    "compute-vrel-2": "3fb05c5ad635240be262f52d7e6984f501900a8023cf68ebb42c3ebf3f524e92",
 }
 
 
 def _print_argv(case, seed):
-    docs = _qrel_docs(seed)
+    docs = _qrel_docs(seed) | _classical_docs(seed)
     argv = PRINT_COMMANDS[case]
     if argv[0] == "compute":
         loads = []

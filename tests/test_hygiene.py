@@ -1,6 +1,9 @@
 """Every module of the package uses each name it imports, and every private
 module-level function or class is used somewhere in the package.
 
+All output text is written by `serialize.dumps`: no other module of the
+package calls `json.dump` or `json.dumps`.
+
 `__init__.py` is exempt: importing names to re-export them is its job.
 
 The benchmark's tracer (`bench/tracing.py`) patches qlab functions by
@@ -85,6 +88,38 @@ def test_scan_sees_orphaned_private_defs():
 def test_no_orphaned_private_defs():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert [d for d in orphaned_private_defs(sources) if not d.startswith("__init__.py:")] == []
+
+
+def json_writers(source: str) -> list[str]:
+    """The calls of json.dump or json.dumps, through the module or an alias of
+    it, and the imports of either name from json."""
+    tree = ast.parse(source)
+    modules = {"json"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "json"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            out += [f"{node.lineno}: from json import {a.name}"
+                    for a in node.names if a.name in ("dump", "dumps")]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("dump", "dumps")
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            out.append(f"{node.lineno}: {node.func.value.id}.{node.func.attr}")
+    return out
+
+
+def test_scan_sees_json_writers():
+    src = ("import json\nimport json as j\nfrom json import dumps as d, loads\n"
+           "json.dumps(1, indent=2)\nj.dump(1, f)\njson.loads('1')\nother.dumps(1)\n")
+    assert json_writers(src) == ["3: from json import dumps", "4: json.dumps", "5: j.dump"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"],
+                         ids=lambda p: p.name)
+def test_only_serialize_writes_json(path):
+    assert json_writers(path.read_text()) == []
 
 
 def load_tracing():

@@ -39,6 +39,51 @@ def test_lukasiewicz_facts():
     assert L3.meet("1/2", "1") == "1/2"
 
 
+# The chain 0 < m < 1 with unit m (not integral), and the four-element Boolean
+# algebra with mul = meet, whose meets are not read off a chain.
+_C3 = ("0", "m", "1")
+C3_NON_INTEGRAL = quantale_from_tables(
+    _C3,
+    {(a, b): "0" if "0" in (a, b) else b if a == "m" else a if b == "m" else "1"
+     for a in _C3 for b in _C3},
+    "m",
+    join={(a, b): max(a, b, key=_C3.index) for a in _C3 for b in _C3},
+)
+_SUBSETS = ("", "a", "b", "ab")
+DIAMOND = quantale_from_tables(
+    _SUBSETS,
+    {(x, y): "".join(c for c in "ab" if c in x and c in y) for x in _SUBSETS for y in _SUBSETS},
+    "ab",
+    join={(x, y): "".join(c for c in "ab" if c in x + y) for x in _SUBSETS for y in _SUBSETS},
+)
+MEET_QUANTALES = {**BUILTIN_QUANTALES, "c3-non-integral": C3_NON_INTEGRAL, "diamond": DIAMOND}
+
+
+def reference_meet(q, a, b):
+    """The join of every common lower bound, straight from the definition."""
+    return q.sup([x for x in q.elements if q.leq(x, a) and q.leq(x, b)])
+
+
+@pytest.mark.parametrize("name", list(MEET_QUANTALES))
+def test_meet_table_is_the_join_of_common_lower_bounds(name):
+    q = MEET_QUANTALES[name]
+    assert validate_quantale(q).ok
+    for a in q.elements:
+        for b in q.elements:
+            assert q.meet(a, b) == reference_meet(q, a, b), (a, b)
+            assert q.leq(q.meet(a, b), a) and q.leq(q.meet(a, b), b)
+
+
+@pytest.mark.parametrize("name", list(MEET_QUANTALES))
+def test_validation_frame_flag_follows_the_meet_definition(name):
+    q = MEET_QUANTALES[name]
+    flags = validate_quantale(q).flags
+    assert flags["frame"] == all(
+        q.mul(a, b) == reference_meet(q, a, b) for a in q.elements for b in q.elements
+    )
+    assert flags["frame"] == (name in ("bool", "chain3", "chain4", "diamond"))
+
+
 def test_frame_flags():
     for name in ("bool", "chain3", "chain4"):
         assert BUILTIN_QUANTALES[name].is_frame(), name

@@ -184,3 +184,52 @@ def test_qrelation_json_matches_the_rational_rendering(doc):
     out = qrelation_to_json(f)
     assert [blk["basis"] for blk in out["blocks"]] == [reference_basis_json(v) for _, v in f.blocks]
     assert qrelation_from_json(QREL, out) == f
+
+
+# -- the output writer ---------------------------------------------------------------
+#
+# dumps writes every command's output.  Its oracle is the stdlib encoder it
+# replaces, on documents of the value types qlab emits.
+
+_json_text = st.one_of(
+    st.text(),
+    # quotes, backslashes, control characters, non-ASCII, astral and lone surrogates
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té∂\U0001d11e\ud800 ab')),
+)
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), _json_text,
+    st.integers(), st.integers(-10**60, 10**60),
+)
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_json_text, max_size=5),
+        st.dictionaries(_json_text, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_documents)
+def test_dumps_writes_the_bytes_of_the_stdlib_encoder(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    "", "é\x00\"\\", 0, -(10**80), True, False, None, [], {}, [[]], {"": {}},
+    [[["1", "0"], ["-2/3 i", "0"]]], {"b": [1, "x", None], "a": [True, []]},
+])
+def test_dumps_matches_the_stdlib_encoder_on_edge_documents(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, [0.0], ["a", 1.5], {"a": {"b": float("nan")}},
+    {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {True: 1},
+    ("a",), {"a": ("b",)}, {"a"}, b"a",
+])
+def test_dumps_rejects_values_qlab_never_emits(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
