@@ -543,8 +543,8 @@ def suite_vrel_oracle(ctx: Context) -> list:
     b = fset("x", "y")
     rels_ab = list(all_vrelations(q, a, b))
     rels_ba = list(all_vrelations(q, b, a))
-    # Each sampled relation is quoted once.  The keys are ids, since hashing a
-    # VRelation costs half a quote; rels_ab and rels_ba keep every key alive.
+    # Each sampled relation is quoted once.  The keys are ids, which skips
+    # hashing each relation; rels_ab and rels_ba keep every key alive.
     quoted = {}
 
     def quote(r):

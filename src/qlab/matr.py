@@ -13,32 +13,36 @@ compose_blocks, identity, dagger, sup, leq, meet, bottom, top, is_bottom,
 size, tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.
 `compose_blocks(g, f)` returns the non-bottom blocks of a whole composite
 in position order: the quantale base folds each output block straight from
-its join and multiplication tables, the operator-subspace base groups the
-pairs (g_bc, f_ab) per output block and spans their products.  Base
-objects are hashable, base morphisms have a canonical equality, and sup,
-bottom and top take explicit source and target objects since base morphisms
-need not know their own type.  The rest of the structure is the same in every
-dagger compact quantaloid built here, so `MatrInstance` derives it: the
+the rows of its quantale's join and multiplication tables
+(`FiniteQuantale.join_rows` and `mul_rows`), which its sup, leq and
+tensor_mor read too; the operator-subspace base groups the pairs
+(g_bc, f_ab) per output block and spans their products.  Base objects are
+hashable, base morphisms have a canonical equality, and sup, bottom and top
+take explicit source and target objects since base morphisms need not know
+their own type.  The rest of the structure is the same in every dagger
+compact quantaloid built here, so `MatrInstance` derives it: the
 associators and unitors have base identities as cells, every object is its
 own dual, and epsilon is the dagger of eta.
 
 Every morphism keeps its non-bottom blocks sorted by position, rank(a)
 |target| + rank(b), so equality is a comparison of block tuples.  `mor` is
 the validating constructor for callers: it checks each key and drops bottom
-blocks.  compose, dagger, sup, meet2 and tensor_mor skip it: they take their
-keys from morphisms already built and write their blocks straight in
-position order (dagger and sup cannot produce bottom; compose, meet2 and
-tensor_mor drop it, since a product or meet of non-bottom values can be
-bottom, as 1/2 (x) 1/2 = 0 in lukasiewicz3).
+blocks.  compose, dagger, sup, meet2, tensor_mor and `HomSet.__getitem__`
+skip it: they take their keys from morphisms or homsets already built and
+write their blocks straight in position order (dagger and sup cannot
+produce bottom; compose, meet2 and tensor_mor drop it, since a product or
+meet of non-bottom values can be bottom, as 1/2 (x) 1/2 = 0 in
+lukasiewicz3; a homset marks its bottom choices once).
 
 Results are kept per instance, never process-wide: a `MatrInstance` builds
 each structure morphism and object once per argument objects, and an
 `FdOSBase` computes each block product `_compose_sum(pairs, src, tgt)`, each
 adjoint `dagger(m)` and each structure cell once per arguments (one
-elimination each), all through `_built_once`.  QuantaleBase keeps nothing:
-its products are table lookups.  A memo lives exactly as long as its
-instance: one law suite (`lawcheck.make_context` builds a fresh instance per
-suite), one CLI command, or the process for the `qrel.instance()` singleton.
+elimination each), all through `_built_once`.  QuantaleBase keeps nothing
+of its own but its bottom: its operations are lookups in the rows its
+quantale builds once.  A memo lives exactly as long as its instance: one
+law suite (`lawcheck.make_context` builds a fresh instance per suite), one
+CLI command, or the process for the `qrel.instance()` singleton.
 
 Quoting also lives here: a finite set becomes a biproduct of copies of the
 tensor unit, and a boolean relation a matrix of identity cells, in any of
@@ -103,14 +107,6 @@ class QuantaleBase:
     def _bottom(self):
         return self.quantale.bottom
 
-    @cached_property
-    def _rows(self):
-        """The multiplication and join tables by rows, n -> {m: n m} and
-        x -> {y: x v y}, so a fold looks up no pair."""
-        q = self.quantale
-        return ({n: {m: q.mul_table[n, m] for m in q.elements} for n in q.elements},
-                {x: {y: q.join_table[x, y] for y in q.elements} for x in q.elements})
-
     def __eq__(self, other):
         return isinstance(other, QuantaleBase) and self.quantale == other.quantale
 
@@ -121,7 +117,8 @@ class QuantaleBase:
         """The blocks of g o f in position order.  The block at position
         rank(a) |target| + rank(c) is the join, from bottom, of the table
         products g_bc f_ab over b; blocks equal to bottom are dropped."""
-        mul, join = self._rows
+        q = self.quantale
+        mul, join = q.mul_rows, q.join_rows
         bottom = self._bottom
         tgt_index = g.target.index
         width = len(tgt_index)
@@ -156,10 +153,14 @@ class QuantaleBase:
         return m
 
     def sup(self, ms, src, tgt):
-        return self.quantale.sup(ms)
+        join = self.quantale.join_rows
+        acc = self._bottom
+        for m in ms:
+            acc = join[acc][m]
+        return acc
 
     def leq(self, m1, m2):
-        return self.quantale.leq(m1, m2)
+        return self.quantale.join_rows[m1][m2] == m2
 
     def meet(self, m1, m2):
         return self.quantale.meet(m1, m2)
@@ -184,7 +185,7 @@ class QuantaleBase:
         return "*"
 
     def tensor_mor(self, m, n):
-        return self.quantale.mul(m, n)
+        return self.quantale.mul_rows[m][n]
 
     def unit_obj(self):
         return "*"
@@ -637,7 +638,10 @@ class HomSet(Sequence):
 
     Morphism i has, at block k, choice number d_k of that block, where the
     d_k are the digits of i in mixed radix with the last block fastest: the
-    order of itertools.product over the per-block choices.
+    order of itertools.product over the per-block choices.  It is the
+    morphism `inst.mor(src, tgt, dict(zip(keys, choices)))` would build, put
+    together by position instead: each block's choices are checked against
+    bottom once per homset, and the blocks are visited in position order.
     """
 
     def __init__(self, inst: MatrInstance, src: MatrObject, tgt: MatrObject,
@@ -648,6 +652,23 @@ class HomSet(Sequence):
         self.keys = keys
         self.choices = choices
         self.size = math.prod(len(c) for c in choices)
+        # Per block, in position order: its digit's stride (the product of
+        # the radices after it), its radix, and for each choice the block it
+        # gives, or None for bottom.
+        src_index, tgt_index = src.index, tgt.index
+        width = len(tgt_index)
+        is_bottom = inst.base.is_bottom
+        cells = []
+        stride = 1
+        for (a, b), choice in reversed(list(zip(keys, choices))):
+            ra, oa = src_index[a]
+            rb, ob = tgt_index[b]
+            cells.append((ra * width + rb, stride, len(choice), [
+                None if is_bottom(m, oa, ob) else ((a, b), m) for m in choice
+            ]))
+            stride *= len(choice)
+        cells.sort()
+        self._by_position = [cell[1:] for cell in cells]
 
     def __len__(self) -> int:
         return self.size
@@ -658,12 +679,10 @@ class HomSet(Sequence):
             i += self.size
         if not 0 <= i < self.size:
             raise IndexError("homset index out of range")
-        picks = []
-        for choice in reversed(self.choices):
-            i, d = divmod(i, len(choice))
-            picks.append(choice[d])
-        blocks = dict(zip(self.keys, reversed(picks)))
-        return self.inst.mor(self.src, self.tgt, blocks)
+        return MatrMorphism(self.src, self.tgt, tuple([
+            block for stride, n, blocks in self._by_position
+            if (block := blocks[i // stride % n]) is not None
+        ]))
 
 
 # -- the three concrete instances -----------------------------------------------

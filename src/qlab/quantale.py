@@ -5,12 +5,24 @@ distributivity law and reports the first violation with a witness.
 VRelation is a direct entrywise implementation of V-valued relations used
 both on its own and as the oracle for the generic matrix-completion
 instance built over the same quantale.
+
+Every operation reads the tables, with no call per cell:
+  * `FiniteQuantale.leq` and `sup` read `join_table`; `mul_rows` and
+    `join_rows` are the two tables by rows, n -> {m: n m} and
+    x -> {y: x v y}, built once per quantale on first read.  They are shared
+    by VRelation and by the matrix instance's `QuantaleBase`.
+  * `VRelation.compose` folds each cell from bottom over `join_rows` and
+    `mul_rows`; `join` and `leq` read `join_rows`, `times` reads `mul_rows`.
+    Their results, and those of `dagger` and `all_vrelations`, hold every cell
+    in label order already, so they skip the validating constructor.  The
+    hash is computed once, on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from .finrel import BoolRelation, FiniteSet, product_set
@@ -46,13 +58,28 @@ class FiniteQuantale:
         return self.mul_table[(a, b)]
 
     def leq(self, a: Label, b: Label) -> bool:
-        return self.join(a, b) == b
+        return self.join_table[(a, b)] == b
 
     def sup(self, items: Sequence[Label]) -> Label:
+        join = self.join_table
         acc = self.bottom
         for x in items:
-            acc = self.join(acc, x)
+            acc = join[(acc, x)]
         return acc
+
+    # The tables by rows, built on first read like bottom and top: a fold
+    # takes the row of its left operand once and then looks up no pair.
+    @cached_property
+    def mul_rows(self) -> dict[Label, dict[Label, Label]]:
+        """n -> {m: n m}."""
+        es, mul = self.elements, self.mul_table
+        return {n: {m: mul[(n, m)] for m in es} for n in es}
+
+    @cached_property
+    def join_rows(self) -> dict[Label, dict[Label, Label]]:
+        """x -> {y: x v y}."""
+        es, join = self.elements, self.join_table
+        return {x: {y: join[(x, y)] for y in es} for x in es}
 
     # bottom and top are found on first read, not in __post_init__, so that
     # validate_quantale can still report a join table that is not total.
@@ -241,17 +268,40 @@ class VRelation:
     values: Mapping[tuple[Label, Label], Label]
 
     def __post_init__(self) -> None:
+        q = self.quantale
+        bottom, elements = q.bottom, q.elements
+        given = self.values
+        targets = self.target.labels
         vals = {}
-        for x in self.source:
-            for y in self.target:
-                v = self.values.get((x, y), self.quantale.bottom)
-                if v not in self.quantale.elements:
+        for x in self.source.labels:
+            for y in targets:
+                v = given.get((x, y), bottom)
+                if v not in elements:
                     raise QuantaleError(f"value {v!r} not in quantale")
                 vals[(x, y)] = v
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _built(cls, q: FiniteQuantale, source: FiniteSet, target: FiniteSet,
+               values: dict) -> "VRelation":
+        """The relation with these values, which must hold every cell of
+        source x target in label order, each an element of q: what the
+        operations below produce, so they skip __post_init__."""
+        r = object.__new__(cls)
+        d = r.__dict__
+        d["quantale"] = q
+        d["source"] = source
+        d["target"] = target
+        d["values"] = values
+        return r
+
     def __hash__(self) -> int:
-        return hash((self.source, self.target, tuple(sorted(self.values.items(), key=repr))))
+        # Frozen, so the hash is computed once, on first use.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.source, self.target, frozenset(self.values.items())))
+        return h
 
     def at(self, x: Label, y: Label) -> Label:
         return self.values[(x, y)]
@@ -269,34 +319,49 @@ class VRelation:
         return VRelation(q, x, y, {(a, b): q.top for a in x for b in y})
 
     def compose(self, other: "VRelation") -> "VRelation":
-        """self after other."""
+        """self after other: (x, z) |-> sup over y of other(x, y) self(y, z),
+        folded from bottom over the rows of the join and mul tables."""
         if other.target != self.source or other.quantale != self.quantale:
             raise QuantaleError("composition mismatch")
         q = self.quantale
-        vals = {
-            (x, z): q.sup([q.mul(other.at(x, y), self.at(y, z)) for y in other.target])
-            for x in other.source
-            for z in self.target
-        }
-        return VRelation(q, other.source, self.target, vals)
+        mul, join, bottom = q.mul_rows, q.join_rows, q.bottom
+        first, then = other.values, self.values
+        mid, targets = self.source.labels, self.target.labels
+        vals = {}
+        for x in other.source.labels:
+            # (y, the row of other(x, y) in mul) for each y
+            rows = [(y, mul[first[(x, y)]]) for y in mid]
+            for z in targets:
+                acc = bottom
+                for y, row in rows:
+                    acc = join[acc][row[then[(y, z)]]]
+                vals[(x, z)] = acc
+        return VRelation._built(q, other.source, self.target, vals)
 
     def dagger(self) -> "VRelation":
-        return VRelation(
+        vals = self.values
+        sources = self.source.labels
+        return VRelation._built(
             self.quantale, self.target, self.source,
-            {(y, x): v for (x, y), v in self.values.items()},
+            {(y, x): vals[(x, y)] for y in self.target.labels for x in sources},
         )
 
     def join(self, other: "VRelation") -> "VRelation":
         self._check_parallel(other)
-        q = self.quantale
-        return VRelation(
-            q, self.source, self.target,
-            {k: q.join(v, other.values[k]) for k, v in self.values.items()},
+        join, theirs = self.quantale.join_rows, other.values
+        return VRelation._built(
+            self.quantale, self.source, self.target,
+            {k: join[v][theirs[k]] for k, v in self.values.items()},
         )
 
     def leq(self, other: "VRelation") -> bool:
         self._check_parallel(other)
-        return all(self.quantale.leq(v, other.values[k]) for k, v in self.values.items())
+        join, theirs = self.quantale.join_rows, other.values
+        for k, v in self.values.items():
+            w = theirs[k]
+            if join[v][w] != w:
+                return False
+        return True
 
     def _check_parallel(self, other: "VRelation") -> None:
         if self.source != other.source or self.target != other.target:
@@ -304,20 +369,21 @@ class VRelation:
 
     def times(self, other: "VRelation") -> "VRelation":
         q = self.quantale
+        mul, mine, theirs = q.mul_rows, self.values, other.values
         src = product_set(self.source, other.source)
         tgt = product_set(self.target, other.target)
-        vals = {
-            ((x1, x2), (y1, y2)): q.mul(self.at(x1, y1), other.at(x2, y2))
-            for (x1, y1) in self.values
-            for (x2, y2) in other.values
-        }
-        return VRelation(q, src, tgt, vals)
+        tgt_pairs = tgt.labels
+        vals = {}
+        for x1, x2 in src.labels:
+            for y1, y2 in tgt_pairs:
+                vals[((x1, x2), (y1, y2))] = mul[mine[(x1, y1)]][theirs[(x2, y2)]]
+        return VRelation._built(q, src, tgt, vals)
 
 
 def all_vrelations(q: FiniteQuantale, a: FiniteSet, b: FiniteSet) -> Iterator[VRelation]:
     cells = list(itertools.product(a.labels, b.labels))
     for vals in itertools.product(q.elements, repeat=len(cells)):
-        yield VRelation(q, a, b, dict(zip(cells, vals)))
+        yield VRelation._built(q, a, b, dict(zip(cells, vals)))
 
 
 def circ_embed(q: FiniteQuantale, r: BoolRelation) -> VRelation:

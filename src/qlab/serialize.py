@@ -4,6 +4,7 @@ Formats:
   finite set      {"labels": [...]}
   relation        {"source": set, "target": set, "pairs": [[a, b], ...]}
   valued relation {"source": set, "target": set, "values": [[a, b, v], ...]}
+                  each entry a list of exactly two or three items
   quantale        {"elements": [...], "mul": [[...]], "unit": v,
                    "join": [[...]]} or "leq" as a 0/1 matrix, row-major
   quantum set     {"atoms": [{"label": ..., "dim": n}, ...]}
@@ -76,12 +77,26 @@ def relation_to_json(r: BoolRelation) -> dict:
     }
 
 
+def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list:
+    """doc[key], checked to be a list of lists of len(fields) items each: a
+    string entry must not be unpacked as its characters."""
+    shape = "[" + ", ".join(fields) + "]"
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise SerializeError(f"'{key}' must be a list of {shape} lists")
+    for e in entries:
+        if not isinstance(e, list) or len(e) != len(fields):
+            raise SerializeError(f"entry {e!r} of '{key}' is not a {shape} list")
+    return entries
+
+
 def relation_from_json(doc: dict) -> BoolRelation:
     try:
         src = set_from_json(doc["source"])
         tgt = set_from_json(doc["target"])
         pairs = frozenset(
-            (_label_from_json(a), _label_from_json(b)) for a, b in doc["pairs"]
+            (_label_from_json(a), _label_from_json(b))
+            for a, b in _entries(doc, "pairs", ("source", "target"))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"malformed relation: {exc}") from exc
@@ -140,10 +155,11 @@ def _table_from_json(elems: list, rows: list, what: str) -> dict:
 
 def vrelation_to_json(r: VRelation) -> dict:
     vals = []
+    bottom = r.quantale.bottom
     for a in r.source.labels:
         for b in r.target.labels:
             v = r.at(a, b)
-            if v != r.quantale.bottom:
+            if v != bottom:
                 vals.append([_label_to_json(a), _label_to_json(b), _label_to_json(v)])
     return {
         "source": set_to_json(r.source),
@@ -158,7 +174,7 @@ def vrelation_from_json(q: FiniteQuantale, doc: dict) -> VRelation:
         tgt = set_from_json(doc["target"])
         values = {
             (_label_from_json(a), _label_from_json(b)): _label_from_json(v)
-            for a, b, v in doc["values"]
+            for a, b, v in _entries(doc, "values", ("source", "target", "value"))
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializeError(f"malformed valued relation: {exc}") from exc

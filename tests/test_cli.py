@@ -503,10 +503,37 @@ def test_power_needs_a_labels_list(instance, labels):
     assert proc.stderr == "error: a set needs a 'labels' list\n"
 
 
-# -- malformed quantum relations ----------------------------------------------------
+@pytest.mark.parametrize("argv, message", [
+    (["neg", "--instance", "rel",
+      '{"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "pairs": ["ab"]}'],
+     "error: malformed relation: entry 'ab' of 'pairs' is not a [source, target] list\n"),
+    (["compute", "--instance", "vrel", "--quantale", "chain3", "--load",
+      'f={"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "values": ["ab2"]}',
+      "dagger(f)"],
+     "error: malformed valued relation: entry 'ab2' of 'values' is not a "
+     "[source, target, value] list\n"),
+    (["neg", "--instance", "rel",
+      '{"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "pairs": {"ab": 1}}'],
+     "error: malformed relation: 'pairs' must be a list of [source, target] lists\n"),
+    (["compute", "--instance", "vrel", "--quantale", "chain3", "--load",
+      'f={"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "values": [["a", "b"]]}',
+      "dagger(f)"],
+     "error: malformed valued relation: entry ['a', 'b'] of 'values' is not a "
+     "[source, target, value] list\n"),
+], ids=["rel-string-pair", "vrel-string-value", "rel-pairs-dict", "vrel-short-value"])
+def test_relation_entries_must_be_lists_of_their_length(argv, message):
+    # A string is iterable: "ab" must not be read as the pair (a, b).
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == message
+
+
+# -- malformed relations ----------------------------------------------------------
 #
-# Every malformed qRel document must exit 2 with one line on stderr, and every
-# well-formed one exit 0 with nothing there; an uncaught exception fails the test.
+# Every malformed relation, valued relation or qRel document must exit 2 with
+# one line on stderr, and every well-formed one exit 0 with nothing there; an
+# uncaught exception fails the test.
 
 FUZZ_BASE = {
     "source": {"atoms": [{"label": "u", "dim": 2}, {"label": ["v", 1], "dim": 1}]},
@@ -516,17 +543,45 @@ FUZZ_BASE = {
         {"from": ["v", 1], "to": "w", "basis": [[["1+i"], ["-2/3 i"]]]},
     ],
 }
+REL_FUZZ_BASE = {
+    "source": {"labels": ["a", ["b", 1]]},
+    "target": {"labels": ["x", "y"]},
+    "pairs": [["a", "x"], [["b", 1], "y"]],
+}
+VREL_FUZZ_BASE = {
+    "source": {"labels": ["a", ["b", 1]]},
+    "target": {"labels": ["x", "y"]},
+    "values": [["a", "x", "1"], [["b", 1], "y", "2"]],
+}
 
 _fuzz_scalars = st.sampled_from(["0", "1", "-i", "1/2", "2-i", "1/0", "", "x", "1/2i"])
-_fuzz_json = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4, allow_nan=False)
-    | _fuzz_scalars | st.text("uvw01/+-i ", max_size=5),
-    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
-        st.sampled_from(["atoms", "label", "dim", "from", "to", "basis", "x"]), kids, max_size=3),
-    max_leaves=8,
-)
-# Matrices of scalar strings of any small shape, ragged ones included.
-_fuzz_matrix = st.lists(st.lists(_fuzz_scalars, max_size=3), max_size=3)
+
+
+def _fuzz_json(keys):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4, allow_nan=False)
+        | _fuzz_scalars | st.text("uvw01/+-i ", max_size=5),
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+            st.sampled_from(keys), kids, max_size=3),
+        max_leaves=8,
+    )
+
+
+_fuzz_labels = st.sampled_from(["a", "b", "x", "y", "0", "1", "2", "ab", "ax2"]) | st.integers(0, 2)
+# Entries and entry lists of any small length, strings included.
+_fuzz_entries = (st.lists(_fuzz_labels, max_size=4)
+                 | st.lists(st.lists(_fuzz_labels, max_size=4), max_size=3) | _fuzz_labels)
+# Per format: its base document, any JSON, and values of the format's own
+# shape, right or not.
+_FUZZ_FORMATS = {
+    "qrel": (FUZZ_BASE, _fuzz_json(["atoms", "label", "dim", "from", "to", "basis", "x"]),
+             # Matrices of scalar strings of any small shape, ragged ones included.
+             st.lists(st.lists(_fuzz_scalars, max_size=3), max_size=3)),
+    "rel": (REL_FUZZ_BASE, _fuzz_json(["labels", "source", "target", "pairs", "x"]),
+            _fuzz_entries),
+    "vrel": (VREL_FUZZ_BASE, _fuzz_json(["labels", "source", "target", "values", "x"]),
+             _fuzz_entries),
+}
 
 
 def _fuzz_paths(node, path=()):
@@ -536,11 +591,10 @@ def _fuzz_paths(node, path=()):
         yield from _fuzz_paths(child, path + (key,))
 
 
-@pytest.mark.parametrize("command", ["compute", "neg", "kernel"])
-@settings(max_examples=120, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_malformed_qrel_input_exits_2_with_one_line(command, data):
-    doc = copy.deepcopy(FUZZ_BASE)
+def _fuzz_document(kind, data):
+    """The format's base document with one or two parts replaced or deleted."""
+    base, any_json, shaped = _FUZZ_FORMATS[kind]
+    doc = copy.deepcopy(base)
     for _ in range(data.draw(st.integers(1, 2))):
         path = data.draw(st.sampled_from(list(_fuzz_paths(doc)) or [None]))
         if path is None:
@@ -548,17 +602,15 @@ def test_malformed_qrel_input_exits_2_with_one_line(command, data):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        action = data.draw(st.sampled_from(["json", "matrix", "delete"]))
+        action = data.draw(st.sampled_from(["json", "shaped", "delete"]))
         if action == "delete":
             del parent[path[-1]]
         else:
-            parent[path[-1]] = data.draw(_fuzz_json if action == "json" else _fuzz_matrix)
-    text = json.dumps(doc)
-    argv = {
-        "compute": ["compute", "--instance", "qrel", "--load", f"f={text}", "dagger(f)"],
-        "neg": ["neg", "--instance", "qrel", text],
-        "kernel": ["kernel", text],
-    }[command]
+            parent[path[-1]] = data.draw(any_json if action == "json" else shaped)
+    return json.dumps(doc)
+
+
+def _assert_json_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -569,6 +621,33 @@ def test_malformed_qrel_input_exits_2_with_one_line(command, data):
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["compute", "neg", "kernel"])
+@settings(max_examples=120, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_qrel_input_exits_2_with_one_line(command, data):
+    text = _fuzz_document("qrel", data)
+    _assert_json_or_one_error_line({
+        "compute": ["compute", "--instance", "qrel", "--load", f"f={text}", "dagger(f)"],
+        "neg": ["neg", "--instance", "qrel", text],
+        "kernel": ["kernel", text],
+    }[command])
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("rel", "compute"), ("rel", "neg"), ("vrel", "compute"),
+])
+@settings(max_examples=120, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_classical_input_exits_2_with_one_line(kind, command, data):
+    text = _fuzz_document(kind, data)
+    _assert_json_or_one_error_line({
+        ("rel", "compute"): ["compute", "--instance", "rel", "--load", f"f={text}", "dagger(f)"],
+        ("rel", "neg"): ["neg", "--instance", "rel", text],
+        ("vrel", "compute"): ["compute", "--instance", "vrel", "--quantale", "chain3",
+                              "--load", f"f={text}", "dagger(f)"],
+    }[kind, command])
 
 
 # sha256 of `qlab check --format json` per instance and seed: qrel at seeds 0-3

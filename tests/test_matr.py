@@ -160,6 +160,34 @@ def test_lazy_homset_matches_eager_enumeration(kind, quantale):
             lazy[len(eager)]
 
 
+def _mixed_radix_digits(i, radices):
+    """The digits of i, last position fastest."""
+    digits = []
+    for n in reversed(radices):
+        i, d = divmod(i, n)
+        digits.append(d)
+    return digits[::-1]
+
+
+@pytest.mark.parametrize("inst", [
+    rel_instance(), vrel_instance(chain_min_quantale(3)), vrel_instance(L3),
+], ids=["rel", "vrel-chain3", "vrel-lukasiewicz3"])
+def test_homset_builds_by_position_what_mor_builds(inst):
+    # Label orders unlike the repr order, so position order is not key order.
+    unit = inst.base.unit_obj()
+    objs = [inst.obj([(lab, unit) for lab in labels])
+            for labels in [("b", "a"), (2, ("a", 1), "b"), ("*",)]]
+    for x, y in itertools.product(objs, repeat=2):
+        hom = inst.enum_hom(x, y)
+        if len(hom) > 800:
+            continue
+        radices = [len(c) for c in hom.choices]
+        for i in range(len(hom)):
+            digits = _mixed_radix_digits(i, radices)
+            picks = [c[d] for c, d in zip(hom.choices, digits)]
+            assert hom[i] == inst.mor(x, y, dict(zip(hom.keys, picks))), (x, y, i)
+
+
 @CLASSICAL
 def test_homs_draws_as_sampling_the_eager_list(kind, quantale):
     # random.sample copies a population of at most 21 + 4**ceil(log4(3 * cap))

@@ -1,8 +1,12 @@
 """Finite quantales and V-valued relations, the oracle model for the valued instance."""
 
+import itertools
+import random
+
 import pytest
 
 from qlab.finrel import BoolRelation, fset
+from qlab.matr import vrel_instance
 from qlab.quantale import (
     BUILTIN_QUANTALES,
     QuantaleError,
@@ -164,3 +168,106 @@ def test_chain_quantale_structure():
     assert c4.bottom == "0"
     assert c4.mul("2", "3") == "2"
     assert c4.sup(["1", "3", "0"]) == "3"
+
+
+# -- the table-reading operations against references through join and mul ----------
+#
+# VRelation, FiniteQuantale.leq/sup and QuantaleBase read the join and mul
+# tables directly; the references below go through q.join and q.mul calls only.
+# TABLE_QUANTALES is the four builtins and the non-integral chain.
+
+TABLE_QUANTALES = {**BUILTIN_QUANTALES, "c3-non-integral": C3_NON_INTEGRAL}
+
+
+def reference_bottom(q):
+    return next(x for x in q.elements if all(q.join(x, y) == y for y in q.elements))
+
+
+def reference_sup(q, items):
+    acc = reference_bottom(q)
+    for x in items:
+        acc = q.join(acc, x)
+    return acc
+
+
+def reference_leq(q, a, b):
+    return q.join(a, b) == b
+
+
+def _sampled_vrelations(q, a, b, rng, n=12):
+    rels = list(all_vrelations(q, a, b))
+    return rels if len(rels) <= n else rng.sample(rels, n)
+
+
+@pytest.mark.parametrize("name", list(TABLE_QUANTALES))
+def test_quantale_leq_and_sup_match_the_join_calls(name):
+    q = TABLE_QUANTALES[name]
+    es = q.elements
+    assert q.bottom == reference_bottom(q)
+    for a, b in itertools.product(es, repeat=2):
+        assert q.leq(a, b) == reference_leq(q, a, b)
+    for n in range(4):
+        for items in itertools.product(es, repeat=n):
+            assert q.sup(list(items)) == reference_sup(q, items)
+
+
+@pytest.mark.parametrize("name", list(TABLE_QUANTALES))
+def test_quantale_base_reads_the_tables_like_the_quantale_calls(name):
+    q = TABLE_QUANTALES[name]
+    base = vrel_instance(q).base
+    es = q.elements
+    for a, b in itertools.product(es, repeat=2):
+        assert base.leq(a, b) == reference_leq(q, a, b)
+        assert base.tensor_mor(a, b) == q.mul(a, b)
+    for n in range(4):
+        for items in itertools.product(es, repeat=n):
+            assert base.sup(list(items), "*", "*") == reference_sup(q, items)
+
+
+@pytest.mark.parametrize("name", list(TABLE_QUANTALES))
+def test_vrelation_operations_match_the_quantale_calls(name):
+    q = TABLE_QUANTALES[name]
+    rng = random.Random(name)
+    one, a, b = fset("*"), fset("1", "0"), fset("y", "x", "z")
+    shapes = [(a, b), (b, a), (a, a), (one, a), (b, one)]
+    rels = {shape: _sampled_vrelations(q, *shape, rng) for shape in shapes}
+
+    def same(got, src, tgt, values):
+        # Equal, and in the order the validating constructor writes.
+        want = VRelation(q, src, tgt, values)
+        assert got == want and repr(got) == repr(want)
+
+    for (x, y), rs in rels.items():
+        for r in rs:
+            same(r, x, y, dict(r.values))
+            same(r.dagger(), y, x, {(v, u): r.at(u, v) for u in x for v in y})
+            for s in rels.get((y, a), []) + rels.get((y, one), []):
+                same(s.compose(r), x, s.target, {
+                    (u, w): reference_sup(q, [q.mul(r.at(u, v), s.at(v, w)) for v in y])
+                    for u in x for w in s.target})
+            for s in rs:
+                same(r.join(s), x, y, {k: q.join(r.at(*k), s.at(*k)) for k in r.values})
+                assert r.leq(s) == all(reference_leq(q, r.at(*k), s.at(*k)) for k in r.values)
+            for s in rels[(one, a)][:3]:
+                t = r.times(s)
+                same(t, t.source, t.target, {
+                    ((u1, u2), (v1, v2)): q.mul(r.at(u1, v1), s.at(u2, v2))
+                    for u1 in x for u2 in s.source for v1 in y for v2 in s.target})
+
+
+def test_vrelation_validation_fill_and_stored_hash():
+    q = BUILTIN_QUANTALES["chain3"]
+    a, b = fset("1", "0"), fset("y", "x")
+    with pytest.raises(QuantaleError, match=r"^value 'z' not in quantale$"):
+        VRelation(q, a, b, {("1", "x"): "z"})
+    r = VRelation(q, a, b, {("0", "y"): "2"})
+    assert r.values == {("1", "y"): "0", ("1", "x"): "0", ("0", "y"): "2", ("0", "x"): "0"}
+    assert list(r.values) == [("1", "y"), ("1", "x"), ("0", "y"), ("0", "x")]
+    # Built by an operation and by the constructor: equal, with equal hashes,
+    # also after the first hash has been stored.
+    s = r.dagger().dagger()
+    assert s is not r and s == r
+    assert hash(s) == hash(r) == hash(s) == hash(r)
+    assert s == r and len({r, s}) == 1
+    other = r.join(VRelation(q, a, b, {("1", "y"): "1"}))
+    assert other != r and hash(other) == hash(VRelation(q, a, b, dict(other.values)))
