@@ -8,7 +8,7 @@ tensor unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .core import is_perp
 from .finrel import FiniteSet, product_set
@@ -147,15 +147,3 @@ def omega_data(inst: MatrInstance) -> BiproductData:
     """The classical truth-value object I (+) I."""
     unit = inst.unit_obj()
     return biproduct_data(inst, [unit, unit])
-
-
-def test_from_map(inst: MatrInstance, data: BiproductData, f: Any) -> Any:
-    """Maps X -> I (+) I correspond to effects X -> I by projecting on 'true'."""
-    return inst.compose(data.projections[1], f)
-
-
-def map_from_test(
-    inst: MatrInstance, data: BiproductData, r: Any, complement: Callable[[Any], Any]
-) -> Any:
-    """The inverse correspondence: pair the complement with the effect."""
-    return tuple_into(inst, data, [complement(r), r])

@@ -92,10 +92,8 @@ def _instance(kind: str, quantale_spec: str | None):
 
 
 def _emit(args, doc, text: str | None = None) -> None:
-    if args.format == "text" and text is not None:
-        payload = text
-    else:
-        payload = serialize.dumps(doc)
+    """Write `text` if given, else `doc` as JSON, to --out or stdout."""
+    payload = serialize.dumps(doc) if text is None else text
     if args.out:
         Path(args.out).write_text(payload + "\n")
     else:
@@ -234,7 +232,7 @@ def cmd_check(args) -> int:
         samples=args.samples,
     )
     doc = lawcheck.render_json(reports)
-    _emit(args, doc, lawcheck.render_text(reports))
+    _emit(args, doc, lawcheck.render_text(reports) if args.format == "text" else None)
     return 0 if doc["ok"] else 1
 
 
@@ -343,12 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quantale", default=None,
                        help="builtin name (bool, chain3, chain4, lukasiewicz3) "
                             "or a quantale JSON file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = sub.add_parser("check", help="run law suites")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable); defaults to all")
     p.add_argument("--samples", type=int, default=60)

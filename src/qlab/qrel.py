@@ -14,7 +14,7 @@ from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .calculus import BiproductData, map_from_test, omega_data, test_from_map
+from .calculus import BiproductData, omega_data, tuple_into
 from .exact import (
     ExactMatrix,
     IntRow,
@@ -282,11 +282,12 @@ def qrel_omega() -> BiproductData:
 def effect_to_map(data: BiproductData, r: MatrMorphism) -> MatrMorphism:
     """An effect X -> I becomes the map X -> I (+) I pairing its
     orthocomplement with it."""
-    return map_from_test(_INSTANCE, data, r, orthocomplement)
+    return tuple_into(_INSTANCE, data, [orthocomplement(r), r])
 
 
 def map_to_effect(data: BiproductData, f: MatrMorphism) -> MatrMorphism:
-    return test_from_map(_INSTANCE, data, f)
+    """A map X -> I (+) I becomes an effect X -> I by projecting on 'true'."""
+    return _INSTANCE.compose(data.projections[1], f)
 
 
 # -- distinguished examples ---------------------------------------------------------

@@ -177,6 +177,10 @@ def validate_quantale(q: FiniteQuantale) -> ValidationReport:
         if not ok and not failures:
             failures.append((name, witness))
 
+    if not es:
+        return ValidationReport(False, (("no elements", ()),), {})
+    if q.unit not in es:
+        return ValidationReport(False, (("unit outside elements", (q.unit,)),), {})
     for a, b in itertools.product(es, repeat=2):
         if (a, b) not in q.join_table:
             return ValidationReport(False, (("join table not total", (a, b)),), {})

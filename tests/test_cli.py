@@ -529,6 +529,41 @@ def test_relation_entries_must_be_lists_of_their_length(argv, message):
     assert proc.stderr == message
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--instance", "vrel", "--quantale",
+      '{"elements": [], "mul": [], "join": [], "unit": "0"}'],
+     "error: invalid quantale: ('no elements', ())\n"),
+    (["compute", "--instance", "vrel", "--quantale",
+      '{"elements": ["0"], "mul": [["0"]], "join": [["0"]], "unit": "1"}', "--load",
+      'f={"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "values": []}',
+      "dagger(f)"],
+     "error: invalid quantale: ('unit outside elements', ('1',))\n"),
+], ids=["no-elements", "unit-outside"])
+def test_malformed_quantale_exits_2_with_one_line(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == message
+
+
+@pytest.mark.parametrize("option", [["--format", "text"], ["--seed", "7"]],
+                         ids=["format", "seed"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagger(f)"],
+    ["kernel", QREL_DOC],
+    ["neg", "--instance", "rel", REL_DOC],
+    ["power", "--instance", "rel", json.dumps({"labels": ["x"]})],
+    ["embed", "--instance", "qrel", REL_DOC],
+], ids=lambda argv: argv[0])
+def test_only_check_takes_seed_and_format(argv, option, capsys):
+    # These subcommands always print JSON and draw nothing, so the options
+    # would be ignored: they are refused as usage errors instead.
+    assert run_cli(argv, capsys)[0] == 0
+    code, out, err = run_cli(argv[:1] + option + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {option[0]}" in err
+
+
 # -- malformed relations ----------------------------------------------------------
 #
 # Every malformed relation, valued relation or qRel document must exit 2 with

@@ -12,6 +12,9 @@ law run under it must reach the layers it reports.
 
 A qrel law run computes each block product and each adjoint at most once per
 instance, so a change that routes around the memo of `FdOSBase` fails here.
+
+A law suite pads a law only through `law(text, pad=True)`, so one grep finds
+every padding; the single explicit `record(True)` is the `maps` suite's.
 """
 
 import ast
@@ -200,3 +203,41 @@ def test_qrel_law_run_computes_no_product_or_adjoint_twice_per_instance(monkeypa
     names = collections.Counter(key[0] for (_, key) in counts)
     assert names["subspace_product"] and names["subspace_adjoint"]
     assert [key for key, n in counts.items() if n > 1] == []
+
+
+def suite_paddings(source: str) -> tuple[list[str], list[str]]:
+    """In the bodies of the functions decorated with `@suite(...)`: the lines
+    that compare a `.checked` count, as "<function>:<line>", and the
+    `record(True, ...)` calls, as "<function>:<receiver>"."""
+    tree = ast.parse(source)
+    compares, pads = [], []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "suite"
+                for d in node.decorator_list)):
+            continue
+        for n in ast.walk(node):
+            if (isinstance(n, ast.Compare) and isinstance(n.left, ast.Attribute)
+                    and n.left.attr == "checked"):
+                compares.append(f"{node.name}:{n.lineno}")
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "record" and n.args
+                  and isinstance(n.args[0], ast.Constant) and n.args[0].value is True):
+                pads.append(f"{node.name}:{ast.unparse(n.func.value)}")
+    return compares, pads
+
+
+def test_scan_sees_suite_paddings():
+    src = ("@suite('a', ('rel',))\ndef body(ctx, law):\n    x = law('x')\n"
+           "    if x.checked == 0:\n        x.record(True)\n    x.record(True, 'w')\n"
+           "    x.record(ok)\n\ndef helper(x):\n    x.record(True)\n")
+    assert suite_paddings(src) == (["body:4"], ["body:x", "body:x"])
+
+
+def test_paddings_are_marked_where_the_suite_declares_its_laws():
+    """Every pad-if-empty padding is a `pad=True` mark, so a grep for
+    `pad=True` finds them all.  The one explicit `record(True)` left is the
+    `rigid` law of `maps`, which is padded also beside real checks."""
+    source = (PACKAGE / "lawcheck.py").read_text()
+    assert suite_paddings(source) == ([], ["suite_maps:rigid"])
+    assert source.count("orders.discrete(") == 1

@@ -216,6 +216,69 @@ def test_callable_witness_is_rendered_only_for_kept_failures():
     assert res.failures[-1] == "failure 5"
 
 
+def test_witness_parts_are_joined_by_kind():
+    from qlab.lawcheck import LawResult
+
+    a = fset("a", "b")
+    f = relation_to_matr(REL, BoolRelation(a, a, frozenset([("a", "b")])))
+    res = LawResult("demo", "a law")
+    res.record(False, f, "text", lambda: "called", ("a", 1), "'quoted'")
+    res.record(False)
+    res.record(False, lambda: "")
+    assert res.failures == [
+        f"{f!r};text;called;('a', 1);'quoted'",
+        "unnamed counterexample",
+        "unnamed counterexample",
+    ]
+
+
+def test_pad_records_one_pass_only_when_nothing_was_checked(monkeypatch):
+    from qlab import lawcheck
+
+    monkeypatch.setattr(lawcheck, "SUITES", {})
+
+    @lawcheck.suite("demo", ("rel",))
+    def demo(ctx, law):
+        empty = law("padded, never checked", pad=True)
+        failed = law("padded, one failed check", pad=True)
+        passed = law("padded, one passing check", pad=True)
+        bare = law("not padded, never checked")
+        failed.record(False, "w")
+        passed.record(True)
+        assert (empty.checked, bare.checked) == (0, 0)  # padding comes after the body
+
+    assert lawcheck.SUITES == {"demo": (demo, ("rel",))}
+    laws = demo(make_context("rel", 0))
+    assert [(r.law, r.checked, r.ok, r.failures) for r in laws] == [
+        ("padded, never checked", 1, True, []),
+        ("padded, one failed check", 1, False, ["w"]),
+        ("padded, one passing check", 1, True, []),
+        ("not padded, never checked", 0, False, []),
+    ]
+    assert {r.suite for r in laws} == {"demo"}
+
+
+@pytest.mark.parametrize("kind", ["rel", "qrel"])
+def test_filtered_draws_filter_homs_in_draw_order(kind, monkeypatch):
+    ctx, ref = make_context(kind, 1), make_context(kind, 1)
+    x, y, _ = ctx.some_objects(3)
+    assert ctx.maps(x, y, 30) == [f for f in ref.homs(x, y, 30) if core.is_map(ref.inst, f)]
+    found = [r for r in ref.homs(y, y, 60) if core.is_preorder(ref.inst, r)]
+    assert [p.order for p in ctx.preorders(y, 60, 2)] == found[:2]
+    assert ctx.rng.random() == ref.rng.random()
+    monkeypatch.setattr(core, "is_preorder", lambda inst, r: False)
+    assert [p.order for p in ctx.preorders(y, 10, 2)] == [ctx.inst.identity(y)]
+
+
+def test_quote_full_law_compares_the_homset_with_the_image(monkeypatch):
+    # Claim three scalars for rel: the quoted image is still the whole homset,
+    # so "full exactly when there are two scalars" must now fail.
+    scalars = MatrInstance.scalars
+    monkeypatch.setattr(MatrInstance, "scalars", lambda self: [*scalars(self)] * 2)
+    full = next(r for r in run_suite("quote", "rel").results if r.law.startswith("quoting is full"))
+    assert (full.checked, full.failures) == (1, ["unnamed counterexample"])
+
+
 def test_forced_failure_renders_the_eager_witness(monkeypatch):
     # suite_composition draws some_objects(3), then homs(x, y, 12), and records
     # repr(f) for each f when id o f = f fails.

@@ -162,6 +162,16 @@ def test_quantale_from_tables_requires_order_data():
     assert validate_quantale(q).ok
 
 
+@pytest.mark.parametrize("elements, unit, failure", [
+    ((), "0", ("no elements", ())),
+    (("0",), "1", ("unit outside elements", ("1",))),
+], ids=["no-elements", "unit-outside"])
+def test_validation_reports_no_elements_and_a_stray_unit(elements, unit, failure):
+    table = {(a, b): a for a in elements for b in elements}
+    report = validate_quantale(quantale_from_tables(elements, table, unit, join=table))
+    assert not report.ok and report.failures == (failure,)
+
+
 def test_chain_quantale_structure():
     c4 = chain_min_quantale(4)
     assert c4.top == "3"
