@@ -6,7 +6,6 @@ with Gaussian rational entries.
 """
 
 from .core import (
-    Check,
     StructureError,
     coname_of,
     coname_inverse,

@@ -227,10 +227,8 @@ def _eval_expr(node, inst, env):
 def cmd_check(args) -> int:
     quantale = _load_quantale(args.quantale) if args.instance == "vrel" else None
     suites = args.suite or None
-    reports = lawcheck.run_all(
-        args.instance, seed=args.seed, quantale=quantale, suites=suites,
-        samples=args.samples,
-    )
+    reports = lawcheck.run_all(args.instance, seed=args.seed, quantale=quantale,
+                               suites=suites)
     doc = lawcheck.render_json(reports)
     _emit(args, doc, lawcheck.render_text(reports) if args.format == "text" else None)
     return 0 if doc["ok"] else 1
@@ -349,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable); defaults to all")
-    p.add_argument("--samples", type=int, default=60)
 
     p = sub.add_parser("compute", help="evaluate an expression over loaded morphisms")
     common(p)
@@ -382,11 +379,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.quantale is not None and args.instance != "vrel":
+            raise CliError("--quantale applies only to --instance vrel")
         return globals()["cmd_" + args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except INPUT_ERRORS as exc:
+    except (CliError, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ and quantum relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .matr import MatrError, MatrInstance
@@ -19,90 +18,43 @@ class StructureError(ValueError):
     """An operation got a morphism of the wrong shape, e.g. a trace of a non-endomorphism."""
 
 
-@dataclass(frozen=True)
-class Check:
-    """A decided predicate: truthiness plus a counterexample payload on failure."""
-
-    ok: bool
-    law: str = ""
-    witness: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _fail(law: str, *witness: Any) -> Check:
-    return Check(False, law, tuple(witness))
-
-
-OK = Check(True)
-
-
 # -- morphism predicates ------------------------------------------------------------
+# Each returns a bool and stops at the first clause that fails, so a later
+# composite is built only when the earlier clauses hold.
 
-def is_map(inst: MatrInstance, f: Any) -> Check:
-    x, y = inst.source(f), inst.target(f)
+def is_map(inst: MatrInstance, f: Any) -> bool:
+    """id <= dagger(f) o f, then f o dagger(f) <= id."""
     fd = inst.dagger(f)
-    left = inst.compose(fd, f)
-    if not inst.leq(inst.identity(x), left):
-        return _fail("dagger(f) o f >= id", f, left)
-    right = inst.compose(f, fd)
-    if not inst.leq(right, inst.identity(y)):
-        return _fail("f o dagger(f) <= id", f, right)
-    return OK
+    return (inst.leq(inst.identity(inst.source(f)), inst.compose(fd, f))
+            and inst.leq(inst.compose(f, fd), inst.identity(inst.target(f))))
 
 
-def is_injective(inst: MatrInstance, f: Any) -> Check:
-    m = is_map(inst, f)
-    if not m:
-        return m
-    return is_dagger_mono(inst, f)
+def is_injective(inst: MatrInstance, f: Any) -> bool:
+    return is_map(inst, f) and is_dagger_mono(inst, f)
 
 
-def is_surjective(inst: MatrInstance, f: Any) -> Check:
-    m = is_map(inst, f)
-    if not m:
-        return m
-    return is_dagger_epi(inst, f)
+def is_surjective(inst: MatrInstance, f: Any) -> bool:
+    return is_map(inst, f) and is_dagger_epi(inst, f)
 
 
-def is_bijective(inst: MatrInstance, f: Any) -> Check:
-    m = is_injective(inst, f)
-    if not m:
-        return m
-    return is_surjective(inst, f)
+def is_bijective(inst: MatrInstance, f: Any) -> bool:
+    return is_injective(inst, f) and is_surjective(inst, f)
 
 
-def is_dagger_mono(inst: MatrInstance, f: Any) -> Check:
-    x = inst.source(f)
-    c = inst.compose(inst.dagger(f), f)
-    if not inst.equal(c, inst.identity(x)):
-        return _fail("dagger(f) o f = id", f, c)
-    return OK
+def is_dagger_mono(inst: MatrInstance, f: Any) -> bool:
+    return inst.equal(inst.compose(inst.dagger(f), f), inst.identity(inst.source(f)))
 
 
-def is_dagger_epi(inst: MatrInstance, f: Any) -> Check:
-    y = inst.target(f)
-    c = inst.compose(f, inst.dagger(f))
-    if not inst.equal(c, inst.identity(y)):
-        return _fail("f o dagger(f) = id", f, c)
-    return OK
+def is_dagger_epi(inst: MatrInstance, f: Any) -> bool:
+    return inst.equal(inst.compose(f, inst.dagger(f)), inst.identity(inst.target(f)))
 
 
-def is_dagger_iso(inst: MatrInstance, f: Any) -> Check:
-    m = is_dagger_mono(inst, f)
-    if not m:
-        return m
-    return is_dagger_epi(inst, f)
+def is_dagger_iso(inst: MatrInstance, f: Any) -> bool:
+    return is_dagger_mono(inst, f) and is_dagger_epi(inst, f)
 
 
-def is_projection(inst: MatrInstance, f: Any) -> Check:
-    if not inst.equal(inst.dagger(f), f):
-        return _fail("f = dagger(f)", f)
-    sq = inst.compose(f, f)
-    if not inst.equal(sq, f):
-        return _fail("f o f = f", f, sq)
-    return OK
+def is_projection(inst: MatrInstance, f: Any) -> bool:
+    return inst.equal(inst.dagger(f), f) and inst.equal(inst.compose(f, f), f)
 
 
 def _endo_source(inst: MatrInstance, r: Any, message: str) -> Any:

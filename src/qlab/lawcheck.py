@@ -122,12 +122,11 @@ class Context:
     """Deterministic morphism supply for one instance."""
 
     def __init__(self, kind: str, inst: MatrInstance, rng: random.Random,
-                 quantale: FiniteQuantale | None = None, samples: int = 60):
+                 quantale: FiniteQuantale | None = None):
         self.kind = kind
         self.inst = inst
         self.rng = rng
         self.quantale = quantale
-        self.samples = samples
         if kind == "qrel":
             self.objects = [
                 inst.obj([("a", 1)]),
@@ -144,8 +143,7 @@ class Context:
     def some_objects(self, n: int):
         return self.objects[:n]
 
-    def homs(self, x, y, cap: int | None = None):
-        cap = cap or self.samples
+    def homs(self, x, y, cap: int):
         enum = self.inst.enum_hom(x, y)
         if enum is not None:
             if len(enum) <= cap:
@@ -174,8 +172,7 @@ class Context:
         return ([orders.PreorderedObject(x, r) for r in found[:keep]]
                 or [orders.discrete(self.inst, x)])
 
-    def hom_pairs(self, x, y, z, cap: int | None = None):
-        cap = cap or self.samples
+    def hom_pairs(self, x, y, z, cap: int):
         fs = self.homs(x, y, cap)
         gs = self.homs(y, z, cap)
         pairs = list(itertools.product(fs, gs))
@@ -184,16 +181,15 @@ class Context:
         return pairs
 
 
-def make_context(kind: str, seed: int, quantale: FiniteQuantale | None = None,
-                 samples: int = 60) -> Context:
+def make_context(kind: str, seed: int, quantale: FiniteQuantale | None = None) -> Context:
     rng = random.Random(f"{seed}:{kind}")
     if kind == "rel":
-        return Context(kind, rel_instance(), rng, boolean_quantale(), samples)
+        return Context(kind, rel_instance(), rng, boolean_quantale())
     if kind == "vrel":
         q = quantale or chain_min_quantale(3)
-        return Context(kind, vrel_instance(q), rng, q, samples)
+        return Context(kind, vrel_instance(q), rng, q)
     if kind == "qrel":
-        return Context(kind, qrel_instance(), rng, None, samples)
+        return Context(kind, qrel_instance(), rng, None)
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -335,7 +331,7 @@ def suite_monoidal(ctx: Context, law) -> None:
     for obj in (x, y):
         for cell_fn in (inst.lunit, inst.runit):
             cell = cell_fn(obj)
-            unitors.record(core.is_dagger_iso(inst, cell).ok)
+            unitors.record(core.is_dagger_iso(inst, cell))
         for f in ctx.homs(x, obj, 3):
             lu_src = inst.lunit(x)
             lu_tgt = inst.lunit(obj)
@@ -459,7 +455,7 @@ def suite_biproduct(ctx: Context, law) -> None:
         total = calculus.superposition_sum(inst, f, g)
         sup_sum.record(inst.equal(total, inst.join2(f, g)), f, g)
     d, _, _ = calculus.distributor(inst, x, [y, z])
-    distrib.record(core.is_dagger_iso(inst, d).ok)
+    distrib.record(core.is_dagger_iso(inst, d))
 
 
 @suite("maps", ("rel", "vrel", "qrel"))
@@ -471,11 +467,11 @@ def suite_maps(ctx: Context, law) -> None:
     x, y, z = ctx.some_objects(3)
     maps_xy = ctx.maps(x, y, 120)
     maps_yz = ctx.maps(y, z, 120)
-    ids.record(core.is_map(inst, inst.identity(x)).ok)
-    ids.record(core.is_map(inst, inst.symm(x, y)).ok)
+    ids.record(core.is_map(inst, inst.identity(x)))
+    ids.record(core.is_map(inst, inst.symm(x, y)))
     for f in maps_xy[:8]:
         for g in maps_yz[:8]:
-            closed.record(core.is_map(inst, inst.compose(g, f)).ok, f, g)
+            closed.record(core.is_map(inst, inst.compose(g, f)), f, g)
     for f in maps_xy[:10]:
         for g in maps_xy[:10]:
             if inst.leq(f, g):
@@ -669,7 +665,7 @@ def suite_quote(ctx: Context, law) -> None:
     if expecting_full:
         full.record(is_full, "quoted image differs from the full homset")
     phi = calculus.quote_product_cell(inst, a, b)
-    coherence.record(core.is_dagger_iso(inst, phi).ok)
+    coherence.record(core.is_dagger_iso(inst, phi))
     r0 = BoolRelation(a, a, frozenset([("0", "1")]))
     s0 = BoolRelation(b, b, frozenset([("x", "x"), ("y", "x")]))
     lhs = inst.compose(
@@ -694,7 +690,7 @@ def suite_qrel_kernel(ctx: Context, law) -> None:
     for f in ctx.homs(x, y, 25):
         k, e = qrel.dagger_kernel([f])
         if k.components:
-            monic.record(core.is_dagger_mono(inst, e).ok, f)
+            monic.record(core.is_dagger_mono(inst, e), f)
             kills.record(inst.equal(inst.compose(f, e), inst.bottom(k, y)), f)
         proj = inst.compose(e, inst.dagger(e)) if k.components else inst.bottom(x, x)
         for g in ctx.homs(y, x, 6):
@@ -767,10 +763,10 @@ def suite_qrel_classical(ctx: Context, law) -> None:
     x = ctx.some_objects(2)[1]
     for r in ctx.homs(x, unit, 20):
         f = qrel.effect_to_map(om, r)
-        mapness.record(core.is_map(inst, f).ok, r)
+        mapness.record(core.is_map(inst, f), r)
         bij.record(inst.equal(qrel.map_to_effect(om, f), r), r)
     fixture, _ = qrel.invertible_not_dagger_iso()
-    mapness.record(not core.is_dagger_iso(inst, fixture).ok)
+    mapness.record(not core.is_dagger_iso(inst, fixture))
 
 
 @suite("qrel-fixtures", ("qrel",))
@@ -783,7 +779,7 @@ def suite_qrel_fixtures(ctx: Context, law) -> None:
     fix.record(inst.equal(inst.compose(v, w), inst.identity(x)))
     fix.record(inst.equal(inst.compose(w, v), inst.identity(x)))
     fix.record(not inst.equal(inst.dagger(v), w))
-    fix.record(not core.is_dagger_iso(inst, v).ok)
+    fix.record(not core.is_dagger_iso(inst, v))
     for obj in ctx.some_objects(3):
         d = core.dimension_of(inst, obj)
         unit = inst.unit_obj()
@@ -878,7 +874,7 @@ def suite_downsets(ctx: Context, law) -> None:
                 inst, om, p, r, lambda r: boolean_complement(inst, r)
             )
             ok = (
-                core.is_map(inst, f).ok
+                core.is_map(inst, f)
                 and orders.is_monotone_map(inst, p, om.ordered, f)
                 and inst.equal(orders.monotone_map_to_downset(inst, om, f), r)
             )
@@ -974,7 +970,7 @@ def suite_classical_maps(ctx: Context, law) -> None:
     ])
     x = ctx.some_objects(2)[1]
     for f in ctx.homs(x, data.total, 60):
-        lhs = core.is_map(inst, f).ok
+        lhs = core.is_map(inst, f)
         rhs = calculus.is_map_onto_quoted_set(inst, f, data)
         crit.record(lhs == rhs, f)
 
@@ -986,11 +982,11 @@ def available_suites(kind: str) -> list[str]:
 
 
 def run_suite(name: str, kind: str, seed: int = 0,
-              quantale: FiniteQuantale | None = None, samples: int = 60) -> SuiteReport:
+              quantale: FiniteQuantale | None = None) -> SuiteReport:
     fn, kinds = SUITES[name]
     if kind not in kinds:
         raise ValueError(f"suite {name!r} does not apply to instance {kind!r}")
-    ctx = make_context(kind, seed, quantale, samples)
+    ctx = make_context(kind, seed, quantale)
     ctx.rng = random.Random(f"{seed}:{kind}:{name}")
     return SuiteReport(name, fn(ctx))
 
@@ -1003,7 +999,7 @@ LIBRARY_ERRORS = (ExactError, FinRelError, MatrError, QuantaleError, core.Struct
 
 
 def run_all(kind: str, seed: int = 0, quantale: FiniteQuantale | None = None,
-            suites: list[str] | None = None, samples: int = 60) -> list[SuiteReport]:
+            suites: list[str] | None = None) -> list[SuiteReport]:
     """Every named suite (default: all that apply to `kind`).  A suite that
     raises one of `LIBRARY_ERRORS` is reported with one failed law, "the suite
     runs to the end", whose witness is "<error type>: <message>"."""
@@ -1014,7 +1010,7 @@ def run_all(kind: str, seed: int = 0, quantale: FiniteQuantale | None = None,
     reports = []
     for n in names:
         try:
-            reports.append(run_suite(n, kind, seed, quantale, samples))
+            reports.append(run_suite(n, kind, seed, quantale))
         except LIBRARY_ERRORS as exc:
             aborted = LawResult(n, "the suite runs to the end")
             aborted.record(False, f"{type(exc).__name__}: {exc}")

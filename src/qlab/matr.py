@@ -8,21 +8,22 @@ Two bases give the three instances:
   * QuantaleBase over the boolean quantale -> the category of relations,
   * QuantaleBase over any finite quantale -> quantale-valued relations,
   * FdOSBase (operator subspaces between finite dimensions) -> quantum relations.
-Both answer the same sixteen calls, the ones in which they differ:
-compose_blocks, identity, dagger, sup, leq, meet, bottom, top, is_bottom,
-size, tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.
+Both answer the same fifteen calls, the ones in which they differ:
+compose_blocks, identity, dagger, sup, leq, meet, top, is_bottom, size,
+tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.
 `compose_blocks(g, f)` returns the non-bottom blocks of a whole composite
 in position order: the quantale base folds each output block straight from
 the rows of its quantale's join and multiplication tables
 (`FiniteQuantale.join_rows` and `mul_rows`), which its sup, leq and
 tensor_mor read too; the operator-subspace base groups the pairs
 (g_bc, f_ab) per output block and spans their products.  Base objects are
-hashable, base morphisms have a canonical equality, and sup, bottom and top
-take explicit source and target objects since base morphisms need not know
-their own type.  The rest of the structure is the same in every dagger
-compact quantaloid built here, so `MatrInstance` derives it: the
-associators and unitors have base identities as cells, every object is its
-own dual, and epsilon is the dagger of eta.
+hashable, base morphisms have a canonical equality, sup joins a non-empty
+list, and top takes explicit source and target objects since base
+morphisms need not know their own type.  There is no base bottom: a block
+left out of a morphism is bottom.  The rest of the structure is the same in
+every dagger compact quantaloid built here, so `MatrInstance` derives it:
+the associators and unitors have base identities as cells, every object is
+its own dual, and epsilon is the dagger of eta.
 
 Every morphism keeps its non-bottom blocks sorted by position, rank(a)
 |target| + rank(b), so equality is a comparison of block tuples.  `mor` is
@@ -152,10 +153,10 @@ class QuantaleBase:
     def dagger(self, m):
         return m
 
-    def sup(self, ms, src, tgt):
+    def sup(self, ms):
         join = self.quantale.join_rows
-        acc = self._bottom
-        for m in ms:
+        acc = ms[0]
+        for m in ms[1:]:
             acc = join[acc][m]
         return acc
 
@@ -165,13 +166,10 @@ class QuantaleBase:
     def meet(self, m1, m2):
         return self.quantale.meet(m1, m2)
 
-    def bottom(self, src, tgt):
-        return self._bottom
-
     def top(self, src, tgt):
         return self.quantale.top
 
-    def is_bottom(self, m, src, tgt):
+    def is_bottom(self, m):
         return m == self._bottom
 
     def size(self, m):
@@ -266,9 +264,9 @@ class FdOSBase:
     def dagger(self, m: OperatorSubspace) -> OperatorSubspace:
         return subspace_adjoint(m)
 
-    def sup(self, ms, src, tgt):
-        out = zero_subspace(src, tgt)
-        for m in ms:
+    def sup(self, ms):
+        out = ms[0]
+        for m in ms[1:]:
             out = subspace_join(out, m)
         return out
 
@@ -278,13 +276,10 @@ class FdOSBase:
     def meet(self, m1, m2):
         return subspace_meet(m1, m2)
 
-    def bottom(self, src, tgt):
-        return zero_subspace(src, tgt)
-
     def top(self, src, tgt):
         return full_subspace(src, tgt)
 
-    def is_bottom(self, m, src, tgt):
+    def is_bottom(self, m):
         return m.is_zero()
 
     def size(self, m):
@@ -421,11 +416,11 @@ class MatrInstance:
         for item in blocks.items():
             (a, b), m = item
             try:
-                ra, oa = src_index[a]
-                rb, ob = tgt_index[b]
+                ra = src_index[a][0]
+                rb = tgt_index[b][0]
             except KeyError:
                 raise MatrError(f"block key {(a, b)!r} outside {src.labels} x {tgt.labels}") from None
-            if not is_bottom(m, oa, ob):
+            if not is_bottom(m):
                 kept.append((ra * width + rb, item))
         return _in_position_order(src, tgt, kept)
 
@@ -469,9 +464,8 @@ class MatrInstance:
         sup = self.base.sup
         kept = []
         for (a, b), ms in gathered.items():
-            ra, oa = src_index[a]
-            rb, ob = tgt_index[b]
-            kept.append((ra * width + rb, ((a, b), ms[0] if len(ms) == 1 else sup(ms, oa, ob))))
+            pos = src_index[a][0] * width + tgt_index[b][0]
+            kept.append((pos, ((a, b), ms[0] if len(ms) == 1 else sup(ms))))
         return _in_position_order(src, tgt, kept)
 
     def meet2(self, f: MatrMorphism, g: MatrMorphism) -> MatrMorphism:
@@ -479,7 +473,6 @@ class MatrInstance:
                 or (f.target is not g.target and f.target != g.target)):
             raise MatrError("meet of morphisms with different types")
         gmap = g.block_map()
-        src_index, tgt_index = f.source.index, f.target.index
         meet, is_bottom = self.base.meet, self.base.is_bottom
         # A subsequence of f's blocks, so already in position order.
         blocks = []
@@ -487,8 +480,7 @@ class MatrInstance:
             n = gmap.get(key)
             if n is not None:
                 v = meet(m, n)
-                a, b = key
-                if not is_bottom(v, src_index[a][1], tgt_index[b][1]):
+                if not is_bottom(v):
                     blocks.append((key, v))
         return MatrMorphism(f.source, f.target, tuple(blocks))
 
@@ -506,13 +498,12 @@ class MatrInstance:
                 or (f.target is not g.target and f.target != g.target)):
             raise MatrError("order compares morphisms of the same type")
         gmap = g.block_map()
-        src_index, tgt_index = f.source.index, f.target.index
+        leq = self.base.leq
         for key, m in f.blocks:
             other = gmap.get(key)
-            if other is None:
-                a, b = key
-                other = self.base.bottom(src_index[a][1], tgt_index[b][1])
-            if not self.base.leq(m, other):
+            # Stored blocks are never bottom, so a block of f that g lacks
+            # (is bottom in g) is not below it.
+            if other is None or not leq(m, other):
                 return False
         return True
 
@@ -544,11 +535,9 @@ class MatrInstance:
         for (a, c), m in f.blocks:
             for (b, d), n in g.blocks:
                 v = tensor(m, n)
-                ab, cd = (a, b), (c, d)
-                rs, o_src = src_index[ab]
-                rt, o_tgt = tgt_index[cd]
-                if not is_bottom(v, o_src, o_tgt):
-                    kept.append((rs * width + rt, ((ab, cd), v)))
+                if not is_bottom(v):
+                    ab, cd = (a, b), (c, d)
+                    kept.append((src_index[ab][0] * width + tgt_index[cd][0], ((ab, cd), v)))
         return _in_position_order(src, tgt, kept)
 
     @_built_once
@@ -661,10 +650,8 @@ class HomSet(Sequence):
         cells = []
         stride = 1
         for (a, b), choice in reversed(list(zip(keys, choices))):
-            ra, oa = src_index[a]
-            rb, ob = tgt_index[b]
-            cells.append((ra * width + rb, stride, len(choice), [
-                None if is_bottom(m, oa, ob) else ((a, b), m) for m in choice
+            cells.append((src_index[a][0] * width + tgt_index[b][0], stride, len(choice), [
+                None if is_bottom(m) else ((a, b), m) for m in choice
             ]))
             stride *= len(choice)
         cells.sort()

@@ -220,14 +220,12 @@ def _two_squares_int(n: int) -> tuple[int, int] | None:
     return None
 
 
-def dagger_kernel(
-    fs: Sequence[MatrMorphism], label_prefix: str = "k"
-) -> tuple[MatrObject, MatrMorphism]:
+def dagger_kernel(fs: Sequence[MatrMorphism]) -> tuple[MatrObject, MatrMorphism]:
     """The dagger kernel of a set of morphisms out of a common source X.
 
     Returns the kernel object (one atom per source atom with nonzero joint
-    kernel, of dimension that kernel's dimension) and the dagger-monic
-    inclusion into X.
+    kernel, of dimension that kernel's dimension, labelled ("k", a) for the
+    source atom a) and the dagger-monic inclusion into X.
     """
     if not fs:
         raise MatrError("dagger kernel needs at least one morphism")
@@ -241,7 +239,7 @@ def dagger_kernel(
         ker_cols = _joint_kernel(fs, a, da)
         if not ker_cols:
             continue
-        lab = (label_prefix, a)
+        lab = ("k", a)
         dim = len(ker_cols)
         atoms.append((lab, dim))
         blocks[(lab, a)] = span_of_rows(dim, da, [_orthonormal_columns(ker_cols)])

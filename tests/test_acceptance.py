@@ -113,18 +113,18 @@ def _random_qmor(rng, src, tgt):
 
 
 def test_criterion_01_axiom_suites_exhaustive_and_sampled():
-    budgets = (
-        ("rel", None, 512),
-        ("vrel:bool", BUILTIN_QUANTALES["bool"], 256),
-        ("vrel:chain3", BUILTIN_QUANTALES["chain3"], 256),
-        ("vrel:chain4", BUILTIN_QUANTALES["chain4"], 256),
-        ("vrel:lukasiewicz3", BUILTIN_QUANTALES["lukasiewicz3"], 256),
-        ("qrel", None, 200),
+    instances = (
+        ("rel", None),
+        ("vrel:bool", BUILTIN_QUANTALES["bool"]),
+        ("vrel:chain3", BUILTIN_QUANTALES["chain3"]),
+        ("vrel:chain4", BUILTIN_QUANTALES["chain4"]),
+        ("vrel:lukasiewicz3", BUILTIN_QUANTALES["lukasiewicz3"]),
+        ("qrel", None),
     )
-    for tag, q, samples in budgets:
+    for tag, q in instances:
         kind = tag.split(":")[0]
         t0 = time.monotonic()
-        reports = run_all(kind, seed=0, quantale=q, samples=samples, suites=AXIOM_SUITES)
+        reports = run_all(kind, seed=0, quantale=q, suites=AXIOM_SUITES)
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, (tag, elapsed)
         assert all(rep.ok for rep in reports), (
@@ -134,8 +134,7 @@ def test_criterion_01_axiom_suites_exhaustive_and_sampled():
 
 def test_criterion_02_compact_structure_and_calculus():
     for kind, q in (("vrel", lukasiewicz3_quantale()), ("qrel", None)):
-        reports = run_all(kind, seed=0, quantale=q, samples=60,
-                          suites=["compact", "compact-calculus"])
+        reports = run_all(kind, seed=0, quantale=q, suites=["compact", "compact-calculus"])
         assert all(rep.ok for rep in reports), kind
     rng = random.Random(2)
     count = 0
@@ -261,7 +260,7 @@ def test_criterion_07_maps_onto_quoted_sets():
         data = biproduct_data(QREL, [set_to_object(QREL, fset(lab)) for lab in labels])
         for _ in range(200):
             f = _random_qmor(rng, X21, data.total)
-            assert is_map(QREL, f).ok == is_map_onto_quoted_set(QREL, f, data)
+            assert is_map(QREL, f) == is_map_onto_quoted_set(QREL, f, data)
 
 
 def test_criterion_08_quote_embedding():

@@ -40,9 +40,7 @@ def run_cli(args, capsys):
 
 
 def test_check_rel_passes(capsys):
-    code, out, _ = run_cli(
-        ["check", "--instance", "rel", "--samples", "10", "--format", "json"], capsys
-    )
+    code, out, _ = run_cli(["check", "--instance", "rel", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert all(s["ok"] for s in doc["suites"])
@@ -57,8 +55,7 @@ def test_check_suite_filter(capsys):
 
 
 def test_check_deterministic(capsys):
-    args = ["check", "--instance", "qrel", "--suite", "compact",
-            "--seed", "3", "--samples", "8"]
+    args = ["check", "--instance", "qrel", "--suite", "compact", "--seed", "3"]
     code1, out1, _ = run_cli(args, capsys)
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
@@ -562,6 +559,31 @@ def test_only_check_takes_seed_and_format(argv, option, capsys):
     code, out, err = run_cli(argv[:1] + option + argv[1:], capsys)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {option[0]}" in err
+
+
+@pytest.mark.parametrize("spec", ["chain3", "nosuch", '{"elements": []}'],
+                         ids=["builtin", "unknown", "malformed"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--instance", "rel"],
+    ["compute", "--instance", "qrel", "--load", f"f={QREL_DOC}", "dagger(f)"],
+    ["neg", "--instance", "rel", REL_DOC],
+    ["power", "--instance", "rel", json.dumps({"labels": ["x"]})],
+    ["embed", "--instance", "rel", REL_DOC],
+    ["embed", "--instance", "qrel", REL_DOC],
+    ["kernel", QREL_DOC],
+], ids=["check", "compute", "neg", "power", "embed-rel", "embed-qrel", "kernel"])
+def test_quantale_outside_vrel_exits_2_with_one_line(argv, spec, capsys):
+    # Only vrel reads a quantale, so elsewhere the option would be ignored.
+    code, out, err = run_cli(argv[:1] + ["--quantale", spec] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --quantale applies only to --instance vrel\n"
+
+
+def test_check_refuses_samples(capsys):
+    # Every suite draws with its own caps, so a sample count would be ignored.
+    code, out, err = run_cli(["check", "--instance", "rel", "--samples", "5"], capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --samples" in err
 
 
 # -- malformed relations ----------------------------------------------------------

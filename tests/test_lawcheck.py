@@ -45,7 +45,7 @@ def test_every_kind_has_suites():
 
 
 def test_run_all_rel_green():
-    reports = run_all("rel", seed=0, samples=15)
+    reports = run_all("rel", seed=0)
     assert all(rep.ok for rep in reports), render_text(
         [rep for rep in reports if not rep.ok]
     )
@@ -53,7 +53,7 @@ def test_run_all_rel_green():
 
 def test_run_all_vrel_green_all_builtins():
     for name, q in BUILTIN_QUANTALES.items():
-        reports = run_all("vrel", seed=0, quantale=q, samples=10)
+        reports = run_all("vrel", seed=0, quantale=q)
         assert all(rep.ok for rep in reports), name
 
 
@@ -79,7 +79,7 @@ def test_run_all_vrel_green_on_a_non_integral_quantale():
 
 
 def test_run_all_qrel_green():
-    reports = run_all("qrel", seed=0, samples=12)
+    reports = run_all("qrel", seed=0)
     assert all(rep.ok for rep in reports), render_text(
         [rep for rep in reports if not rep.ok]
     )
@@ -123,8 +123,8 @@ def test_flag_predicates_need_an_endomorphism():
 
 
 def test_run_suite_deterministic():
-    a = run_suite("compact", "qrel", seed=5, samples=10)
-    b = run_suite("compact", "qrel", seed=5, samples=10)
+    a = run_suite("compact", "qrel", seed=5)
+    b = run_suite("compact", "qrel", seed=5)
     assert a.as_dict() == b.as_dict()
 
 
@@ -136,7 +136,7 @@ def test_run_suite_kind_mismatch():
 
 
 def test_render_text_counts():
-    reports = run_all("rel", seed=0, samples=5, suites=["dagger", "order"])
+    reports = run_all("rel", seed=0, suites=["dagger", "order"])
     text = render_text(reports)
     assert "laws hold" in text
     doc = render_json(reports)
@@ -308,7 +308,7 @@ def test_forced_failure_reports_are_pinned(monkeypatch):
             for kind, q in (("rel", None), ("vrel", BUILTIN_QUANTALES["chain4"]), ("qrel", None)):
                 for name in available_suites(kind):
                     try:
-                        out.append(run_suite(name, kind, 0, q, 60).as_dict())
+                        out.append(run_suite(name, kind, 0, q).as_dict())
                     except Exception as exc:
                         out.append([name, type(exc).__name__])
     text = json.dumps(out, sort_keys=True)
@@ -317,7 +317,7 @@ def test_forced_failure_reports_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == FORCED_FAILURE_SHA256
 
 
-# sha256 of the serialised morphisms `Context.homs(x, y)` draws for every pair of
+# sha256 of the serialised morphisms `Context.homs(x, y, 60)` draws for every pair of
 # the qrel context objects, in order, at seeds 0-3.  The report digests in
 # tests/test_cli.py see only counts, so these are what pin the draws themselves.
 DRAW_SHA256 = {
@@ -373,12 +373,12 @@ def test_qrel_draws_are_pinned(seed):
     ctx = make_context("qrel", seed)
     got = []
     for x, y in itertools.product(ctx.objects, repeat=2):
-        doc = serialize.dumps([serialize.qrelation_to_json(f) for f in ctx.homs(x, y)])
+        doc = serialize.dumps([serialize.qrelation_to_json(f) for f in ctx.homs(x, y, 60)])
         got.append(hashlib.sha256(doc.encode()).hexdigest())
     assert tuple(got) == DRAW_SHA256[seed]
 
 
-# sha256 of the serialised morphisms `Context.homs(x, y)` draws for every pair of
+# sha256 of the serialised morphisms `Context.homs(x, y, 60)` draws for every pair of
 # the context objects, in order, hashed as one stream per instance and seed:
 # rel, and vrel over each builtin quantale, at seeds 0-3.
 CLASSICAL_DRAW_SHA256 = {
@@ -424,7 +424,7 @@ def test_classical_draws_are_pinned(name):
         ctx = make_context(kind, seed, quantale)
         h = hashlib.sha256()
         for x, y in itertools.product(ctx.objects, repeat=2):
-            docs = [serialize.morphism_to_json(kind, ctx.inst, f) for f in ctx.homs(x, y)]
+            docs = [serialize.morphism_to_json(kind, ctx.inst, f) for f in ctx.homs(x, y, 60)]
             h.update(serialize.dumps(docs).encode())
         got.append(h.hexdigest())
     assert tuple(got) == CLASSICAL_DRAW_SHA256[name]

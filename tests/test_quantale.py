@@ -229,9 +229,9 @@ def test_quantale_base_reads_the_tables_like_the_quantale_calls(name):
     for a, b in itertools.product(es, repeat=2):
         assert base.leq(a, b) == reference_leq(q, a, b)
         assert base.tensor_mor(a, b) == q.mul(a, b)
-    for n in range(4):
+    for n in range(1, 4):
         for items in itertools.product(es, repeat=n):
-            assert base.sup(list(items), "*", "*") == reference_sup(q, items)
+            assert base.sup(list(items)) == reference_sup(q, items)
 
 
 @pytest.mark.parametrize("name", list(TABLE_QUANTALES))
