@@ -7,16 +7,14 @@ tensor unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .core import is_perp
 from .finrel import FiniteSet, product_set
 from .matr import MatrInstance, MatrMorphism, set_to_object
 
 
-@dataclass(frozen=True)
-class BiproductData:
+class BiproductData(NamedTuple):
     total: Any
     injections: tuple
     projections: tuple

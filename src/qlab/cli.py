@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import calculus, core, lawcheck, qrel as qrel_mod, serialize
+from . import calculus, core, qrel as qrel_mod, serialize
 from .exact import ExactError
 from .finrel import FinRelError, powerset_adjoint
 from .matr import (
@@ -225,6 +225,8 @@ def _eval_expr(node, inst, env):
 # -- subcommands --------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from . import lawcheck  # the law suites load only for the command that runs them
+
     quantale = _load_quantale(args.quantale) if args.instance == "vrel" else None
     suites = args.suite or None
     reports = lawcheck.run_all(args.instance, seed=args.seed, quantale=quantale,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 Label = Hashable
 
@@ -178,8 +178,7 @@ def _subset_label(s: Iterable[Label]) -> tuple[Label, ...]:
     return tuple(sorted(s, key=repr))
 
 
-@dataclass(frozen=True)
-class PowersetData:
+class PowersetData(NamedTuple):
     base: FiniteSet
     power: FiniteSet          # labels are sorted tuples of base labels
     membership: BoolRelation  # P(X) -> X
@@ -216,8 +215,7 @@ def power_on_morphisms(data_x: PowersetData, data_y: PowersetData, g: BoolRelati
 
 # -- down-set adjoint --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DownsetData:
+class DownsetData(NamedTuple):
     base: FiniteSet
     order: BoolRelation       # a preorder on base
     downsets: FiniteSet       # labels are sorted tuples, ordered by inclusion
@@ -260,8 +258,7 @@ def map_to_monotone_relation(data: DownsetData, f: BoolRelation) -> BoolRelation
 
 # -- exponential via power objects ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ExponentialData:
+class ExponentialData(NamedTuple):
     base: FiniteSet            # X
     codomain: FiniteSet        # Y
     exponential: FiniteSet     # labels are function graphs, sorted pair tuples

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import calculus, core, orders, power, qrel
 from .exact import ExactError, span_of_rows
@@ -89,8 +90,7 @@ class LawResult:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     results: list
 
@@ -512,8 +512,8 @@ def suite_rel_oracle(ctx: Context, law) -> None:
     res = law("matrix ops agree with the direct relation ops")
     a = fset("0", "1")
     b = fset("x", "y", "z")
-    after = [(s, relation_to_matr(inst, s)) for s in list(all_relations(b, a))[:16]]
-    beside = [(s, relation_to_matr(inst, s)) for s in list(all_relations(a, b))[:8]]
+    after = [(s, relation_to_matr(inst, s)) for s in itertools.islice(all_relations(b, a), 16)]
+    beside = [(s, relation_to_matr(inst, s)) for s in itertools.islice(all_relations(a, b), 8)]
     for r in all_relations(a, b):
         mr = relation_to_matr(inst, r)
         assert matr_to_relation(mr) == r
@@ -902,7 +902,7 @@ def suite_power(ctx: Context, law) -> None:
         adj.record(power.power_uniqueness_check(data, v), lambda: repr(sorted(v.pairs)))
         funct.record(power.power_functor_check(data_a, data, v), lambda: repr(sorted(v.pairs)))
     qp = power.quoted_power(inst, xset)
-    for v in list(all_relations(a, xset))[:10]:
+    for v in itertools.islice(all_relations(a, xset), 10):
         quoted.record(power.quoted_power_check(inst, qp, v), lambda: repr(sorted(v.pairs)))
     yset = fset(0, 1)
     z = fset("z",)

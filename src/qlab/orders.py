@@ -8,8 +8,7 @@ Everything is generic over the three instances of `MatrInstance`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .calculus import BiproductData, biproduct_data, omega_data, tuple_into
 from .core import is_preorder, star_of
@@ -20,8 +19,7 @@ class OrderError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PreorderedObject:
+class PreorderedObject(NamedTuple):
     obj: Any
     order: Any  # an endomorphism, reflexive and transitive
 
@@ -50,8 +48,9 @@ def monotone_map_conditions(
 ) -> tuple[bool, bool, bool]:
     """Three equivalent ways to say a map f : X -> Y is monotone."""
     fd = inst.dagger(f)
-    c1 = inst.leq(inst.compose(f, p.order), inst.compose(q.order, f))
-    c2 = inst.leq(inst.compose(inst.compose(f, p.order), fd), q.order)
+    fp = inst.compose(f, p.order)
+    c1 = inst.leq(fp, inst.compose(q.order, f))
+    c2 = inst.leq(inst.compose(fp, fd), q.order)
     c3 = inst.leq(p.order, inst.compose(fd, inst.compose(q.order, f)))
     return c1, c2, c3
 
@@ -117,8 +116,7 @@ def preorder_tensor(
     )
 
 
-@dataclass(frozen=True)
-class MonRelBiproduct:
+class MonRelBiproduct(NamedTuple):
     ordered: PreorderedObject
     data: BiproductData
     injections: tuple
@@ -144,8 +142,7 @@ def monrel_biproduct(inst: MatrInstance, ps: Sequence[PreorderedObject]) -> MonR
     return MonRelBiproduct(total, data, injections, projections)
 
 
-@dataclass(frozen=True)
-class MonRelCompact:
+class MonRelCompact(NamedTuple):
     dual: PreorderedObject
     eta: Any
     epsilon: Any
@@ -166,8 +163,7 @@ def monrel_compact(inst: MatrInstance, p: PreorderedObject) -> MonRelCompact:
 
 # -- the ordered truth-value object ------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaOrder:
+class OmegaOrder(NamedTuple):
     data: BiproductData
     ordered: PreorderedObject
 

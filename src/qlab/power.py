@@ -12,8 +12,7 @@ the matrix instances and packages the universal-property checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import is_map
 from .finrel import (
@@ -65,8 +64,7 @@ def v_power_counit_check(data: VPowerData, v: VRelation) -> bool:
     return data.counit.compose(f) == v
 
 
-@dataclass(frozen=True)
-class QuotedPower:
+class QuotedPower(NamedTuple):
     """The powerset adjunction transported into a matrix instance."""
 
     data: PowersetData

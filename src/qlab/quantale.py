@@ -21,9 +21,9 @@ Every operation reads the tables, with no call per cell:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .finrel import BoolRelation, FiniteSet, product_set
 
@@ -161,11 +161,10 @@ def quantale_from_tables(
     return FiniteQuantale(tuple(elements), join, dict(mul), unit)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     failures: tuple[tuple[str, tuple], ...]
-    flags: Mapping[str, bool] = field(default_factory=dict)
+    flags: Mapping[str, bool]
 
 
 def validate_quantale(q: FiniteQuantale) -> ValidationReport:
@@ -418,8 +417,7 @@ def fset_one() -> FiniteSet:
 
 # -- V-valued powerset --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VPowerData:
+class VPowerData(NamedTuple):
     quantale: FiniteQuantale
     base: FiniteSet
     power: FiniteSet      # labels are tuples of (x, value) pairs: functions X -> V

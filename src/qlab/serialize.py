@@ -7,6 +7,7 @@ Formats:
                   each entry a list of exactly two or three items
   quantale        {"elements": [...], "mul": [[...]], "unit": v,
                    "join": [[...]]} or "leq" as a 0/1 matrix, row-major
+                  each table a list of one list per element
   quantum set     {"atoms": [{"label": ..., "dim": n}, ...]}
   quantum rel     {"source": qset, "target": qset,
                    "blocks": [{"from": a, "to": b, "basis": [matrix, ...]}]}
@@ -128,7 +129,7 @@ def quantale_from_json(doc: dict) -> FiniteQuantale:
         if "join" in doc:
             join = _table_from_json(elems, doc["join"], "join")
         if "leq" in doc:
-            rows = doc["leq"]
+            rows = _square(doc["leq"], len(elems), "leq")
             leq = {
                 (a, b)
                 for i, a in enumerate(elems)
@@ -140,9 +141,17 @@ def quantale_from_json(doc: dict) -> FiniteQuantale:
         raise SerializeError(f"malformed quantale: {exc}") from exc
 
 
+def _square(rows: Any, n: int, what: str) -> list:
+    """rows, checked to be an n x n list of lists: a string row must not be
+    read as its characters."""
+    if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(r, list) or len(r) != n for r in rows):
+        raise SerializeError(f"{what} table must be a {n}x{n} list of lists")
+    return rows
+
+
 def _table_from_json(elems: list, rows: list, what: str) -> dict:
-    if len(rows) != len(elems) or any(len(r) != len(elems) for r in rows):
-        raise SerializeError(f"{what} table must be {len(elems)}x{len(elems)}")
+    _square(rows, len(elems), what)
     table = {}
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):

@@ -543,6 +543,20 @@ def test_malformed_quantale_exits_2_with_one_line(argv, message):
     assert proc.stderr == message
 
 
+@pytest.mark.parametrize("table, rows", [
+    ("mul", ["00", "01"]), ("join", ["01", "11"]), ("leq", ["11", "01"]),
+])
+def test_quantale_table_rows_must_be_lists(table, rows):
+    # A string is iterable: the row "01" must not be read as ["0", "1"].
+    doc = {"elements": ["0", "1"], "mul": [["0", "0"], ["0", "1"]],
+           "join": [["0", "1"], ["1", "1"]], "unit": "1", table: rows}
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", "power", "--instance", "vrel",
+                           "--quantale", json.dumps(doc), '{"labels": ["a"]}'],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {table} table must be a 2x2 list of lists\n"
+
+
 @pytest.mark.parametrize("option", [["--format", "text"], ["--seed", "7"]],
                          ids=["format", "seed"])
 @pytest.mark.parametrize("argv", [
@@ -579,6 +593,32 @@ def test_quantale_outside_vrel_exits_2_with_one_line(argv, spec, capsys):
     assert err == "error: --quantale applies only to --instance vrel\n"
 
 
+_LOADED_SCRIPT = """\
+import sys
+import qlab.cli
+seen = lambda: [m for m in ("qlab.lawcheck", "qlab.power") if m in sys.modules]
+before = seen()
+code = qlab.cli.main(sys.argv[1:])
+print(code, before, seen(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagger(f)"], []),
+    (["neg", "--instance", "qrel", QREL_DOC], []),
+    (["kernel", QREL_DOC], []),
+    (["power", "--instance", "rel", json.dumps({"labels": ["x"]})], []),
+    (["embed", "--instance", "qrel", REL_DOC], []),
+    (["check", "--instance", "rel", "--suite", "dagger"], ["qlab.lawcheck", "qlab.power"]),
+], ids=["compute", "neg", "kernel", "power", "embed", "check"])
+def test_only_check_loads_the_law_suites(argv, loaded):
+    # Importing the CLI and running any other command never compiles or runs
+    # the law suites, nor `power`, which only they read.
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.stderr == f"0 [] {loaded}\n"
+
+
 def test_check_refuses_samples(capsys):
     # Every suite draws with its own caps, so a sample count would be ignored.
     code, out, err = run_cli(["check", "--instance", "rel", "--samples", "5"], capsys)
@@ -610,6 +650,14 @@ VREL_FUZZ_BASE = {
     "target": {"labels": ["x", "y"]},
     "values": [["a", "x", "1"], [["b", 1], "y", "2"]],
 }
+SET_FUZZ_BASE = {"labels": ["a", ["b", 1], 2]}
+QSET_FUZZ_BASE = {"atoms": [{"label": "u", "dim": 2}, {"label": ["v", 1], "dim": 1}]}
+QUANTALE_FUZZ_BASE = {  # chain3
+    "elements": ["0", "1", "2"],
+    "mul": [["0", "0", "0"], ["0", "1", "1"], ["0", "1", "2"]],
+    "join": [["0", "1", "2"], ["1", "1", "2"], ["2", "2", "2"]],
+    "unit": "2",
+}
 
 _fuzz_scalars = st.sampled_from(["0", "1", "-i", "1/2", "2-i", "1/0", "", "x", "1/2i"])
 
@@ -638,6 +686,12 @@ _FUZZ_FORMATS = {
             _fuzz_entries),
     "vrel": (VREL_FUZZ_BASE, _fuzz_json(["labels", "source", "target", "values", "x"]),
              _fuzz_entries),
+    "set": (SET_FUZZ_BASE, _fuzz_json(["labels", "x"]), _fuzz_entries),
+    "qset": (QSET_FUZZ_BASE, _fuzz_json(["atoms", "label", "dim", "x"]),
+             _fuzz_labels | st.lists(_fuzz_labels, max_size=3)),
+    # Tables of labels of any small shape, ragged ones and strings included.
+    "quantale": (QUANTALE_FUZZ_BASE,
+                 _fuzz_json(["elements", "mul", "join", "leq", "unit", "x"]), _fuzz_entries),
 }
 
 
@@ -680,30 +734,45 @@ def _assert_json_or_one_error_line(argv):
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["compute", "neg", "kernel"])
+@pytest.mark.parametrize("command", ["compute", "neg", "kernel", "power"])
 @settings(max_examples=120, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_malformed_qrel_input_exits_2_with_one_line(command, data):
-    text = _fuzz_document("qrel", data)
+    text = _fuzz_document("qset" if command == "power" else "qrel", data)
     _assert_json_or_one_error_line({
         "compute": ["compute", "--instance", "qrel", "--load", f"f={text}", "dagger(f)"],
         "neg": ["neg", "--instance", "qrel", text],
         "kernel": ["kernel", text],
+        "power": ["power", "--instance", "qrel", text],
     }[command])
+
+
+_SET = json.dumps({"labels": ["a", "b"]})
 
 
 @pytest.mark.parametrize("kind, command", [
     ("rel", "compute"), ("rel", "neg"), ("vrel", "compute"),
+    ("set", "power-rel"), ("set", "power-vrel"), ("rel", "embed-vrel"), ("rel", "embed-qrel"),
+    ("quantale", "power-vrel"), ("quantale", "embed-vrel"), ("quantale", "compute-vrel"),
 ])
 @settings(max_examples=120, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_malformed_classical_input_exits_2_with_one_line(kind, command, data):
     text = _fuzz_document(kind, data)
+    q = text if kind == "quantale" else "chain3"
     _assert_json_or_one_error_line({
         ("rel", "compute"): ["compute", "--instance", "rel", "--load", f"f={text}", "dagger(f)"],
         ("rel", "neg"): ["neg", "--instance", "rel", text],
         ("vrel", "compute"): ["compute", "--instance", "vrel", "--quantale", "chain3",
                               "--load", f"f={text}", "dagger(f)"],
+        ("set", "power-rel"): ["power", "--instance", "rel", text],
+        ("set", "power-vrel"): ["power", "--instance", "vrel", "--quantale", "chain3", text],
+        ("rel", "embed-vrel"): ["embed", "--instance", "vrel", "--quantale", "chain3", text],
+        ("rel", "embed-qrel"): ["embed", "--instance", "qrel", text],
+        ("quantale", "power-vrel"): ["power", "--instance", "vrel", "--quantale", q, _SET],
+        ("quantale", "embed-vrel"): ["embed", "--instance", "vrel", "--quantale", q, REL_DOC],
+        ("quantale", "compute-vrel"): ["compute", "--instance", "vrel", "--quantale", q, "--load",
+                                       f"f={json.dumps(VREL_FUZZ_BASE)}", "dagger(f)"],
     }[kind, command])
 
 

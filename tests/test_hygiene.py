@@ -15,6 +15,11 @@ instance, so a change that routes around the memo of `FdOSBase` fails here.
 
 A law suite pads a law only through `law(text, pad=True)`, so one grep finds
 every padding; the single explicit `record(True)` is the `maps` suite's.
+
+Start-up pays only for what a command runs: a `@dataclass` generates its
+methods through `exec` at import, so only the value classes with validation,
+a hand-written `__init__` or mutable state are dataclasses (the field-only
+records are `NamedTuple`s), and only `cli.cmd_check` imports the law suites.
 """
 
 import ast
@@ -241,3 +246,66 @@ def test_paddings_are_marked_where_the_suite_declares_its_laws():
     source = (PACKAGE / "lawcheck.py").read_text()
     assert suite_paddings(source) == ([], ["suite_maps:rigid"])
     assert source.count("orders.discrete(") == 1
+
+
+# The classes that stay dataclasses: validated or hand-initialised values, and
+# the mutable `LawResult`.
+DATACLASSES = {
+    "GaussianRational", "ExactMatrix", "OperatorSubspace", "FiniteSet", "BoolRelation",
+    "LawResult", "MatrObject", "MatrMorphism", "FiniteQuantale", "VRelation",
+}
+
+
+def dataclasses_in(source: str) -> list[str]:
+    """The classes decorated with `dataclass`, called or not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if ast.unparse(target).split(".")[-1] == "dataclass":
+                    out.append(node.name)
+    return out
+
+
+def lawcheck_importers(module: str, source: str) -> list[str]:
+    """Where a module imports `lawcheck`: `module` at its top level, else
+    `module.function` (or class) holding the import."""
+    out = []
+    for top in ast.parse(source).body:
+        where = module
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where += "." + top.name
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names] + [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[-1] == "lawcheck" for n in names):
+                out.append(where)
+    return out
+
+
+def test_scan_sees_dataclasses_and_lawcheck_imports():
+    src = ("import dataclasses\nfrom dataclasses import dataclass\n"
+           "@dataclass\nclass A:\n    x: int\n"
+           "@dataclasses.dataclass(frozen=True)\nclass B:\n    x: int\n"
+           "class C(NamedTuple):\n    x: int\n"
+           "from . import core, lawcheck\n"
+           "def f():\n    from .lawcheck import run_all\n"
+           "def g():\n    import qlab.lawcheck\n")
+    assert dataclasses_in(src) == ["A", "B"]
+    assert lawcheck_importers("m", src) == ["m", "m.f", "m.g"]
+
+
+def test_only_value_classes_are_dataclasses():
+    found = [name for p in MODULES for name in dataclasses_in(p.read_text())]
+    assert sorted(found) == sorted(DATACLASSES)
+
+
+def test_only_cmd_check_imports_the_law_suites():
+    found = [where for p in sorted(PACKAGE.glob("*.py"))
+             for where in lawcheck_importers(p.stem, p.read_text())]
+    assert found == ["cli.cmd_check"]
