@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple, Sequence
 
-from .core import is_perp
+from .core import StructureError, is_perp
 from .finrel import FiniteSet, product_set
 from .matr import MatrInstance, MatrMorphism, set_to_object
 
@@ -28,7 +28,7 @@ def biproduct_data(inst: MatrInstance, objs: Sequence[Any]) -> BiproductData:
 def tuple_into(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> Any:
     """<f_k> : X -> (+) Y_k, the sup of i_k o f_k."""
     if len(fs) != len(data.injections):
-        raise ValueError("one component morphism per summand")
+        raise StructureError("one component morphism per summand")
     src = inst.source(fs[0])
     parts = [inst.compose(i, f) for i, f in zip(data.injections, fs)]
     return inst.sup(parts, src, data.total)
@@ -37,7 +37,7 @@ def tuple_into(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> An
 def cotuple_from(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> Any:
     """[f_k] : (+) X_k -> Y, the sup of f_k o p_k."""
     if len(fs) != len(data.projections):
-        raise ValueError("one component morphism per summand")
+        raise StructureError("one component morphism per summand")
     tgt = inst.target(fs[0])
     parts = [inst.compose(f, p) for f, p in zip(fs, data.projections)]
     return inst.sup(parts, data.total, tgt)
@@ -128,7 +128,7 @@ def is_map_onto_quoted_set(
     for p in data.projections:
         summand = inst.target(p)
         if len(summand.components) != 1:
-            raise ValueError("summands of a quoted set are single unit components")
+            raise StructureError("summands of a quoted set are single unit components")
         iso = inst.mor(summand, unit, {(summand.components[0][0], "*"): cell})
         comps.append(inst.compose(iso, inst.compose(p, f)))
     for i in range(len(comps)):

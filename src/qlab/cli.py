@@ -10,7 +10,8 @@ Subcommands:
   embed    embed a plain boolean relation into a valued or quantum instance
 
 Inputs are file paths or inline JSON.  Exit codes: 0 success, 1 a law suite
-found a failure, 2 bad input or usage.
+found a failure, 2 bad input or usage (a `QlabError`, or a file that cannot be
+read or written); any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -22,51 +23,26 @@ import sys
 from pathlib import Path
 
 from . import calculus, core, qrel as qrel_mod, serialize
-from .exact import ExactError
-from .finrel import FinRelError, powerset_adjoint
-from .matr import (
-    MatrError,
-    boolean_complement,
-    qrel_instance,
-    rel_instance,
-    relation_to_matr,
-    vrel_instance,
-)
-from .orders import OrderError
-from .quantale import (
-    BUILTIN_QUANTALES,
-    FiniteQuantale,
-    QuantaleError,
-    v_power_adjoint,
-    validate_quantale,
-)
-
-INPUT_ERRORS = (
-    serialize.SerializeError,
-    ExactError,
-    FinRelError,
-    MatrError,
-    OrderError,
-    QuantaleError,
-    core.StructureError,
-    json.JSONDecodeError,
-    ValueError,
-    OSError,
-)
+from .errors import QlabError
+from .finrel import powerset_adjoint
+from .matr import boolean_complement, qrel_instance, rel_instance, relation_to_matr, vrel_instance
+from .quantale import BUILTIN_QUANTALES, FiniteQuantale, v_power_adjoint, validate_quantale
 
 
-class CliError(Exception):
+class CliError(QlabError):
     pass
 
 
 def _read_json(spec: str):
     text = spec.strip()
-    if not (text.startswith("{") or text.startswith("[")):
-        text = Path(spec).read_text()
     try:
+        if not (text.startswith("{") or text.startswith("[")):
+            text = Path(spec).read_text()
         return json.loads(text)
     except RecursionError:
         raise CliError("JSON input nested too deeply to parse") from None
+    except ValueError as exc:  # not UTF-8, or not JSON (an integer too long, say)
+        raise CliError(str(exc)) from None
 
 
 def _load_quantale(spec: str | None) -> FiniteQuantale:
@@ -102,12 +78,23 @@ def _emit(args, doc, text: str | None = None) -> None:
 
 # -- expression evaluation --------------------------------------------------------
 
+# Each function's arity and evaluation.  An evaluation looks its function up
+# when it runs, so one replaced after import (by a tracer, say) is the one called.
 _FUNCTIONS = {
-    "compose": 2, "dagger": 1, "join": 2, "meet": 2, "tensor": 2,
-    "name": 1, "coname": 1, "star": 1, "trace": 1, "sum": 2,
+    "compose": (2, lambda inst, f, g: inst.compose(f, g)),
+    "dagger": (1, lambda inst, f: inst.dagger(f)),
+    "join": (2, lambda inst, f, g: inst.join2(f, g)),
+    "meet": (2, lambda inst, f, g: inst.meet2(f, g)),
+    "tensor": (2, lambda inst, f, g: inst.tensor_mor(f, g)),
+    "name": (1, lambda inst, f: core.name_of(inst, f)),
+    "coname": (1, lambda inst, f: core.coname_of(inst, f)),
+    "star": (1, lambda inst, f: core.star_of(inst, f)),
+    "trace": (1, lambda inst, f: core.trace_of(inst, f)),
+    "sum": (2, lambda inst, f, g: calculus.superposition_sum(inst, f, g)),
 }
 
-_INFIX = {"∘": "compose", "⊗": "tensor", "∧": "meet", "∨": "join"}
+# The infix symbols, loosest first, and the function each one names.
+_INFIX = {"∨": "join", "∧": "meet", "⊗": "tensor", "∘": "compose"}
 
 
 def _tokenize(src: str) -> list[str]:
@@ -117,10 +104,7 @@ def _tokenize(src: str) -> list[str]:
         ch = src[i]
         if ch.isspace():
             i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch in _INFIX:
+        elif ch in "()," or ch in _INFIX:
             tokens.append(ch)
             i += 1
         elif ch.isalnum() or ch == "_":
@@ -157,17 +141,14 @@ class _Parser:
             raise CliError(f"unexpected trailing token {self.peek()!r}")
         return node
 
-    LEVELS = ["∨", "∧", "⊗", "∘"]
-
     def level(self, n):
-        if n == len(self.LEVELS):
+        if n == len(_INFIX):
             return self.atom()
-        op = self.LEVELS[n]
+        op, name = list(_INFIX.items())[n]
         node = self.level(n + 1)
         while self.peek() == op:
             self.take()
-            rhs = self.level(n + 1)
-            node = (_INFIX[op], node, rhs)
+            node = (name, node, self.level(n + 1))
         return node
 
     def atom(self):
@@ -183,8 +164,9 @@ class _Parser:
                 self.take(",")
                 args.append(self.level(0))
             self.take(")")
-            if len(args) != _FUNCTIONS[tok]:
-                raise CliError(f"{tok} takes {_FUNCTIONS[tok]} argument(s)")
+            arity = _FUNCTIONS[tok][0]
+            if len(args) != arity:
+                raise CliError(f"{tok} takes {arity} argument(s)")
             return (tok, *args)
         if tok in "(),":
             raise CliError(f"unexpected token {tok!r}")
@@ -192,34 +174,12 @@ class _Parser:
 
 
 def _eval_expr(node, inst, env):
-    op = node[0]
+    op, *args = node
     if op == "ref":
-        name = node[1]
-        if name not in env:
-            raise CliError(f"unknown name {name!r}; load it with --load")
-        return env[name]
-    args = [_eval_expr(a, inst, env) for a in node[1:]]
-    if op == "compose":
-        return inst.compose(args[0], args[1])
-    if op == "dagger":
-        return inst.dagger(args[0])
-    if op == "join":
-        return inst.join2(args[0], args[1])
-    if op == "meet":
-        return inst.meet2(args[0], args[1])
-    if op == "tensor":
-        return inst.tensor_mor(args[0], args[1])
-    if op == "name":
-        return core.name_of(inst, args[0])
-    if op == "coname":
-        return core.coname_of(inst, args[0])
-    if op == "star":
-        return core.star_of(inst, args[0])
-    if op == "trace":
-        return core.trace_of(inst, args[0])
-    if op == "sum":
-        return calculus.superposition_sum(inst, args[0], args[1])
-    raise CliError(f"unknown operation {op!r}")
+        if args[0] not in env:
+            raise CliError(f"unknown name {args[0]!r}; load it with --load")
+        return env[args[0]]
+    return _FUNCTIONS[op][1](inst, *[_eval_expr(a, inst, env) for a in args])
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -244,8 +204,10 @@ def cmd_compute(args) -> int:
             raise CliError("--load expects NAME=FILE_OR_JSON")
         name, spec = item.split("=", 1)
         env[name] = serialize.morphism_from_json(args.instance, inst, _read_json(spec))
-    node = _Parser(_tokenize(args.expression)).parse()
-    result = _eval_expr(node, inst, env)
+    try:
+        result = _eval_expr(_Parser(_tokenize(args.expression)).parse(), inst, env)
+    except RecursionError:
+        raise CliError("expression nested too deeply to evaluate") from None
     _emit(args, serialize.morphism_to_json(args.instance, inst, result))
     return 0
 
@@ -384,7 +346,7 @@ def main(argv=None) -> int:
         if args.quantale is not None and args.instance != "vrel":
             raise CliError("--quantale applies only to --instance vrel")
         return globals()["cmd_" + args.command](args)
-    except (CliError, *INPUT_ERRORS) as exc:
+    except (QlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from .errors import QlabError
 from .matr import MatrError, MatrInstance
 
 
-class StructureError(ValueError):
+class StructureError(QlabError):
     """An operation got a morphism of the wrong shape, e.g. a trace of a non-endomorphism."""
 
 

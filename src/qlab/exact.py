@@ -35,8 +35,10 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from .errors import QlabError
 
-class ExactError(ValueError):
+
+class ExactError(QlabError):
     """Raised on shape mismatches or malformed scalar strings."""
 
 

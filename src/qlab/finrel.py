@@ -13,10 +13,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
+from .errors import QlabError
+
 Label = Hashable
 
 
-class FinRelError(ValueError):
+class FinRelError(QlabError):
     pass
 
 

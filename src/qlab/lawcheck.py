@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import calculus, core, orders, power, qrel
-from .exact import ExactError, span_of_rows
+from .errors import QlabError
+from .exact import span_of_rows
 from .finrel import (
     BoolRelation,
-    FinRelError,
     all_functions,
     all_relations,
     curry,
@@ -32,7 +32,6 @@ from .finrel import (
     product_set,
 )
 from .matr import (
-    MatrError,
     MatrInstance,
     boolean_complement,
     matr_to_relation,
@@ -46,7 +45,6 @@ from .matr import (
 )
 from .quantale import (
     FiniteQuantale,
-    QuantaleError,
     VRelation,
     all_vrelations,
     allegory_witness,
@@ -190,7 +188,7 @@ def make_context(kind: str, seed: int, quantale: FiniteQuantale | None = None) -
         return Context(kind, vrel_instance(q), rng, q)
     if kind == "qrel":
         return Context(kind, qrel_instance(), rng, None)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise QlabError(f"unknown instance kind {kind!r}")
 
 
 # -- suites --------------------------------------------------------------------
@@ -659,7 +657,7 @@ def suite_quote(ctx: Context, law) -> None:
         )
     faithful.record(len(seen) == len(rels))
     # seen is the quoted image of the homset a -> b
-    expecting_full = len(inst.scalars()) == 2
+    expecting_full = calculus.quote_is_full(inst)
     is_full = set(inst.enum_hom(set_to_object(inst, a), set_to_object(inst, b))) == seen
     full.record(is_full == expecting_full)
     if expecting_full:
@@ -952,12 +950,8 @@ def suite_scalars(ctx: Context, law) -> None:
     for f in ctx.homs(x, y, 4):
         act.record(inst.equal(core.scalar_mul(inst, one, f), f), f)
     flags.record(core.is_nondegenerate(inst))
-    if ctx.kind == "rel":
-        flags.record(core.is_affine(inst))
-    if ctx.kind == "qrel":
-        flags.record(core.is_affine(inst))
-    if ctx.kind == "vrel":
-        flags.record(core.is_affine(inst) == ctx.quantale.is_affine())
+    # qrel has no context quantale; its unit scalar is the top one
+    flags.record(core.is_affine(inst) == (ctx.quantale is None or ctx.quantale.is_affine()))
 
 
 @suite("classical-maps", ("rel", "qrel"))
@@ -981,37 +975,39 @@ def available_suites(kind: str) -> list[str]:
     return [name for name, (_, kinds) in SUITES.items() if kind in kinds]
 
 
-def run_suite(name: str, kind: str, seed: int = 0,
-              quantale: FiniteQuantale | None = None) -> SuiteReport:
+def _applicable(name: str, kind: str):
+    """The body of suite `name`, refused unless it exists and applies to `kind`."""
+    if name not in SUITES:
+        raise QlabError(f"unknown suite {name!r}")
     fn, kinds = SUITES[name]
     if kind not in kinds:
-        raise ValueError(f"suite {name!r} does not apply to instance {kind!r}")
+        raise QlabError(f"suite {name!r} does not apply to instance {kind!r}")
+    return fn
+
+
+def run_suite(name: str, kind: str, seed: int = 0,
+              quantale: FiniteQuantale | None = None) -> SuiteReport:
+    fn = _applicable(name, kind)
     ctx = make_context(kind, seed, quantale)
     ctx.rng = random.Random(f"{seed}:{kind}:{name}")
     return SuiteReport(name, fn(ctx))
 
 
-# qlab's own errors.  A suite that raises one of them has met a structure that
-# breaks a law it builds on (an order that is not a preorder, say): the run
-# reports it as a failed law instead of stopping.
-LIBRARY_ERRORS = (ExactError, FinRelError, MatrError, QuantaleError, core.StructureError,
-                  orders.OrderError)
-
-
 def run_all(kind: str, seed: int = 0, quantale: FiniteQuantale | None = None,
             suites: list[str] | None = None) -> list[SuiteReport]:
-    """Every named suite (default: all that apply to `kind`).  A suite that
-    raises one of `LIBRARY_ERRORS` is reported with one failed law, "the suite
-    runs to the end", whose witness is "<error type>: <message>"."""
+    """Every named suite (default: all that apply to `kind`), each refused
+    before any runs unless it applies.  A suite that raises a `QlabError` has
+    met a structure that breaks a law it builds on (an order that is not a
+    preorder, say); it is reported with one failed law, "the suite runs to the
+    end", whose witness is "<error type>: <message>"."""
     names = suites or available_suites(kind)
     for n in names:
-        if n not in SUITES:
-            raise ValueError(f"unknown suite {n!r}")
+        _applicable(n, kind)
     reports = []
     for n in names:
         try:
             reports.append(run_suite(n, kind, seed, quantale))
-        except LIBRARY_ERRORS as exc:
+        except QlabError as exc:
             aborted = LawResult(n, "the suite runs to the end")
             aborted.record(False, f"{type(exc).__name__}: {exc}")
             reports.append(SuiteReport(n, [aborted]))

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Any
 
+from .errors import QlabError
 from .exact import (
     OperatorSubspace,
     full_subspace,
@@ -76,7 +77,7 @@ from .finrel import BoolRelation, FiniteSet
 from .quantale import FiniteQuantale, VRelation, boolean_quantale
 
 
-class MatrError(ValueError):
+class MatrError(QlabError):
     pass
 
 

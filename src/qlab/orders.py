@@ -12,10 +12,11 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from .calculus import BiproductData, biproduct_data, omega_data, tuple_into
 from .core import is_preorder, star_of
+from .errors import QlabError
 from .matr import MatrInstance
 
 
-class OrderError(ValueError):
+class OrderError(QlabError):
     pass
 
 

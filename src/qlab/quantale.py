@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
+from .errors import QlabError
 from .finrel import BoolRelation, FiniteSet, product_set
 
 Label = Hashable
 
 
-class QuantaleError(ValueError):
+class QuantaleError(QlabError):
     pass
 
 

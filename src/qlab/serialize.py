@@ -21,17 +21,19 @@ in one pass.
 
 from __future__ import annotations
 
+import operator
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from typing import Any
 
+from .errors import QlabError
 from .exact import IntRow, OperatorSubspace, format_over, parse_over, span_of_rows
 from .finrel import BoolRelation, FiniteSet
 from .matr import MatrInstance, MatrMorphism, MatrObject
 from .quantale import FiniteQuantale, QuantaleError, VRelation, quantale_from_tables
 
 
-class SerializeError(ValueError):
+class SerializeError(QlabError):
     pass
 
 
@@ -353,18 +355,14 @@ def _write(x: Any, nl: str, out: list) -> None:
         sep = "," + inner
         out.append("{" + inner)
         for i, k in enumerate(sorted(x)):
-            if type(k) is not str:
-                raise TypeError(f"dict key {k!r} is not a str")
             if i:
                 out.append(sep)
-            out.append(_quote(k) + ": ")
+            out.append(_quote(k) + ": ")  # TypeError if k is not a str
             _write(x[k], inner, out)
         out.append(nl + "}")
     elif x is None:
         out.append("null")
     elif t is bool:
         out.append("true" if x else "false")
-    elif t is int:
-        out.append(repr(x))
-    else:
-        raise TypeError(f"{t.__name__} {x!r} is not a qlab output value")
+    else:  # an int; operator.index raises TypeError on any other value
+        out.append(repr(operator.index(x)))

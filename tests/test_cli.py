@@ -313,14 +313,16 @@ def test_a_broken_order_fails_laws_instead_of_aborting(monkeypatch, capsys):
             }]
 
 
-def test_a_lookup_bug_in_the_library_is_not_reported_as_bad_input(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_a_lookup_bug_in_the_library_is_not_reported_as_bad_input(error, monkeypatch, capsys):
     # The morphism layer indexes label dicts directly, so a KeyError there is
-    # a library fault: it must not exit 2 as if the input were malformed.
+    # a library fault: it must not exit 2 as if the input were malformed.  Nor
+    # may a ValueError that is not one of qlab's own refusals.
     def broken(self, f):
-        raise KeyError("lost label")
+        raise error("lost label")
 
     monkeypatch.setattr(MatrInstance, "dagger", broken)
-    with pytest.raises(KeyError, match="lost label"):
+    with pytest.raises(error, match="lost label"):
         main(["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagger(f)"])
     assert capsys.readouterr().err == ""
 
@@ -387,6 +389,40 @@ def test_deeply_nested_input_is_input_error(tmp_path, command, doc, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+
+_A = '{"source": {"labels": ["a"]}, "target": {"labels": ["a"]}, "pairs": [["a", "a"]]}'
+_TOO_DEEP = "error: expression nested too deeply to evaluate"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--instance", "rel", "--suite", "nosuch"], "error: unknown suite 'nosuch'"),
+    (["check", "--instance", "rel", "--suite", "qrel-kernel"],
+     "error: suite 'qrel-kernel' does not apply to instance 'rel'"),
+    (["power", "--instance", "rel", "{tmp}/latin1.json"],
+     "error: 'utf-8' codec can't decode byte 0xe9"),
+    pytest.param(["power", "--instance", "rel", "{tmp}/long-int.json"],
+                 "error: Exceeds the limit (4300 digits) for integer string conversion",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer string limit before 3.10.7")),
+    (["neg", "--instance", "rel", "--out", "{tmp}/missing/out.json", _A],
+     "error: [Errno 2] No such file or directory"),
+    (["compute", "--instance", "rel", "--load", f"f={_A}", "(" * 3000 + "f" + ")" * 3000],
+     _TOO_DEEP),
+    (["compute", "--instance", "rel", "--load", f"f={_A}",
+      "dagger(" * 3000 + "f" + ")" * 3000], _TOO_DEEP),
+    (["compute", "--instance", "rel", "--load", f"f={_A}", "∘".join(["f"] * 20_000)],
+     _TOO_DEEP),
+], ids=["unknown-suite", "inapplicable-suite", "not-utf8", "long-integer",
+        "out-in-missing-dir", "deep-parens", "deep-dagger", "long-chain"])
+def test_refusal_exits_2_with_one_line(tmp_path, argv, message):
+    (tmp_path / "latin1.json").write_bytes('{"labels": ["é"]}'.encode("latin-1"))
+    (tmp_path / "long-int.json").write_text('{"labels": [' + "1" * 5000 + "]}")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("where, value, message", [

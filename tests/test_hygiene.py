@@ -20,6 +20,11 @@ Start-up pays only for what a command runs: a `@dataclass` generates its
 methods through `exec` at import, so only the value classes with validation,
 a hand-written `__init__` or mutable state are dataclasses (the field-only
 records are `NamedTuple`s), and only `cli.cmd_check` imports the law suites.
+
+Every error qlab raises on purpose is a `QlabError`: each exception class of
+the package derives from it, no module raises a bare `ValueError`, `KeyError`
+or `TypeError`, and only the two boundaries that report a refusal catch it,
+`cli.main` (exit 2) and `lawcheck.run_all` (a failed law).
 """
 
 import ast
@@ -32,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from qlab import exact, lawcheck
+from qlab.errors import QlabError
 from qlab.quantale import BUILTIN_QUANTALES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -309,3 +315,54 @@ def test_only_cmd_check_imports_the_law_suites():
     found = [where for p in sorted(PACKAGE.glob("*.py"))
              for where in lawcheck_importers(p.stem, p.read_text())]
     assert found == ["cli.cmd_check"]
+
+
+def test_every_exception_class_derives_from_qlab_error():
+    classes = {}
+    for p in MODULES:
+        module = importlib.import_module(f"qlab.{p.stem}")
+        classes.update({f"{p.stem}.{name}": obj for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__})
+    assert len(classes) == 9
+    assert [name for name, cls in classes.items() if not issubclass(cls, QlabError)] == []
+
+
+def where_errors_go(module: str, source: str) -> tuple[list[str], list[str]]:
+    """The `raise` of a bare ValueError, KeyError or TypeError, and the
+    `except` clauses naming QlabError, each as `module.function` (or class)."""
+    raises, catches = [], []
+    for top in ast.parse(source).body:
+        where = module
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where += "." + top.name
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) in ("ValueError", "KeyError", "TypeError"):
+                    raises.append(where)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(ast.unparse(n).split(".")[-1] == "QlabError" for n in names):
+                    catches.append(where)
+    return raises, catches
+
+
+def test_scan_sees_builtin_raises_and_qlab_error_catches():
+    src = ("def f():\n    raise ValueError('x')\n"
+           "class C:\n    def g(self):\n        raise KeyError\n"
+           "def h():\n    try:\n        raise OtherError()\n"
+           "    except (OSError, errors.QlabError):\n        raise\n"
+           "def k():\n    try:\n        pass\n    except QlabError:\n        raise TypeError\n"
+           "    except ValueError:\n        pass\n")
+    assert where_errors_go("m", src) == (["m.f", "m.C", "m.k"], ["m.h", "m.k"])
+
+
+def test_qlab_raises_only_its_own_errors_and_catches_them_at_two_boundaries():
+    raises, catches = [], []
+    for p in sorted(PACKAGE.glob("*.py")):
+        r, c = where_errors_go(p.stem, p.read_text())
+        raises += r
+        catches += c
+    assert raises == []
+    assert catches == ["cli.main", "lawcheck.run_all"]

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from qlab import core, serialize
+from qlab.errors import QlabError
 from qlab.exact import ExactMatrix, span_of
 from qlab.finrel import BoolRelation, fset
 from qlab.lawcheck import (
@@ -129,10 +130,14 @@ def test_run_suite_deterministic():
 
 
 def test_run_suite_kind_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(QlabError):
         run_suite("qrel-neg", "rel")
-    with pytest.raises(ValueError):
+    with pytest.raises(QlabError):
         run_all("rel", suites=["nosuch"])
+    # run_all reports a QlabError out of a running suite as a failed law; a
+    # suite named for the wrong instance is refused before any suite runs.
+    with pytest.raises(QlabError, match="does not apply to instance 'rel'"):
+        run_all("rel", suites=["dagger", "qrel-kernel"])
 
 
 def test_render_text_counts():
