@@ -25,7 +25,8 @@ from pathlib import Path
 from . import calculus, core, qrel as qrel_mod, serialize
 from .errors import QlabError
 from .finrel import powerset_adjoint
-from .matr import boolean_complement, qrel_instance, rel_instance, relation_to_matr, vrel_instance
+from .matr import (boolean_complement, qrel_instance, rel_instance, relation_to_matr,
+                   vrel_instance, vrelation_to_matr)
 from .quantale import BUILTIN_QUANTALES, FiniteQuantale, v_power_adjoint, validate_quantale
 
 
@@ -58,13 +59,10 @@ def _load_quantale(spec: str | None) -> FiniteQuantale:
 
 
 def _instance(kind: str, quantale_spec: str | None):
-    if kind == "rel":
-        return rel_instance()
+    """The instance named by --instance, whose choices are rel, vrel and qrel."""
     if kind == "vrel":
         return vrel_instance(_load_quantale(quantale_spec))
-    if kind == "qrel":
-        return qrel_instance()
-    raise CliError(f"unknown instance {kind!r}")
+    return rel_instance() if kind == "rel" else qrel_instance()
 
 
 def _emit(args, doc, text: str | None = None) -> None:
@@ -203,12 +201,12 @@ def cmd_compute(args) -> int:
         if "=" not in item:
             raise CliError("--load expects NAME=FILE_OR_JSON")
         name, spec = item.split("=", 1)
-        env[name] = serialize.morphism_from_json(args.instance, inst, _read_json(spec))
+        env[name] = serialize.morphism_from_json(inst, _read_json(spec))
     try:
         result = _eval_expr(_Parser(_tokenize(args.expression)).parse(), inst, env)
     except RecursionError:
         raise CliError("expression nested too deeply to evaluate") from None
-    _emit(args, serialize.morphism_to_json(args.instance, inst, result))
+    _emit(args, serialize.morphism_to_json(inst, result))
     return 0
 
 
@@ -228,39 +226,37 @@ def cmd_kernel(args) -> int:
 
 def cmd_neg(args) -> int:
     inst = _instance(args.instance, args.quantale)
-    f = serialize.morphism_from_json(args.instance, inst, _read_json(args.relation))
+    f = serialize.morphism_from_json(inst, _read_json(args.relation))
     if args.instance == "rel":
         result = boolean_complement(inst, f)
     elif args.instance == "qrel":
         result = qrel_mod.orthocomplement(f)
     else:
         raise CliError("neg is defined for the rel and qrel instances")
-    _emit(args, serialize.morphism_to_json(args.instance, inst, result))
+    _emit(args, serialize.morphism_to_json(inst, result))
     return 0
 
 
 def cmd_power(args) -> int:
     doc = _read_json(args.object)
+    inst = _instance(args.instance, args.quantale)
     if args.instance == "rel":
-        a = serialize.set_from_json(doc)
-        data = powerset_adjoint(a)
+        data = powerset_adjoint(serialize.set_from_json(doc))
         out = {
             "power": serialize.set_to_json(data.power),
-            "membership": serialize.relation_to_json(data.membership),
-            "singleton": serialize.relation_to_json(data.singleton),
+            "membership": serialize.relation_to_json(relation_to_matr(inst, data.membership)),
+            "singleton": serialize.relation_to_json(relation_to_matr(inst, data.singleton)),
         }
     elif args.instance == "vrel":
-        q = _load_quantale(args.quantale)
-        a = serialize.set_from_json(doc)
-        data = v_power_adjoint(q, a)
+        data = v_power_adjoint(inst.base.quantale, serialize.set_from_json(doc))
         out = {
             "power": serialize.set_to_json(data.power),
             "omega": serialize.set_to_json(data.omega),
-            "counit": serialize.vrelation_to_json(data.counit),
-            "omega_effect": serialize.vrelation_to_json(data.omega_effect),
+            "counit": serialize.vrelation_to_json(vrelation_to_matr(inst, data.counit)),
+            "omega_effect": serialize.vrelation_to_json(
+                vrelation_to_matr(inst, data.omega_effect)),
         }
     else:
-        inst = qrel_instance()
         x = serialize.qset_from_json(inst, doc)
         om = qrel_mod.qrel_omega()
         out = {
@@ -274,12 +270,11 @@ def cmd_power(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    r = serialize.relation_from_json(_read_json(args.relation))
     if args.instance == "rel":
         raise CliError("embed targets the vrel or qrel instance")
     inst = _instance(args.instance, args.quantale)
-    result = relation_to_matr(inst, r)
-    _emit(args, serialize.morphism_to_json(args.instance, inst, result))
+    result = serialize.relation_from_json(inst, _read_json(args.relation))
+    _emit(args, serialize.morphism_to_json(inst, result))
     return 0
 
 

@@ -869,7 +869,7 @@ def suite_downsets(ctx: Context, law) -> None:
         if orders.is_downset_relation(inst, p, r):
             downsets.append(r)
             f = orders.downset_to_monotone_map(
-                inst, om, p, r, lambda r: boolean_complement(inst, r)
+                inst, om, r, lambda r: boolean_complement(inst, r)
             )
             ok = (
                 core.is_map(inst, f)

@@ -391,9 +391,10 @@ class MatrInstance:
     components, so its label index is built once per object.  The structure
     morphisms and objects (identities, unitors, associators, symmetries, units
     and counits, the unit and tensors) are built once per argument objects.
+    `name` is "rel", "vrel" or "qrel": it picks the instance's JSON format.
     """
 
-    def __init__(self, base: QuantaleBase | FdOSBase, name: str = "matr"):
+    def __init__(self, base: QuantaleBase | FdOSBase, name: str):
         self.base = base
         self.name = name
         self._objects: dict[tuple, MatrObject] = {}

@@ -207,7 +207,6 @@ def monotone_map_to_downset(inst: MatrInstance, om: OmegaOrder, f: Any) -> Any:
 def downset_to_monotone_map(
     inst: MatrInstance,
     om: OmegaOrder,
-    p: PreorderedObject,
     r: Any,
     complement: Callable[[Any], Any],
 ) -> Any:

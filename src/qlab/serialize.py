@@ -13,6 +13,14 @@ Formats:
                    "blocks": [{"from": a, "to": b, "basis": [matrix, ...]}]}
                   with each matrix a list of rows of exact scalar strings
 
+Every morphism is read straight into a `MatrMorphism` with `inst.mor` and
+written from its blocks.  A relation's sets become biproducts of the tensor
+unit (`matr.set_to_object`) and each pair the unit's identity cell, in any
+instance; a valued relation's value is its quantale element.
+`morphism_from_json` and `morphism_to_json` pick the format by the
+instance's name.  A reader checks every field it reads and catches nothing,
+so a fault in the library is never reported as bad input.
+
 Output iteration orders are canonical (by label), so serialization is
 deterministic and roundtrips to an equal value.  `dumps` is the one writer of
 output text: it writes the bytes of json.dumps(doc, indent=2, sort_keys=True)
@@ -28,9 +36,9 @@ from typing import Any
 
 from .errors import QlabError
 from .exact import IntRow, OperatorSubspace, format_over, parse_over, span_of_rows
-from .finrel import BoolRelation, FiniteSet
-from .matr import MatrInstance, MatrMorphism, MatrObject
-from .quantale import FiniteQuantale, QuantaleError, VRelation, quantale_from_tables
+from .finrel import FiniteSet
+from .matr import MatrInstance, MatrMorphism, MatrObject, set_to_object
+from .quantale import FiniteQuantale, quantale_from_tables
 
 
 class SerializeError(QlabError):
@@ -58,58 +66,108 @@ def _label_to_json(x: Any):
     return x
 
 
-# -- sets and boolean relations ---------------------------------------------------
+def _field(doc: Any, key: str, what: str) -> Any:
+    """doc[key], for a JSON object doc that has the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise SerializeError(f"malformed {what}: no {key!r} field")
+    return doc[key]
 
-def set_to_json(a: FiniteSet) -> dict:
+
+def _list(doc: Any, key: str, what: str) -> list:
+    """doc[key], checked to be a list: a string must not be read as its
+    characters."""
+    x = _field(doc, key, what)
+    if not isinstance(x, list):
+        raise SerializeError(f"malformed {what}: {key!r} must be a list")
+    return x
+
+
+def _entries(doc: Any, key: str, fields: tuple[str, ...], what: str) -> list:
+    """doc[key], checked to be a list of lists of len(fields) items each: a
+    string entry must not be unpacked as its characters."""
+    shape = "[" + ", ".join(fields) + "]"
+    entries = _field(doc, key, what)
+    if not isinstance(entries, list):
+        raise SerializeError(f"malformed {what}: '{key}' must be a list of {shape} lists")
+    for e in entries:
+        if not isinstance(e, list) or len(e) != len(fields):
+            raise SerializeError(f"malformed {what}: entry {e!r} of '{key}' is not a {shape} list")
+    return entries
+
+
+# -- sets, relations and valued relations ----------------------------------------------
+
+def set_to_json(a: FiniteSet | MatrObject) -> dict:
     return {"labels": [_label_to_json(x) for x in a.labels]}
 
 
-def set_from_json(doc: dict) -> FiniteSet:
+def set_from_json(doc: Any) -> FiniteSet:
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise SerializeError("a set needs a 'labels' list")
     return FiniteSet(tuple(_label_from_json(x) for x in doc["labels"]))
 
 
-def relation_to_json(r: BoolRelation) -> dict:
+def _quoted_sets(inst: MatrInstance, doc: Any, what: str) -> tuple[MatrObject, MatrObject]:
+    """The source and target sets of a relation document, quoted in inst."""
+    return (set_to_object(inst, set_from_json(_field(doc, "source", what))),
+            set_to_object(inst, set_from_json(_field(doc, "target", what))))
+
+
+def _pair(src: MatrObject, tgt: MatrObject, a: Any, b: Any) -> tuple:
+    pair = (_label_from_json(a), _label_from_json(b))
+    if pair[0] not in src.index or pair[1] not in tgt.index:
+        raise SerializeError(f"pair {pair!r} outside source x target")
+    return pair
+
+
+def relation_to_json(f: MatrMorphism) -> dict:
+    """The pairs of f's blocks, sorted by the repr of their JSON pair."""
     return {
-        "source": set_to_json(r.source),
-        "target": set_to_json(r.target),
+        "source": set_to_json(f.source),
+        "target": set_to_json(f.target),
         "pairs": sorted(
-            [[_label_to_json(a), _label_to_json(b)] for a, b in r.pairs], key=repr
+            [[_label_to_json(a), _label_to_json(b)] for (a, b), _ in f.blocks], key=repr
         ),
     }
 
 
-def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list:
-    """doc[key], checked to be a list of lists of len(fields) items each: a
-    string entry must not be unpacked as its characters."""
-    shape = "[" + ", ".join(fields) + "]"
-    entries = doc[key]
-    if not isinstance(entries, list):
-        raise SerializeError(f"'{key}' must be a list of {shape} lists")
-    for e in entries:
-        if not isinstance(e, list) or len(e) != len(fields):
-            raise SerializeError(f"entry {e!r} of '{key}' is not a {shape} list")
-    return entries
+def relation_from_json(inst: MatrInstance, doc: Any) -> MatrMorphism:
+    """A boolean relation as a matrix of identity cells of the tensor unit."""
+    src, tgt = _quoted_sets(inst, doc, "relation")
+    cell = inst.base.identity(inst.base.unit_obj())
+    blocks = {_pair(src, tgt, a, b): cell
+              for a, b in _entries(doc, "pairs", ("source", "target"), "relation")}
+    return inst.mor(src, tgt, blocks)
 
 
-def relation_from_json(doc: dict) -> BoolRelation:
-    try:
-        src = set_from_json(doc["source"])
-        tgt = set_from_json(doc["target"])
-        pairs = frozenset(
-            (_label_from_json(a), _label_from_json(b))
-            for a, b in _entries(doc, "pairs", ("source", "target"))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"malformed relation: {exc}") from exc
-    for a, b in pairs:
-        if a not in src or b not in tgt:
-            raise SerializeError(f"pair {(a, b)!r} outside source x target")
-    return BoolRelation(src, tgt, pairs)
+def vrelation_to_json(f: MatrMorphism) -> dict:
+    """f's values in label order; bottom, which has no block, is left out."""
+    cells = f.block_map()
+    return {
+        "source": set_to_json(f.source),
+        "target": set_to_json(f.target),
+        "values": [
+            [_label_to_json(a), _label_to_json(b), _label_to_json(cells[(a, b)])]
+            for a in f.source.labels for b in f.target.labels if (a, b) in cells
+        ],
+    }
 
 
-# -- quantales and valued relations ---------------------------------------------------
+def vrelation_from_json(inst: MatrInstance, doc: Any) -> MatrMorphism:
+    """A valued relation as the matrix of its values, in an instance over a
+    quantale base."""
+    elements = inst.base.quantale.elements
+    src, tgt = _quoted_sets(inst, doc, "valued relation")
+    blocks = {}
+    for a, b, v in _entries(doc, "values", ("source", "target", "value"), "valued relation"):
+        v = _label_from_json(v)
+        if v not in elements:
+            raise SerializeError(f"value {v!r} is not a quantale element")
+        blocks[_pair(src, tgt, a, b)] = v
+    return inst.mor(src, tgt, blocks)
+
+
+# -- quantales ---------------------------------------------------------------------
 
 def quantale_to_json(q: FiniteQuantale) -> dict:
     elems = list(q.elements)
@@ -121,26 +179,21 @@ def quantale_to_json(q: FiniteQuantale) -> dict:
     }
 
 
-def quantale_from_json(doc: dict) -> FiniteQuantale:
-    try:
-        elems = [_label_from_json(x) for x in doc["elements"]]
-        unit = _label_from_json(doc["unit"])
-        mul = _table_from_json(elems, doc["mul"], "mul")
-        join = None
-        leq = None
-        if "join" in doc:
-            join = _table_from_json(elems, doc["join"], "join")
-        if "leq" in doc:
-            rows = _square(doc["leq"], len(elems), "leq")
-            leq = {
-                (a, b)
-                for i, a in enumerate(elems)
-                for j, b in enumerate(elems)
-                if rows[i][j]
-            }
-        return quantale_from_tables(elems, mul, unit, join=join, leq=leq)
-    except (KeyError, TypeError, IndexError, QuantaleError) as exc:
-        raise SerializeError(f"malformed quantale: {exc}") from exc
+def quantale_from_json(doc: Any) -> FiniteQuantale:
+    elems = [_label_from_json(x) for x in _list(doc, "elements", "quantale")]
+    unit = _label_from_json(_field(doc, "unit", "quantale"))
+    mul = _table_from_json(elems, _field(doc, "mul", "quantale"), "mul")
+    join = _table_from_json(elems, doc["join"], "join") if "join" in doc else None
+    leq = None
+    if "leq" in doc:
+        rows = _square(doc["leq"], len(elems), "leq")
+        leq = {
+            (a, b)
+            for i, a in enumerate(elems)
+            for j, b in enumerate(elems)
+            if rows[i][j]
+        }
+    return quantale_from_tables(elems, mul, unit, join=join, leq=leq)
 
 
 def _square(rows: Any, n: int, what: str) -> list:
@@ -164,39 +217,6 @@ def _table_from_json(elems: list, rows: list, what: str) -> dict:
     return table
 
 
-def vrelation_to_json(r: VRelation) -> dict:
-    vals = []
-    bottom = r.quantale.bottom
-    for a in r.source.labels:
-        for b in r.target.labels:
-            v = r.at(a, b)
-            if v != bottom:
-                vals.append([_label_to_json(a), _label_to_json(b), _label_to_json(v)])
-    return {
-        "source": set_to_json(r.source),
-        "target": set_to_json(r.target),
-        "values": vals,
-    }
-
-
-def vrelation_from_json(q: FiniteQuantale, doc: dict) -> VRelation:
-    try:
-        src = set_from_json(doc["source"])
-        tgt = set_from_json(doc["target"])
-        values = {
-            (_label_from_json(a), _label_from_json(b)): _label_from_json(v)
-            for a, b, v in _entries(doc, "values", ("source", "target", "value"))
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializeError(f"malformed valued relation: {exc}") from exc
-    for (a, b), v in values.items():
-        if a not in src or b not in tgt:
-            raise SerializeError(f"pair {(a, b)!r} outside source x target")
-        if v not in q.elements:
-            raise SerializeError(f"value {v!r} is not a quantale element")
-    return VRelation(q, src, tgt, values)
-
-
 # -- quantum sets and quantum relations -----------------------------------------------
 
 def qset_to_json(x: MatrObject) -> dict:
@@ -207,16 +227,16 @@ def qset_to_json(x: MatrObject) -> dict:
     }
 
 
-def qset_from_json(inst: MatrInstance, doc: dict) -> MatrObject:
-    try:
-        comps = [(_label_from_json(a["label"]), a["dim"]) for a in doc["atoms"]]
-    except (KeyError, TypeError) as exc:
-        raise SerializeError(f"malformed quantum set: {exc}") from exc
-    for _, d in comps:
+def qset_from_json(inst: MatrInstance, doc: Any) -> MatrObject:
+    comps = []
+    for atom in _list(doc, "atoms", "quantum set"):
+        label = _label_from_json(_field(atom, "label", "quantum set atom"))
+        d = _field(atom, "dim", "quantum set atom")
         if type(d) is not int:
             raise SerializeError(f"atom dimension {d!r} is not a JSON integer")
         if d <= 0:
             raise SerializeError("atom dimensions must be positive")
+        comps.append((label, d))
     return inst.obj(comps)
 
 
@@ -266,51 +286,33 @@ def qrelation_to_json(f: MatrMorphism) -> dict:
     }
 
 
-def qrelation_from_json(inst: MatrInstance, doc: dict) -> MatrMorphism:
-    try:
-        src = qset_from_json(inst, doc["source"])
-        tgt = qset_from_json(inst, doc["target"])
-        blocks = {}
-        for blk in doc["blocks"]:
-            a = _label_from_json(blk["from"])
-            b = _label_from_json(blk["to"])
-            da, db = src.base_obj(a), tgt.base_obj(b)
-            vecs = [_vector_from_json(rows, db, da, (a, b)) for rows in blk["basis"]]
-            if vecs:
-                blocks[(a, b)] = span_of_rows(da, db, vecs)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SerializeError):
-            raise
-        raise SerializeError(f"malformed quantum relation: {exc}") from exc
+def qrelation_from_json(inst: MatrInstance, doc: Any) -> MatrMorphism:
+    what = "quantum relation"
+    src = qset_from_json(inst, _field(doc, "source", what))
+    tgt = qset_from_json(inst, _field(doc, "target", what))
+    blocks = {}
+    for blk in _list(doc, "blocks", what):
+        a = _label_from_json(_field(blk, "from", what))
+        b = _label_from_json(_field(blk, "to", what))
+        da, db = src.base_obj(a), tgt.base_obj(b)
+        vecs = [_vector_from_json(rows, db, da, (a, b)) for rows in _list(blk, "basis", what)]
+        if vecs:
+            blocks[(a, b)] = span_of_rows(da, db, vecs)
     return inst.mor(src, tgt, blocks)
 
 
-# -- instance dispatch -------------------------------------------------------------
+# -- instance dispatch: the format of each instance, by its name ---------------------
 
-def morphism_to_json(kind: str, inst: MatrInstance, f: MatrMorphism) -> dict:
-    from .matr import matr_to_relation, matr_to_vrelation
-
-    if kind == "rel":
-        return relation_to_json(matr_to_relation(f))
-    if kind == "vrel":
-        return vrelation_to_json(matr_to_vrelation(inst, f))
-    if kind == "qrel":
-        return qrelation_to_json(f)
-    raise SerializeError(f"unknown instance kind {kind!r}")
+_READERS = {"rel": relation_from_json, "vrel": vrelation_from_json, "qrel": qrelation_from_json}
+_WRITERS = {"rel": relation_to_json, "vrel": vrelation_to_json, "qrel": qrelation_to_json}
 
 
-def morphism_from_json(kind: str, inst: MatrInstance, doc: dict) -> MatrMorphism:
-    from .matr import relation_to_matr, vrelation_to_matr
+def morphism_from_json(inst: MatrInstance, doc: Any) -> MatrMorphism:
+    return _READERS[inst.name](inst, doc)
 
-    if kind == "rel":
-        return relation_to_matr(inst, relation_from_json(doc))
-    if kind == "vrel":
-        return vrelation_to_matr(
-            inst, vrelation_from_json(inst.base.quantale, doc)
-        )
-    if kind == "qrel":
-        return qrelation_from_json(inst, doc)
-    raise SerializeError(f"unknown instance kind {kind!r}")
+
+def morphism_to_json(inst: MatrInstance, f: MatrMorphism) -> dict:
+    return _WRITERS[inst.name](f)
 
 
 # -- output text ---------------------------------------------------------------------

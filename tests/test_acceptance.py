@@ -436,7 +436,7 @@ def test_criterion_11_ordered_structure():
                 if not is_downset_relation(REL, p, v):
                     continue
                 count += 1
-                f = downset_to_monotone_map(REL, om, p, v, complement)
+                f = downset_to_monotone_map(REL, om, v, complement)
                 assert is_monotone_map(REL, p, om.ordered, f)
                 assert REL.equal(monotone_map_to_downset(REL, om, f), v)
             assert count == len(downset_adjoint(ys, r).downsets)

@@ -122,6 +122,36 @@ def test_quote_roundtrip_and_functoriality():
             )
 
 
+@pytest.mark.parametrize("m, n, injections, surjections", [(2, 3, 6, 0), (3, 2, 0, 6), (2, 2, 2, 2)])
+def test_map_predicates_match_the_boolean_oracle(m, n, injections, surjections):
+    a, b = fset(*range(m)), fset(*"xyz"[:n])
+    found = [0, 0]
+    for r in all_relations(a, b):
+        f = relation_to_matr(REL, r)
+        image = [y for _, y in r.pairs]
+        injective = r.is_function() and len(set(image)) == m
+        surjective = r.is_function() and set(image) == set(b)
+        assert core.is_injective(REL, f) == injective
+        assert core.is_surjective(REL, f) == surjective
+        assert core.is_bijective(REL, f) == (injective and surjective)
+        found[0] += injective
+        found[1] += surjective
+    assert found == [injections, surjections]
+
+
+def test_is_projection_matches_the_endorelation_flag():
+    a = fset(0, 1)
+    found = 0
+    for r in all_relations(a, a):
+        f = relation_to_matr(REL, r)
+        projection = r.dagger() == r and r.compose(r) == r
+        assert core.is_projection(REL, f) == projection
+        assert ("projection" in core.endorelation_class(REL, f)) == projection
+        found += projection
+    # empty, {00}, {11}, {00, 11} and the full relation
+    assert found == 5
+
+
 def test_quote_product_cell_iso():
     for inst in (REL, QREL):
         cell = quote_product_cell(inst, A, X)

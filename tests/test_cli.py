@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qlab import serialize
 from qlab.cli import main
 from qlab.exact import format_scalar, gq, parse_scalar
 from qlab.matr import MatrInstance
@@ -313,17 +314,39 @@ def test_a_broken_order_fails_laws_instead_of_aborting(monkeypatch, capsys):
             }]
 
 
-@pytest.mark.parametrize("error", [KeyError, ValueError])
-def test_a_lookup_bug_in_the_library_is_not_reported_as_bad_input(error, monkeypatch, capsys):
+_SET_DOC = json.dumps({"labels": ["x"]})
+_QUANTALE_DOC = json.dumps({"elements": ["0", "1"], "mul": [["0", "0"], ["0", "1"]],
+                            "join": [["0", "1"], ["1", "1"]], "unit": "1"})
+_COMPUTE_REL = ["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagger(f)"]
+
+
+@pytest.mark.parametrize("error, owner, name, argv", [
+    (KeyError, MatrInstance, "dagger", _COMPUTE_REL),
+    (ValueError, MatrInstance, "dagger", _COMPUTE_REL),
+    # One function each reader calls, for each of the five readers.
+    (KeyError, serialize, "set_from_json", ["neg", "--instance", "rel", REL_DOC]),
+    (KeyError, serialize, "set_from_json",
+     ["compute", "--instance", "vrel", "--load",
+      'f={"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "values": []}', "dagger(f)"]),
+    (KeyError, serialize, "_label_from_json",
+     ["power", "--instance", "qrel", '{"atoms": [{"label": "u", "dim": 2}]}']),
+    (KeyError, serialize, "span_of_rows", ["neg", "--instance", "qrel", QREL_DOC]),
+    (KeyError, serialize, "quantale_from_tables",
+     ["power", "--instance", "vrel", "--quantale", _QUANTALE_DOC, _SET_DOC]),
+], ids=["KeyError", "ValueError", "relation", "valued-relation", "quantum-set",
+        "quantum-relation", "quantale"])
+def test_a_lookup_bug_in_the_library_is_not_reported_as_bad_input(
+        error, owner, name, argv, monkeypatch, capsys):
     # The morphism layer indexes label dicts directly, so a KeyError there is
     # a library fault: it must not exit 2 as if the input were malformed.  Nor
-    # may a ValueError that is not one of qlab's own refusals.
-    def broken(self, f):
+    # may a ValueError that is not one of qlab's own refusals, nor a fault
+    # inside a reader of input documents.
+    def broken(*args, **kwargs):
         raise error("lost label")
 
-    monkeypatch.setattr(MatrInstance, "dagger", broken)
+    monkeypatch.setattr(owner, name, broken)
     with pytest.raises(error, match="lost label"):
-        main(["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagger(f)"])
+        main(argv)
     assert capsys.readouterr().err == ""
 
 

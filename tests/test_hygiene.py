@@ -24,7 +24,10 @@ records are `NamedTuple`s), and only `cli.cmd_check` imports the law suites.
 Every error qlab raises on purpose is a `QlabError`: each exception class of
 the package derives from it, no module raises a bare `ValueError`, `KeyError`
 or `TypeError`, and only the two boundaries that report a refusal catch it,
-`cli.main` (exit 2) and `lawcheck.run_all` (a failed law).
+`cli.main` (exit 2) and `lawcheck.run_all` (a failed law).  A catch of a
+builtin `KeyError`, `TypeError`, `ValueError` or `IndexError` stays in the
+four places that guard one call each; the input readers check their fields
+instead.
 """
 
 import ast
@@ -366,3 +369,45 @@ def test_qlab_raises_only_its_own_errors_and_catches_them_at_two_boundaries():
         catches += c
     assert raises == []
     assert catches == ["cli.main", "lawcheck.run_all"]
+
+
+def builtin_catches(module: str, source: str) -> list[str]:
+    """Each `except` naming KeyError, TypeError, ValueError or IndexError, as
+    `module.function` or `module.Class.method`."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                names = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(ast.unparse(n) in ("KeyError", "TypeError", "ValueError", "IndexError")
+                       for n in names):
+                    out.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_scan_sees_builtin_catches():
+    src = ("def f():\n    try:\n        pass\n    except (OSError, KeyError):\n        pass\n"
+           "class C:\n    def g(self):\n        try:\n            pass\n"
+           "        except IndexError:\n            pass\n"
+           "        except QlabError:\n            pass\n"
+           "def h():\n    try:\n        pass\n    except RecursionError:\n        pass\n"
+           "    except ValueError as exc:\n        raise\n")
+    assert builtin_catches("m", src) == ["m.f", "m.C.g", "m.h"]
+
+
+def test_only_four_places_catch_builtin_lookup_and_value_errors():
+    """A catch of KeyError, TypeError, ValueError or IndexError could report a
+    fault in the library as bad input.  These four each guard one call: the
+    JSON parse of the input, two label lookups that become `MatrError`, and
+    the fast path of the output writer."""
+    found = [where for p in sorted(PACKAGE.glob("*.py"))
+             for where in builtin_catches(p.stem, p.read_text())]
+    assert found == ["cli._read_json", "matr.MatrObject.base_obj", "matr.MatrInstance.mor",
+                     "serialize._write"]

@@ -117,6 +117,48 @@ def test_kernel_of_full_morphism_is_empty():
     assert incl.blocks == ()
 
 
+# Two 5 -> 1 blocks whose kernels differ in rank and Gram determinant D.  A
+# dagger-monic inclusion with Gaussian rational entries exists for a kernel of
+# odd rank always, and for one of even rank exactly when D is a sum of two
+# rational squares.
+X5 = qset([("x", 5)])
+U1 = qset([("u", 1)])
+
+
+def _five_to_one(*rows):
+    return qmor(X5, U1, {("x", "u"): span_of(*(ExactMatrix.from_ints([r]) for r in rows))})
+
+
+@pytest.mark.xfail(strict=True, raises=MatrError,
+                   reason="Gram-Schmidt gives column norms 1, 1 and 3, in different norm classes")
+def test_kernel_of_rank_3_has_an_inclusion():
+    f = _five_to_one([0, 0, 1, -1, 0], [0, 0, 1, 0, -1])
+    # The orthogonal columns (1+i,1,0,0,0), (-1,1-i,0,0,0) and (0,0,1,1,1),
+    # each of squared norm 3, span the kernel: an inclusion exists.
+    cols = ExactMatrix.from_rows([[parse_scalar(t) for t in row] for row in (
+        ["1+i", "-1", "0"], ["1", "1-i", "0"], ["0", "0", "1"], ["0", "0", "1"], ["0", "0", "1"])])
+    k3 = qset([("k", 3)])
+    e = qmor(k3, X5, {("k", "x"): span_of(cols)})
+    assert INST.equal(INST.compose(f, e), INST.bottom(k3, U1))
+    assert INST.equal(INST.compose(INST.dagger(e), e), INST.identity(k3))
+    ker, incl = dagger_kernel([f])
+    assert ker.components == ((("k", "x"), 3),)
+    assert INST.equal(INST.compose(f, incl), INST.bottom(ker, U1))
+    assert INST.equal(INST.compose(INST.dagger(incl), incl), INST.identity(ker))
+
+
+def test_kernel_of_rank_2_with_gram_determinant_3_is_refused():
+    rows = ([1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 1])
+    u, v = nullspace([ExactMatrix.from_ints([r]).row(0) for r in rows], 5)
+
+    def inner(x, y):
+        return sum((a.conjugate() * b for a, b in zip(x, y)), Q0)
+
+    assert inner(u, u) * inner(v, v) - inner(u, v) * inner(v, u) == GaussianRational(3, 0)
+    with pytest.raises(MatrError, match="different norm classes"):
+        dagger_kernel([_five_to_one(*rows)])
+
+
 def test_zero_mono_examples():
     full = INST.top(X2, qset([("u", 1)]))
     assert is_zero_mono(full)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qlab.exact import ExactMatrix, format_scalar, parse_scalar, span_of
 from qlab.finrel import BoolRelation, fset
-from qlab.matr import qrel_instance
+from qlab.matr import qrel_instance, rel_instance, relation_to_matr, vrel_instance, vrelation_to_matr
 from qlab.qrel import qmor, qset
 from qlab.quantale import BUILTIN_QUANTALES, VRelation, lukasiewicz3_quantale
 from qlab.serialize import (
@@ -29,6 +29,8 @@ from qlab.serialize import (
 )
 
 L3 = lukasiewicz3_quantale()
+REL = rel_instance()
+VREL = vrel_instance(L3)
 QREL = qrel_instance()
 
 
@@ -40,9 +42,9 @@ def test_set_roundtrip():
 def test_relation_roundtrip():
     a = fset("a", "b")
     x = fset("x", "y")
-    r = BoolRelation(a, x, frozenset([("a", "x"), ("b", "y")]))
+    r = relation_to_matr(REL, BoolRelation(a, x, frozenset([("a", "x"), ("b", "y")])))
     doc = relation_to_json(r)
-    assert relation_from_json(doc) == r
+    assert relation_from_json(REL, doc) == r
 
 
 def test_relation_rejects_foreign_pairs():
@@ -52,7 +54,7 @@ def test_relation_rejects_foreign_pairs():
         "pairs": [["a", "nope"]],
     }
     with pytest.raises(SerializeError):
-        relation_from_json(doc)
+        relation_from_json(REL, doc)
 
 
 def test_quantale_roundtrip_all_builtins():
@@ -76,9 +78,9 @@ def test_quantale_from_leq_matrix():
 def test_vrelation_roundtrip():
     a = fset("a", "b")
     x = fset("x")
-    r = VRelation(L3, a, x, {("a", "x"): "1/2", ("b", "x"): "0"})
+    r = vrelation_to_matr(VREL, VRelation(L3, a, x, {("a", "x"): "1/2", ("b", "x"): "0"}))
     doc = vrelation_to_json(r)
-    assert vrelation_from_json(L3, doc) == r
+    assert vrelation_from_json(VREL, doc) == r
 
 
 def test_qset_roundtrip():
