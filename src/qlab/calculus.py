@@ -11,7 +11,7 @@ from typing import Any, NamedTuple, Sequence
 
 from .core import StructureError, is_perp
 from .finrel import FiniteSet, product_set
-from .matr import MatrInstance, MatrMorphism, set_to_object
+from .matr import MatrInstance, MatrMorphism, quote_pairs, set_to_object
 
 
 class BiproductData(NamedTuple):
@@ -103,11 +103,8 @@ def distributor(
 def quote_product_cell(inst: MatrInstance, a: FiniteSet, b: FiniteSet) -> MatrMorphism:
     """The coherence iso quote(A) (x) quote(B) -> quote(A x B)."""
     src = inst.tensor_obj(set_to_object(inst, a), set_to_object(inst, b))
-    ab = product_set(a, b)
-    tgt = set_to_object(inst, ab)
-    cell = inst.base.identity(inst.base.unit_obj())
-    blocks = {((x, y), (x, y)): cell for x in a.labels for y in b.labels}
-    return inst.mor(src, tgt, blocks)
+    tgt = set_to_object(inst, product_set(a, b))
+    return quote_pairs(inst, src, tgt, [((x, y), (x, y)) for x in a.labels for y in b.labels])
 
 
 def quote_is_full(inst: MatrInstance) -> bool:
@@ -123,20 +120,18 @@ def is_map_onto_quoted_set(
     """f : X -> quote(A) is a map iff its components X -> I are pairwise
     trace-orthogonal and their sup is the top morphism X -> I."""
     unit = inst.unit_obj()
-    cell = inst.base.identity(inst.base.unit_obj())
     comps = []
     for p in data.projections:
         summand = inst.target(p)
         if len(summand.components) != 1:
             raise StructureError("summands of a quoted set are single unit components")
-        iso = inst.mor(summand, unit, {(summand.components[0][0], "*"): cell})
+        iso = quote_pairs(inst, summand, unit, [(summand.components[0][0], "*")])
         comps.append(inst.compose(iso, inst.compose(p, f)))
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             if not is_perp(inst, comps[i], comps[j]):
                 return False
     src = inst.source(f)
-    unit = inst.unit_obj()
     total = inst.sup(comps, src, unit)
     return inst.equal(total, inst.top(src, unit))
 

@@ -29,6 +29,7 @@ access, the adjoint, transpose and product, and its text form.
 from __future__ import annotations
 
 import re as _re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -170,6 +171,10 @@ _SCALAR_RE = _re.compile(
 
 def _ratio(text: str) -> tuple[int, int]:
     num, _, den = text.partition("/")
+    # int() raises ValueError past the interpreter's integer-string limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and max(len(num.lstrip("+-")), len(den)) > limit:
+        raise ExactError(f"scalar numeral longer than {limit} digits")
     return int(num), int(den) if den else 1
 
 

@@ -696,12 +696,18 @@ def set_to_object(inst: MatrInstance, a: FiniteSet) -> MatrObject:
     return inst.obj([(lab, unit) for lab in a.labels])
 
 
+def quote_pairs(inst: MatrInstance, src: MatrObject, tgt: MatrObject,
+                pairs: Iterable[tuple]) -> MatrMorphism:
+    """The morphism between quoted sets with the identity cell of the tensor
+    unit at each pair and bottom elsewhere."""
+    cell = inst.base.identity(inst.base.unit_obj())
+    return inst.mor(src, tgt, {pair: cell for pair in pairs})
+
+
 def relation_to_matr(inst: MatrInstance, r: BoolRelation) -> MatrMorphism:
     """A boolean relation as a matrix of identity cells."""
-    src = set_to_object(inst, r.source)
-    tgt = set_to_object(inst, r.target)
-    cell = inst.base.identity(inst.base.unit_obj())
-    return inst.mor(src, tgt, {pair: cell for pair in r.pairs})
+    return quote_pairs(inst, set_to_object(inst, r.source), set_to_object(inst, r.target),
+                       r.pairs)
 
 
 def matr_to_relation(f: MatrMorphism) -> BoolRelation:
@@ -718,15 +724,10 @@ def matr_to_relation(f: MatrMorphism) -> BoolRelation:
 def boolean_complement(inst: MatrInstance, f: MatrMorphism) -> MatrMorphism:
     """The morphism between quoted sets with an identity cell exactly where f
     has none: the complement of f read as a boolean relation."""
-    cell = inst.base.identity(inst.base.unit_obj())
     present = f.block_map()
-    blocks = {
-        (a, b): cell
-        for a in f.source.labels
-        for b in f.target.labels
-        if (a, b) not in present
-    }
-    return inst.mor(f.source, f.target, blocks)
+    return quote_pairs(inst, f.source, f.target, [
+        (a, b) for a in f.source.labels for b in f.target.labels if (a, b) not in present
+    ])
 
 
 def vrelation_to_matr(inst: MatrInstance, r: VRelation) -> MatrMorphism:

@@ -15,8 +15,9 @@ Formats:
 
 Every morphism is read straight into a `MatrMorphism` with `inst.mor` and
 written from its blocks.  A relation's sets become biproducts of the tensor
-unit (`matr.set_to_object`) and each pair the unit's identity cell, in any
-instance; a valued relation's value is its quantale element.
+unit (`matr.set_to_object`) and each pair the unit's identity cell
+(`matr.quote_pairs`), in any instance; a valued relation's value is its
+quantale element.
 `morphism_from_json` and `morphism_to_json` pick the format by the
 instance's name.  A reader checks every field it reads and catches nothing,
 so a fault in the library is never reported as bad input.
@@ -37,7 +38,7 @@ from typing import Any
 from .errors import QlabError
 from .exact import IntRow, OperatorSubspace, format_over, parse_over, span_of_rows
 from .finrel import FiniteSet
-from .matr import MatrInstance, MatrMorphism, MatrObject, set_to_object
+from .matr import MatrInstance, MatrMorphism, MatrObject, quote_pairs, set_to_object
 from .quantale import FiniteQuantale, quantale_from_tables
 
 
@@ -134,10 +135,9 @@ def relation_to_json(f: MatrMorphism) -> dict:
 def relation_from_json(inst: MatrInstance, doc: Any) -> MatrMorphism:
     """A boolean relation as a matrix of identity cells of the tensor unit."""
     src, tgt = _quoted_sets(inst, doc, "relation")
-    cell = inst.base.identity(inst.base.unit_obj())
-    blocks = {_pair(src, tgt, a, b): cell
-              for a, b in _entries(doc, "pairs", ("source", "target"), "relation")}
-    return inst.mor(src, tgt, blocks)
+    return quote_pairs(inst, src, tgt, [
+        _pair(src, tgt, a, b) for a, b in _entries(doc, "pairs", ("source", "target"), "relation")
+    ])
 
 
 def vrelation_to_json(f: MatrMorphism) -> dict:

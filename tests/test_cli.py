@@ -428,6 +428,10 @@ _TOO_DEEP = "error: expression nested too deeply to evaluate"
                  "error: Exceeds the limit (4300 digits) for integer string conversion",
                  marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                           reason="no integer string limit before 3.10.7")),
+    pytest.param(["neg", "--instance", "qrel", "{tmp}/long-scalar.json"],
+                 "error: scalar numeral longer than 4300 digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer string limit before 3.10.7")),
     (["neg", "--instance", "rel", "--out", "{tmp}/missing/out.json", _A],
      "error: [Errno 2] No such file or directory"),
     (["compute", "--instance", "rel", "--load", f"f={_A}", "(" * 3000 + "f" + ")" * 3000],
@@ -436,11 +440,14 @@ _TOO_DEEP = "error: expression nested too deeply to evaluate"
       "dagger(" * 3000 + "f" + ")" * 3000], _TOO_DEEP),
     (["compute", "--instance", "rel", "--load", f"f={_A}", "∘".join(["f"] * 20_000)],
      _TOO_DEEP),
-], ids=["unknown-suite", "inapplicable-suite", "not-utf8", "long-integer",
+], ids=["unknown-suite", "inapplicable-suite", "not-utf8", "long-integer", "long-scalar",
         "out-in-missing-dir", "deep-parens", "deep-dagger", "long-chain"])
 def test_refusal_exits_2_with_one_line(tmp_path, argv, message):
     (tmp_path / "latin1.json").write_bytes('{"labels": ["é"]}'.encode("latin-1"))
     (tmp_path / "long-int.json").write_text('{"labels": [' + "1" * 5000 + "]}")
+    long_scalar = json.loads(QREL_DOC)
+    long_scalar["blocks"][0]["basis"] = [[["1" * 5000, "0"]]]
+    (tmp_path / "long-scalar.json").write_text(json.dumps(long_scalar))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "qlab.cli", *argv],
                           capture_output=True, text=True, timeout=30)

@@ -331,83 +331,60 @@ def test_every_exception_class_derives_from_qlab_error():
     assert [name for name, cls in classes.items() if not issubclass(cls, QlabError)] == []
 
 
-def where_errors_go(module: str, source: str) -> tuple[list[str], list[str]]:
-    """The `raise` of a bare ValueError, KeyError or TypeError, and the
-    `except` clauses naming QlabError, each as `module.function` (or class)."""
-    raises, catches = [], []
-    for top in ast.parse(source).body:
-        where = module
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where += "." + top.name
-        for node in ast.walk(top):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if ast.unparse(exc) in ("ValueError", "KeyError", "TypeError"):
-                    raises.append(where)
-            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-                if any(ast.unparse(n).split(".")[-1] == "QlabError" for n in names):
-                    catches.append(where)
-    return raises, catches
-
-
-def test_scan_sees_builtin_raises_and_qlab_error_catches():
-    src = ("def f():\n    raise ValueError('x')\n"
-           "class C:\n    def g(self):\n        raise KeyError\n"
-           "def h():\n    try:\n        raise OtherError()\n"
-           "    except (OSError, errors.QlabError):\n        raise\n"
-           "def k():\n    try:\n        pass\n    except QlabError:\n        raise TypeError\n"
-           "    except ValueError:\n        pass\n")
-    assert where_errors_go("m", src) == (["m.f", "m.C", "m.k"], ["m.h", "m.k"])
-
-
-def test_qlab_raises_only_its_own_errors_and_catches_them_at_two_boundaries():
-    raises, catches = [], []
-    for p in sorted(PACKAGE.glob("*.py")):
-        r, c = where_errors_go(p.stem, p.read_text())
-        raises += r
-        catches += c
-    assert raises == []
-    assert catches == ["cli.main", "lawcheck.run_all"]
-
-
-def builtin_catches(module: str, source: str) -> list[str]:
-    """Each `except` naming KeyError, TypeError, ValueError or IndexError, as
-    `module.function` or `module.Class.method`."""
-    out = []
+def where_errors_go(module: str, source: str) -> tuple[list[str], list[str], list[str]]:
+    """The `raise` of a bare ValueError, KeyError or TypeError, the `except`
+    clauses naming QlabError, and the `except` clauses naming KeyError,
+    TypeError, ValueError or IndexError, each as `module.function` or
+    `module.Class.method`."""
+    raises, catches, builtin = [], [], []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if isinstance(child, ast.ExceptHandler) and child.type is not None:
-                names = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(ast.unparse(n) in ("KeyError", "TypeError", "ValueError", "IndexError")
-                       for n in names):
-                    out.append(where)
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc) in ("ValueError", "KeyError", "TypeError"):
+                    raises.append(where)
+            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
+                names = [ast.unparse(n) for n in
+                         (child.type.elts if isinstance(child.type, ast.Tuple) else [child.type])]
+                if any(n.split(".")[-1] == "QlabError" for n in names):
+                    catches.append(where)
+                if any(n in ("KeyError", "TypeError", "ValueError", "IndexError") for n in names):
+                    builtin.append(where)
             visit(child, where)
 
     visit(ast.parse(source), module)
-    return out
+    return raises, catches, builtin
 
 
-def test_scan_sees_builtin_catches():
-    src = ("def f():\n    try:\n        pass\n    except (OSError, KeyError):\n        pass\n"
-           "class C:\n    def g(self):\n        try:\n            pass\n"
-           "        except IndexError:\n            pass\n"
-           "        except QlabError:\n            pass\n"
-           "def h():\n    try:\n        pass\n    except RecursionError:\n        pass\n"
-           "    except ValueError as exc:\n        raise\n")
-    assert builtin_catches("m", src) == ["m.f", "m.C.g", "m.h"]
+def test_scan_sees_builtin_raises_and_qlab_error_catches():
+    src = ("def f():\n    raise ValueError('x')\n"
+           "class C:\n    def g(self):\n        raise KeyError\n"
+           "    def m(self):\n        try:\n            pass\n"
+           "        except (OSError, IndexError):\n            pass\n"
+           "def h():\n    try:\n        raise OtherError()\n"
+           "    except (OSError, errors.QlabError):\n        raise\n"
+           "def k():\n    try:\n        pass\n    except QlabError:\n        raise TypeError\n"
+           "    except ValueError:\n        pass\n")
+    assert where_errors_go("m", src) == (["m.f", "m.C.g", "m.k"], ["m.h", "m.k"],
+                                         ["m.C.m", "m.k"])
 
 
-def test_only_four_places_catch_builtin_lookup_and_value_errors():
-    """A catch of KeyError, TypeError, ValueError or IndexError could report a
-    fault in the library as bad input.  These four each guard one call: the
-    JSON parse of the input, two label lookups that become `MatrError`, and
-    the fast path of the output writer."""
-    found = [where for p in sorted(PACKAGE.glob("*.py"))
-             for where in builtin_catches(p.stem, p.read_text())]
-    assert found == ["cli._read_json", "matr.MatrObject.base_obj", "matr.MatrInstance.mor",
-                     "serialize._write"]
+def test_qlab_raises_only_its_own_errors_and_catches_them_at_two_boundaries():
+    raises, catches, builtin = [], [], []
+    for p in sorted(PACKAGE.glob("*.py")):
+        r, c, b = where_errors_go(p.stem, p.read_text())
+        raises += r
+        catches += c
+        builtin += b
+    assert raises == []
+    assert catches == ["cli.main", "lawcheck.run_all"]
+    # A catch of a builtin lookup or value error could report a fault in the
+    # library as bad input.  These four each guard one call: the JSON parse
+    # of the input, two label lookups that become `MatrError`, and the fast
+    # path of the output writer.
+    assert builtin == ["cli._read_json", "matr.MatrObject.base_obj", "matr.MatrInstance.mor",
+                       "serialize._write"]
