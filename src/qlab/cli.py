@@ -237,18 +237,35 @@ def cmd_neg(args) -> int:
     return 0
 
 
+# power on rel and vrel builds P(X) -> X with |P(X)| |X| cells; it refuses a
+# set for which that exceeds this bound (14 labels pass on rel, 15 do not).
+_POWER_BOUND = 2**18
+
+
+def _bounded_power_base(doc, values: int):
+    """The set of `doc`, if its power set over `values` truth values is
+    within _POWER_BOUND cells."""
+    x = serialize.set_from_json(doc)
+    cells = values ** len(x) * len(x)
+    if cells > _POWER_BOUND:
+        raise CliError(f"power of {len(x)} labels would build {cells} membership cells, "
+                       f"above the bound {_POWER_BOUND}")
+    return x
+
+
 def cmd_power(args) -> int:
     doc = _read_json(args.object)
     inst = _instance(args.instance, args.quantale)
     if args.instance == "rel":
-        data = powerset_adjoint(serialize.set_from_json(doc))
+        data = powerset_adjoint(_bounded_power_base(doc, 2))
         out = {
             "power": serialize.set_to_json(data.power),
             "membership": serialize.relation_to_json(relation_to_matr(inst, data.membership)),
             "singleton": serialize.relation_to_json(relation_to_matr(inst, data.singleton)),
         }
     elif args.instance == "vrel":
-        data = v_power_adjoint(inst.base.quantale, serialize.set_from_json(doc))
+        q = inst.base.quantale
+        data = v_power_adjoint(q, _bounded_power_base(doc, len(q.elements)))
         out = {
             "power": serialize.set_to_json(data.power),
             "omega": serialize.set_to_json(data.omega),

@@ -21,13 +21,14 @@ class StructureError(QlabError):
 
 # -- morphism predicates ------------------------------------------------------------
 # Each returns a bool and stops at the first clause that fails, so a later
-# composite is built only when the earlier clauses hold.
+# composite is built only when the earlier clauses hold.  A clause g o f <= h
+# is decided by `composite_leq`, which never builds g o f.
 
 def is_map(inst: MatrInstance, f: Any) -> bool:
     """id <= dagger(f) o f, then f o dagger(f) <= id."""
     fd = inst.dagger(f)
     return (inst.leq(inst.identity(inst.source(f)), inst.compose(fd, f))
-            and inst.leq(inst.compose(f, fd), inst.identity(inst.target(f))))
+            and inst.composite_leq(f, fd, inst.identity(inst.target(f))))
 
 
 def is_injective(inst: MatrInstance, f: Any) -> bool:
@@ -65,7 +66,8 @@ def _endo_source(inst: MatrInstance, r: Any, message: str) -> Any:
     return x
 
 
-# The three tests the composite endorelation flags are built from; rr is r o r.
+# Two of the tests the composite endorelation flags are built from; the third,
+# transitivity, is r o r <= r.
 def _reflexive(inst: MatrInstance, r: Any) -> bool:
     return inst.leq(inst.identity(inst.source(r)), r)
 
@@ -74,20 +76,16 @@ def _symmetric(inst: MatrInstance, r: Any, rd: Any) -> bool:
     return inst.equal(rd, r)
 
 
-def _transitive(inst: MatrInstance, r: Any, rr: Any) -> bool:
-    return inst.leq(rr, r)
-
-
 def is_preorder(inst: MatrInstance, r: Any) -> bool:
-    """id <= r, then r o r <= r; r o r is built only if the first holds."""
+    """id <= r, then r o r <= r; the second is tested only if the first holds."""
     _endo_source(inst, r, "preorders need an endomorphism")
-    return _reflexive(inst, r) and _transitive(inst, r, inst.compose(r, r))
+    return _reflexive(inst, r) and inst.composite_leq(r, r, r)
 
 
 def is_per(inst: MatrInstance, r: Any) -> bool:
-    """dagger(r) = r, then r o r <= r; r o r is built only if the first holds."""
+    """dagger(r) = r, then r o r <= r; the second is tested only if the first holds."""
     _endo_source(inst, r, "PERs need an endomorphism")
-    return _symmetric(inst, r, inst.dagger(r)) and _transitive(inst, r, inst.compose(r, r))
+    return _symmetric(inst, r, inst.dagger(r)) and inst.composite_leq(r, r, r)
 
 
 def endorelation_class(inst: MatrInstance, r: Any) -> frozenset[str]:
@@ -101,7 +99,7 @@ def endorelation_class(inst: MatrInstance, r: Any) -> frozenset[str]:
     rr = inst.compose(r, r)
     flags = set()
     reflexive = _reflexive(inst, r)
-    transitive = _transitive(inst, r, rr)
+    transitive = inst.leq(rr, r)
     symmetric = _symmetric(inst, r, rd)
     if reflexive:
         flags.add("reflexive")

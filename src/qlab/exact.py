@@ -9,9 +9,11 @@ row primitive (the gcd of all its parts is 1) with a real positive pivot.  That
 form is unique, so subspace equality is plain value equality.  The subspace
 operations (product, join, meet, leq, adjoint, orthocomplement, Kronecker
 product) go from integer rows to integer rows through one fraction-free
-elimination, `_eliminate`.  `span_of_rows` is the integer entry point: the
-subspace spanned by matrices given as row-major Gaussian-integer vectors.  The
-library builds every subspace through it.
+elimination, `_eliminate`; `subspace_product_leq` decides w v <= bound by
+reducing each product against the bound's echelon, with no elimination.
+`span_of_rows` is the integer entry point: the subspace spanned by matrices
+given as row-major Gaussian-integer vectors.  The library builds every
+subspace through it.
 
 The text boundary is integer too: `format_over` prints the Gaussian rational
 (re + im i) / den and `parse_over` reads one back as such a triple, so the qRel
@@ -165,7 +167,8 @@ _RATIONAL = r"\d+(?:/\d+)?"
 # "1/2+i".
 _SCALAR_RE = _re.compile(
     rf"^(?:(?P<re>[+-]?{_RATIONAL})(?P<im>[+-](?:{_RATIONAL})?i)?"
-    rf"|(?P<im_only>[+-]?(?:{_RATIONAL})?i))$"
+    rf"|(?P<im_only>[+-]?(?:{_RATIONAL})?i))$",
+    _re.ASCII,  # digits 0-9 only: str \d would read any Unicode decimal digit
 )
 
 
@@ -597,6 +600,26 @@ def subspace_product(pairs: Iterable[tuple[OperatorSubspace, OperatorSubspace]],
         if (v.domain_dim, w.codomain_dim) != (d, c):
             raise ExactError(f"expected a {c}x{d} product, got {w.codomain_dim}x{v.domain_dim}")
     return span_of_rows(d, c, (row for w, v in pairs for row in _products(w, v)))
+
+
+def subspace_product_leq(w: OperatorSubspace, v: OperatorSubspace,
+                         bound: OperatorSubspace | None) -> bool:
+    """w v <= bound, for a c x k subspace w, a k x d subspace v and a c x d
+    bound, or None for the zero subspace.  The product is spanned by the
+    products w_i v_j, so each is tested on its own against the bound's
+    canonical echelon, with no elimination and no canonical basis; a zero
+    product is skipped, since `_reduce` hands the zero row back unchanged."""
+    c, d = w.codomain_dim, v.domain_dim
+    if w.domain_dim != v.codomain_dim:
+        raise ExactError("inner dimensions do not match")
+    if bound is None:
+        rows, pivots = (), ()
+    elif (bound.domain_dim, bound.codomain_dim) != (d, c):
+        raise ExactError(f"expected a {c}x{d} bound, got {bound.codomain_dim}x{bound.domain_dim}")
+    else:
+        rows, pivots = bound.rows, bound.pivots
+    return all(_reduce(row, rows, pivots) is None
+               for row in _products(w, v) if any(row[0]) or any(row[1]))
 
 
 def subspace_adjoint(v: OperatorSubspace) -> OperatorSubspace:

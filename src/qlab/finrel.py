@@ -24,12 +24,17 @@ class FinRelError(QlabError):
 
 @dataclass(frozen=True)
 class FiniteSet:
+    """A finite set with its labels in order; membership is a lookup in a
+    frozenset of them built once, which takes no part in equality."""
+
     labels: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        members = frozenset(self.labels)
+        if len(members) != len(self.labels):
             raise FinRelError("duplicate labels")
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "_members", members)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -38,7 +43,7 @@ class FiniteSet:
         return iter(self.labels)
 
     def __contains__(self, x: Label) -> bool:
-        return x in self.labels
+        return x in self._members
 
 
 def fset(*labels: Label) -> FiniteSet:

@@ -8,15 +8,23 @@ Two bases give the three instances:
   * QuantaleBase over the boolean quantale -> the category of relations,
   * QuantaleBase over any finite quantale -> quantale-valued relations,
   * FdOSBase (operator subspaces between finite dimensions) -> quantum relations.
-Both answer the same fifteen calls, the ones in which they differ:
-compose_blocks, identity, dagger, sup, leq, meet, top, is_bottom, size,
-tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and enum_hom.
+Both answer the same sixteen calls, the ones in which they differ:
+compose_blocks, identity, dagger, sup, leq, product_leq, meet, top,
+is_bottom, size, tensor_obj, tensor_mor, unit_obj, symm_cell, eta_cell and
+enum_hom.
 `compose_blocks(g, f)` returns the non-bottom blocks of a whole composite
 in position order: the quantale base folds each output block straight from
 the rows of its quantale's join and multiplication tables
 (`FiniteQuantale.join_rows` and `mul_rows`), which its sup, leq and
 tensor_mor read too; the operator-subspace base groups the pairs
-(g_bc, f_ab) per output block and spans their products.  Base objects are
+(g_bc, f_ab) per output block and spans their products.
+`product_leq(n, m, bound)` decides n m <= bound, with None for bottom, so
+that `MatrInstance.composite_leq(g, f, h)` can decide g o f <= h without
+building g o f: composition preserves joins, so (g o f)_ac, the join over b
+of g_bc o f_ab, lies below h_ac exactly when every single product does.
+The quantale base looks the product up in its multiplication rows and the
+order in its join rows; the operator-subspace base reduces each product of
+basis matrices against the bound's echelon.  Base objects are
 hashable, base morphisms have a canonical equality, sup joins a non-empty
 list, and top takes explicit source and target objects since base
 morphisms need not know their own type.  There is no base bottom: a block
@@ -71,6 +79,7 @@ from .exact import (
     subspace_leq,
     subspace_meet,
     subspace_product,
+    subspace_product_leq,
     zero_subspace,
 )
 from .finrel import BoolRelation, FiniteSet
@@ -163,6 +172,12 @@ class QuantaleBase:
 
     def leq(self, m1, m2):
         return self.quantale.join_rows[m1][m2] == m2
+
+    def product_leq(self, n, m, bound):
+        """n m <= bound, with None for bottom."""
+        if bound is None:
+            bound = self._bottom
+        return self.quantale.join_rows[self.quantale.mul_rows[n][m]][bound] == bound
 
     def meet(self, m1, m2):
         return self.quantale.meet(m1, m2)
@@ -274,6 +289,11 @@ class FdOSBase:
     def leq(self, m1, m2):
         return subspace_leq(m1, m2)
 
+    def product_leq(self, n, m, bound):
+        """n m <= bound, with None for the zero subspace, tested product by
+        product: no elimination and no memo entry."""
+        return subspace_product_leq(n, m, bound)
+
     def meet(self, m1, m2):
         return subspace_meet(m1, m2)
 
@@ -376,6 +396,14 @@ class MatrMorphism:
         )
 
 
+def _middles_differ(g: MatrMorphism, f: MatrMorphism) -> MatrError:
+    return MatrError(f"cannot compose: middle objects differ, {f.target.labels} and "
+                     f"{g.source.labels}")
+
+
+_ORDER_TYPES = "order compares morphisms of the same type"
+
+
 def _in_position_order(src: MatrObject, tgt: MatrObject, kept: list) -> MatrMorphism:
     """The morphism src -> tgt with the blocks of `kept`, a list of
     (position, block) pairs, sorted by position."""
@@ -440,8 +468,7 @@ class MatrInstance:
     def compose(self, g: MatrMorphism, f: MatrMorphism) -> MatrMorphism:
         """(g o f)_ac = sup over b of g_bc o f_ab, every block from one base call."""
         if f.target is not g.source and f.target != g.source:
-            raise MatrError("cannot compose: middle objects differ, "
-                            f"{f.target.labels} and {g.source.labels}")
+            raise _middles_differ(g, f)
         return MatrMorphism(f.source, g.target, self.base.compose_blocks(g, f))
 
     def dagger(self, f: MatrMorphism) -> MatrMorphism:
@@ -498,7 +525,7 @@ class MatrInstance:
     def leq(self, f: MatrMorphism, g: MatrMorphism) -> bool:
         if ((f.source is not g.source and f.source != g.source)
                 or (f.target is not g.target and f.target != g.target)):
-            raise MatrError("order compares morphisms of the same type")
+            raise MatrError(_ORDER_TYPES)
         gmap = g.block_map()
         leq = self.base.leq
         for key, m in f.blocks:
@@ -507,6 +534,29 @@ class MatrInstance:
             # (is bottom in g) is not below it.
             if other is None or not leq(m, other):
                 return False
+        return True
+
+    def composite_leq(self, g: MatrMorphism, f: MatrMorphism, h: MatrMorphism) -> bool:
+        """leq(compose(g, f), h), with the same errors, without building g o f.
+
+        Composition preserves joins, so (g o f)_ac, the join over b of
+        g_bc o f_ab, lies below h_ac exactly when every single product does:
+        each pair is one `product_leq` call against h's block (None where h
+        is bottom), and the first that fails answers False."""
+        if f.target is not g.source and f.target != g.source:
+            raise _middles_differ(g, f)
+        if ((f.source is not h.source and f.source != h.source)
+                or (g.target is not h.target and g.target != h.target)):
+            raise MatrError(_ORDER_TYPES)
+        after: dict = {}  # b -> [(c, g_bc)]
+        for (b, c), n in g.blocks:
+            after.setdefault(b, []).append((c, n))
+        hmap = h.block_map()
+        product_leq = self.base.product_leq
+        for (a, b), m in f.blocks:
+            for c, n in after.get(b, ()):
+                if not product_leq(n, m, hmap.get((a, c))):
+                    return False
         return True
 
     def top(self, src: MatrObject, tgt: MatrObject) -> MatrMorphism:

@@ -51,7 +51,7 @@ def monotone_map_conditions(
     fd = inst.dagger(f)
     fp = inst.compose(f, p.order)
     c1 = inst.leq(fp, inst.compose(q.order, f))
-    c2 = inst.leq(inst.compose(fp, fd), q.order)
+    c2 = inst.composite_leq(fp, fd, q.order)
     c3 = inst.leq(p.order, inst.compose(fd, inst.compose(q.order, f)))
     return c1, c2, c3
 
@@ -104,7 +104,7 @@ def diamond_adjunction_check(
     up = diamond_upper(inst, q, f)
     idp = monrel_identity(inst, p)
     idq = monrel_identity(inst, q)
-    return inst.leq(inst.compose(lo, up), idq) and inst.leq(idp, inst.compose(up, lo))
+    return inst.composite_leq(lo, up, idq) and inst.leq(idp, inst.compose(up, lo))
 
 
 # -- inherited structure ---------------------------------------------------------

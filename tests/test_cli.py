@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qlab import serialize
+from qlab import cli, serialize
 from qlab.cli import main
 from qlab.exact import format_scalar, gq, parse_scalar
 from qlab.matr import MatrInstance
+from qlab.quantale import BUILTIN_QUANTALES
 
 REL_DOC = json.dumps({
     "source": {"labels": ["a", "b"]},
@@ -418,6 +419,10 @@ _A = '{"source": {"labels": ["a"]}, "target": {"labels": ["a"]}, "pairs": [["a",
 _TOO_DEEP = "error: expression nested too deeply to evaluate"
 
 
+def _labels(n):
+    return json.dumps({"labels": [f"l{k}" for k in range(n)]})
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "--instance", "rel", "--suite", "nosuch"], "error: unknown suite 'nosuch'"),
     (["check", "--instance", "rel", "--suite", "qrel-kernel"],
@@ -440,19 +445,50 @@ _TOO_DEEP = "error: expression nested too deeply to evaluate"
       "dagger(" * 3000 + "f" + ")" * 3000], _TOO_DEEP),
     (["compute", "--instance", "rel", "--load", f"f={_A}", "∘".join(["f"] * 20_000)],
      _TOO_DEEP),
+    (["neg", "--instance", "qrel", "{tmp}/unicode-scalar.json"],
+     "error: malformed scalar string '\u0663/\u0662'"),
+    (["power", "--instance", "rel", _labels(15)],
+     "error: power of 15 labels would build 491520 membership cells, above the bound 262144"),
+    (["power", "--instance", "vrel", "--quantale", "chain3", _labels(10)],
+     "error: power of 10 labels would build 590490 membership cells, above the bound 262144"),
 ], ids=["unknown-suite", "inapplicable-suite", "not-utf8", "long-integer", "long-scalar",
-        "out-in-missing-dir", "deep-parens", "deep-dagger", "long-chain"])
+        "out-in-missing-dir", "deep-parens", "deep-dagger", "long-chain", "unicode-scalar",
+        "rel-power-too-large", "vrel-power-too-large"])
 def test_refusal_exits_2_with_one_line(tmp_path, argv, message):
     (tmp_path / "latin1.json").write_bytes('{"labels": ["é"]}'.encode("latin-1"))
     (tmp_path / "long-int.json").write_text('{"labels": [' + "1" * 5000 + "]}")
-    long_scalar = json.loads(QREL_DOC)
-    long_scalar["blocks"][0]["basis"] = [[["1" * 5000, "0"]]]
-    (tmp_path / "long-scalar.json").write_text(json.dumps(long_scalar))
+    for name, scalar in (("long-scalar", "1" * 5000), ("unicode-scalar", "\u0663/\u0662")):
+        doc = json.loads(QREL_DOC)
+        doc["blocks"][0]["basis"] = [[[scalar, "0"]]]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "qlab.cli", *argv],
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("quantale, largest", [
+    (None, 14), ("chain3", 9), ("lukasiewicz3", 9), ("chain4", 7),
+], ids=["rel", "vrel-chain3", "vrel-lukasiewicz3", "vrel-chain4"])
+def test_power_bound_lets_the_largest_set_through(quantale, largest):
+    # |P(X)| |X| is 2^14 14 = 229376 on rel, 3^9 9 = 177147 over three values
+    # and 4^7 7 = 114688 over four, all within 2^18; one label more is not.
+    values = 2 if quantale is None else len(BUILTIN_QUANTALES[quantale].elements)
+    doc = json.loads(_labels(largest))
+    assert len(cli._bounded_power_base(doc, values)) == largest
+    with pytest.raises(cli.CliError, match="above the bound 262144"):
+        cli._bounded_power_base(json.loads(_labels(largest + 1)), values)
+
+
+def test_power_rel_runs_at_the_bound(tmp_path):
+    out = tmp_path / "power.json"
+    proc = subprocess.run([sys.executable, "-m", "qlab.cli", "power", "--instance", "rel",
+                           "--out", str(out), _labels(14)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    with out.open() as fh:
+        assert fh.read(64).startswith('{\n  "membership"')
 
 
 @pytest.mark.parametrize("where, value, message", [

@@ -36,6 +36,7 @@ from qlab.exact import (
     subspace_leq,
     subspace_meet,
     subspace_product,
+    subspace_product_leq,
     zero_subspace,
 )
 from qlab.matr import qrel_instance
@@ -127,6 +128,21 @@ def test_subspace_lattice_and_product():
         subspace_product([(v, span_of(ExactMatrix.from_ints([[1, 0]])))], 2, 2)
     with pytest.raises(ExactError, match="expected a 1x2 product"):
         subspace_product([(v, w)], 2, 1)
+
+
+def test_subspace_product_leq_errors_and_zero_products():
+    e11 = span_of(ExactMatrix.from_ints([[1, 0], [0, 0]]))
+    e12 = span_of(ExactMatrix.from_ints([[0, 1], [0, 0]]))
+    # E12 E12 = 0 lies below every bound, the zero subspace (None) included.
+    assert subspace_product_leq(e12, e12, e11)
+    assert subspace_product_leq(e12, e12, None)
+    assert not subspace_product_leq(e11, e12, None)
+    assert not subspace_product_leq(e11, e12, e11)
+    assert subspace_product_leq(e11, e12, e12)
+    with pytest.raises(ExactError, match="^inner dimensions do not match$"):
+        subspace_product_leq(e11, span_of(ExactMatrix.from_ints([[1, 0]])), None)
+    with pytest.raises(ExactError, match="^expected a 2x2 bound, got 1x2$"):
+        subspace_product_leq(e11, e12, span_of(ExactMatrix.from_ints([[1, 0]])))
 
 
 def test_hs_orthocomplement_involutive():
@@ -256,6 +272,15 @@ def test_parse_over_rejects_like_the_fraction_parser():
         want = _outcome(reference_parse_scalar, text)
         assert isinstance(want, tuple), text
         assert _outcome(parse_over, text) == want == _outcome(parse_scalar, text)
+
+
+@pytest.mark.parametrize("text", ["\u0663/\u0662", "\uff13", "1/\u0662", "\u0663i", "1+\uff13i"],
+                         ids=["arabic-indic", "fullwidth", "denominator", "imaginary", "both"])
+def test_parse_over_reads_ascii_digits_only(text):
+    # The format writes 0-9 only; other Unicode decimal digits are malformed.
+    for parse in (parse_over, parse_scalar):
+        with pytest.raises(ExactError, match="^malformed scalar string"):
+            parse(text)
 
 
 # -- oracles for the Gaussian-integer kernel -------------------------------------
@@ -532,6 +557,17 @@ def test_subspace_product_matches_reference(data):
         pairs.append((w, v))
         ref = reference_join(ref, reference_product(w_ref, v_ref, c, k, d))
     assert_matches(subspace_product(pairs, d, c), ref, d, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subspace_product_leq_is_leq_of_the_product(data):
+    c, k, d = data.draw(dims), data.draw(dims), data.draw(dims)
+    (w, _), (v, _) = data.draw(subspaces(c, k)), data.draw(subspaces(k, d))
+    product = subspace_product([(w, v)], d, c)
+    for bound in (None, product, data.draw(subspaces(c, d))[0]):
+        want = product.is_zero() if bound is None else subspace_leq(product, bound)
+        assert subspace_product_leq(w, v, bound) == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -298,18 +298,19 @@ def test_forced_failure_renders_the_eager_witness(monkeypatch):
 
 
 # sha256 of the reports of every suite of rel, vrel over chain4 and qrel at seed
-# 0, run once with MatrInstance.equal and once with MatrInstance.leq answering
-# False (a suite that then raises is recorded by the exception's name).  Taken
-# when every witness string was built eagerly: 553 failure witnesses, which
-# lazy witnesses must render to the same text.
-FORCED_FAILURE_SHA256 = "9b5a36cf90dafb942dda97a256e950c5a077e2318b53c877d396fa5af9da3654"
+# 0, run once with MatrInstance.equal answering False and once with
+# MatrInstance.leq and MatrInstance.composite_leq answering False (a suite that
+# then raises is recorded by the exception's name).  Lazy witnesses must render
+# to the same text as eager ones: 563 failure witnesses.
+FORCED_FAILURE_SHA256 = "b31ddc81f15b54b0c168d008027da6eb87cda34f4c0ce384e2e46294a23c7ac1"
 
 
 def test_forced_failure_reports_are_pinned(monkeypatch):
     out = []
-    for broken in ("equal", "leq"):
+    for broken in (("equal",), ("leq", "composite_leq")):
         with monkeypatch.context() as patch:
-            patch.setattr(MatrInstance, broken, lambda self, f, g: False)
+            for method in broken:
+                patch.setattr(MatrInstance, method, lambda self, *mors: False)
             for kind, q in (("rel", None), ("vrel", BUILTIN_QUANTALES["chain4"]), ("qrel", None)):
                 for name in available_suites(kind):
                     try:
@@ -318,7 +319,7 @@ def test_forced_failure_reports_are_pinned(monkeypatch):
                         out.append([name, type(exc).__name__])
     text = json.dumps(out, sort_keys=True)
     assert sum(len(law["failures"]) for rep in out if isinstance(rep, dict)
-               for law in rep["laws"]) == 553
+               for law in rep["laws"]) == 563
     assert hashlib.sha256(text.encode()).hexdigest() == FORCED_FAILURE_SHA256
 
 

@@ -440,6 +440,53 @@ def test_compose_matches_the_contribution_list_reference(name, data):
 
 
 @pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_composite_leq_is_leq_of_the_composite(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    x, y, z = (data.draw(matr_objects(inst)) for _ in range(3))
+    f = data.draw(matr_morphisms(inst, x, y))
+    g = data.draw(matr_morphisms(inst, y, z))
+    gf = inst.compose(g, f)
+    bounds = [inst.bottom(x, z), inst.top(x, z), gf, data.draw(matr_morphisms(inst, x, z))]
+    for h in bounds:
+        assert inst.composite_leq(g, f, h) == inst.leq(gf, h)
+    assert inst.composite_leq(g, f, gf)
+
+
+@pytest.mark.parametrize("name", ["qrel", "vrel-lukasiewicz3"])
+def test_composite_leq_skips_a_zero_product_under_a_nonzero_bound(name):
+    # E12 E12 = 0 in qrel and 1/2 (x) 1/2 = 0 in lukasiewicz3: f o f is bottom,
+    # so it lies below every bound, here a nonzero one.
+    inst = COMPOSE_INSTANCES[name]()
+    if name == "qrel":
+        x = inst.obj([("a", 2)])
+        cell = span_of(ExactMatrix.from_ints([[0, 1], [0, 0]]))
+        bound = span_of(ExactMatrix.from_ints([[1, 0], [0, 0]]))
+    else:
+        x = inst.obj([("a", "*")])
+        cell, bound = "1/2", "1/2"
+    f = inst.mor(x, x, {("a", "a"): cell})
+    h = inst.mor(x, x, {("a", "a"): bound})
+    assert inst.compose(f, f) == inst.bottom(x, x)
+    assert inst.composite_leq(f, f, h)
+    assert inst.composite_leq(f, f, inst.bottom(x, x))
+
+
+def test_composite_leq_raises_the_errors_of_compose_then_leq():
+    x, y = REL.obj([("a", "*")]), REL.obj([("a", "*"), ("b", "*")])
+    f, g = REL.identity(x), REL.identity(y)
+    # Middle objects differ and h has the wrong type: compose's error first.
+    with pytest.raises(MatrError, match=r"^cannot compose: middle objects differ, "
+                                        r"\('a',\) and \('a', 'b'\)$"):
+        REL.composite_leq(g, f, REL.identity(y))
+    with pytest.raises(MatrError, match="^order compares morphisms of the same type$"):
+        REL.composite_leq(f, f, REL.identity(y))
+    with pytest.raises(MatrError, match="^order compares morphisms of the same type$"):
+        REL.composite_leq(g, g, REL.top(x, y))
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
 def test_structure_is_built_once_and_equals_a_fresh_build(name):
     inst = COMPOSE_INSTANCES[name]()
     if isinstance(inst.base, FdOSBase):
@@ -583,7 +630,8 @@ def test_law_runs_build_only_sorted_morphisms_without_bottom_blocks(kind, quanta
 
 BASE_PROTOCOL = {
     "compose_blocks", "dagger", "enum_hom", "eta_cell", "identity", "is_bottom", "leq",
-    "meet", "size", "sup", "symm_cell", "tensor_mor", "tensor_obj", "top", "unit_obj",
+    "meet", "product_leq", "size", "sup", "symm_cell", "tensor_mor", "tensor_obj", "top",
+    "unit_obj",
 }
 MATR_CLASSES = {
     node.name: node
