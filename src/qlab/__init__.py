@@ -3,7 +3,12 @@
 Three instances of one matrix-completion kernel: boolean relations,
 quantale-valued relations, and quantum relations over operator subspaces
 with Gaussian rational entries.
+
+The names of the classical models (`finrel`, `quantale`) resolve on first
+use, so `import qlab` loads only the kernel and the qrel path.
 """
+
+import importlib
 
 from .core import (
     StructureError,
@@ -37,7 +42,6 @@ from .exact import (
     parse_scalar,
     span_of,
 )
-from .finrel import BoolRelation, FiniteSet, fset
 from .matr import (
     MatrInstance,
     MatrMorphism,
@@ -46,6 +50,25 @@ from .matr import (
     rel_instance,
     vrel_instance,
 )
-from .quantale import BUILTIN_QUANTALES, FiniteQuantale, VRelation, validate_quantale
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported when the name is first read
+_LAZY = {
+    "BoolRelation": "finrel",
+    "FiniteSet": "finrel",
+    "fset": "finrel",
+    "BUILTIN_QUANTALES": "quantale",
+    "FiniteQuantale": "quantale",
+    "VRelation": "quantale",
+    "validate_quantale": "quantale",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

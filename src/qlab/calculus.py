@@ -1,17 +1,19 @@
 """Biproduct calculus: tuples, cotuples, direct sums, matrix elements,
 superposition sums, the distributor, the coherence and fullness of quoting
 (the quoting maps themselves are matr.set_to_object and
-matr.relation_to_matr), and classical structure through biproducts of the
+finrel.relation_to_matr), and classical structure through biproducts of the
 tensor unit.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .core import StructureError, is_perp
-from .finrel import FiniteSet, product_set
 from .matr import MatrInstance, MatrMorphism, quote_pairs, set_to_object
+
+if TYPE_CHECKING:
+    from .finrel import FiniteSet
 
 
 class BiproductData(NamedTuple):
@@ -102,9 +104,11 @@ def distributor(
 
 def quote_product_cell(inst: MatrInstance, a: FiniteSet, b: FiniteSet) -> MatrMorphism:
     """The coherence iso quote(A) (x) quote(B) -> quote(A x B)."""
+    pairs = [(x, y) for x in a.labels for y in b.labels]
+    unit = inst.base.unit_obj()
     src = inst.tensor_obj(set_to_object(inst, a), set_to_object(inst, b))
-    tgt = set_to_object(inst, product_set(a, b))
-    return quote_pairs(inst, src, tgt, [((x, y), (x, y)) for x in a.labels for y in b.labels])
+    tgt = inst.obj([(p, unit) for p in pairs])
+    return quote_pairs(inst, src, tgt, [(p, p) for p in pairs])
 
 
 def quote_is_full(inst: MatrInstance) -> bool:

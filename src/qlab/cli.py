@@ -12,6 +12,10 @@ Subcommands:
 Inputs are file paths or inline JSON.  Exit codes: 0 success, 1 a law suite
 found a failure, 2 bad input or usage (a `QlabError`, or a file that cannot be
 read or written); any other exception is a bug and ends in a traceback.
+
+A command loads only what it runs: `check` imports the law suites, and only
+the rel and vrel paths import the classical models `finrel` and `quantale`,
+so `compute`, `neg`, `kernel` and `power` on qrel load neither.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import calculus, core, qrel as qrel_mod, serialize
 from .errors import QlabError
-from .finrel import powerset_adjoint
-from .matr import (boolean_complement, qrel_instance, rel_instance, relation_to_matr,
-                   vrel_instance, vrelation_to_matr)
-from .quantale import BUILTIN_QUANTALES, FiniteQuantale, v_power_adjoint, validate_quantale
+from .matr import boolean_complement, qrel_instance, rel_instance, vrel_instance
+
+if TYPE_CHECKING:
+    from .quantale import FiniteQuantale
 
 
 class CliError(QlabError):
@@ -47,6 +52,8 @@ def _read_json(spec: str):
 
 
 def _load_quantale(spec: str | None) -> FiniteQuantale:
+    from .quantale import BUILTIN_QUANTALES, validate_quantale  # vrel only
+
     if spec is None:
         return BUILTIN_QUANTALES["chain3"]
     if spec in BUILTIN_QUANTALES:
@@ -257,6 +264,8 @@ def cmd_power(args) -> int:
     doc = _read_json(args.object)
     inst = _instance(args.instance, args.quantale)
     if args.instance == "rel":
+        from .finrel import powerset_adjoint, relation_to_matr
+
         data = powerset_adjoint(_bounded_power_base(doc, 2))
         out = {
             "power": serialize.set_to_json(data.power),
@@ -264,6 +273,8 @@ def cmd_power(args) -> int:
             "singleton": serialize.relation_to_json(relation_to_matr(inst, data.singleton)),
         }
     elif args.instance == "vrel":
+        from .quantale import v_power_adjoint, vrelation_to_matr
+
         q = inst.base.quantale
         data = v_power_adjoint(q, _bounded_power_base(doc, len(q.elements)))
         out = {

@@ -4,7 +4,9 @@ BoolRelation is an independent, direct implementation of finite Rel (sets of
 pairs).  It doubles as the oracle against which the generic matrix-completion
 instance of Rel is cross-checked, and it carries the Set-level machinery:
 powerset adjoint, down-set adjoint, and the exponential built from power
-objects.
+objects.  `relation_to_matr` and `matr_to_relation` carry a relation into a
+matrix instance and back; they live here, not in `matr`, so that the kernel
+never loads this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import QlabError
+from .matr import MatrInstance, MatrMorphism, quote_pairs, set_to_object
 
 Label = Hashable
 
@@ -177,6 +180,25 @@ def is_preorder(r: BoolRelation) -> bool:
     if r.source != r.target:
         return False
     return BoolRelation.identity(r.source).leq(r) and r.compose(r).leq(r)
+
+
+# -- quoting into the matrix instances -----------------------------------------
+
+def relation_to_matr(inst: MatrInstance, r: BoolRelation) -> MatrMorphism:
+    """A boolean relation as a matrix of identity cells."""
+    return quote_pairs(inst, set_to_object(inst, r.source), set_to_object(inst, r.target),
+                       r.pairs)
+
+
+def matr_to_relation(f: MatrMorphism) -> BoolRelation:
+    """The boolean relation of non-bottom entries of a matrix of scalars.
+
+    Inverse to quoting on its image; for instances with exactly two scalars
+    it inverts quoting on every hom between quoted sets.
+    """
+    src = FiniteSet(f.source.labels)
+    tgt = FiniteSet(f.target.labels)
+    return BoolRelation(src, tgt, frozenset(key for key, _ in f.blocks))
 
 
 # -- powerset adjoint -----------------------------------------------------------

@@ -28,20 +28,18 @@ from .finrel import (
     downset_adjoint,
     exponential_via_power,
     fset,
+    matr_to_relation,
     powerset_adjoint,
     product_set,
+    relation_to_matr,
 )
 from .matr import (
     MatrInstance,
     boolean_complement,
-    matr_to_relation,
-    matr_to_vrelation,
     qrel_instance,
     rel_instance,
-    relation_to_matr,
     set_to_object,
     vrel_instance,
-    vrelation_to_matr,
 )
 from .quantale import (
     FiniteQuantale,
@@ -52,7 +50,9 @@ from .quantale import (
     chain_min_quantale,
     circ_embed,
     lukasiewicz3_quantale,
+    matr_to_vrelation,
     v_power_adjoint,
+    vrelation_to_matr,
 )
 
 
@@ -235,8 +235,9 @@ def suite_composition(ctx: Context, law) -> None:
         unit_l.record(inst.equal(inst.compose(inst.identity(y), f), f), f)
         unit_r.record(inst.equal(inst.compose(f, inst.identity(x)), f), f)
         for g in ctx.homs(y, z, 6):
+            gf = inst.compose(g, f)
             for h in ctx.homs(z, x, 4):
-                lhs = inst.compose(h, inst.compose(g, f))
+                lhs = inst.compose(h, gf)
                 rhs = inst.compose(inst.compose(h, g), f)
                 assoc.record(inst.equal(lhs, rhs), f, g, h)
 

@@ -54,9 +54,12 @@ law suite (`lawcheck.make_context` builds a fresh instance per suite), one
 CLI command, or the process for the `qrel.instance()` singleton.
 
 Quoting also lives here: a finite set becomes a biproduct of copies of the
-tensor unit, and a boolean relation a matrix of identity cells, in any of
-the three instances; the conversions to and from the direct models of
-finrel and quantale follow.
+tensor unit, and a set of pairs a matrix of identity cells, in any of the
+three instances (`set_to_object`, `quote_pairs`, `boolean_complement`).
+This module imports neither direct model: the conversions to and from
+`finrel.BoolRelation` and `quantale.VRelation` live beside those classes,
+and `rel_instance` loads the boolean quantale when it is called, so the
+qrel instance starts without either module.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import QlabError
 from .exact import (
@@ -82,8 +85,10 @@ from .exact import (
     subspace_product_leq,
     zero_subspace,
 )
-from .finrel import BoolRelation, FiniteSet
-from .quantale import FiniteQuantale, VRelation, boolean_quantale
+
+if TYPE_CHECKING:
+    from .finrel import FiniteSet
+    from .quantale import FiniteQuantale
 
 
 class MatrError(QlabError):
@@ -727,6 +732,8 @@ class HomSet(Sequence):
 # -- the three concrete instances -----------------------------------------------
 
 def rel_instance() -> MatrInstance:
+    from .quantale import boolean_quantale  # read by rel only, once per instance
+
     return MatrInstance(QuantaleBase(boolean_quantale()), name="rel")
 
 
@@ -738,7 +745,7 @@ def qrel_instance() -> MatrInstance:
     return MatrInstance(FdOSBase(), name="qrel")
 
 
-# -- quoting: finite sets and boolean relations in any of the instances ----------
+# -- quoting: finite sets and sets of pairs in any of the instances --------------
 
 def set_to_object(inst: MatrInstance, a: FiniteSet) -> MatrObject:
     """A finite set as the |A|-fold biproduct of the tensor unit."""
@@ -754,23 +761,6 @@ def quote_pairs(inst: MatrInstance, src: MatrObject, tgt: MatrObject,
     return inst.mor(src, tgt, {pair: cell for pair in pairs})
 
 
-def relation_to_matr(inst: MatrInstance, r: BoolRelation) -> MatrMorphism:
-    """A boolean relation as a matrix of identity cells."""
-    return quote_pairs(inst, set_to_object(inst, r.source), set_to_object(inst, r.target),
-                       r.pairs)
-
-
-def matr_to_relation(f: MatrMorphism) -> BoolRelation:
-    """The boolean relation of non-bottom entries of a matrix of scalars.
-
-    Inverse to quoting on its image; for instances with exactly two scalars
-    it inverts quoting on every hom between quoted sets.
-    """
-    src = FiniteSet(f.source.labels)
-    tgt = FiniteSet(f.target.labels)
-    return BoolRelation(src, tgt, frozenset(key for key, _ in f.blocks))
-
-
 def boolean_complement(inst: MatrInstance, f: MatrMorphism) -> MatrMorphism:
     """The morphism between quoted sets with an identity cell exactly where f
     has none: the complement of f read as a boolean relation."""
@@ -778,19 +768,3 @@ def boolean_complement(inst: MatrInstance, f: MatrMorphism) -> MatrMorphism:
     return quote_pairs(inst, f.source, f.target, [
         (a, b) for a in f.source.labels for b in f.target.labels if (a, b) not in present
     ])
-
-
-def vrelation_to_matr(inst: MatrInstance, r: VRelation) -> MatrMorphism:
-    if not isinstance(inst.base, QuantaleBase) or inst.base.quantale != r.quantale:
-        raise MatrError("the instance base must carry the relation's quantale")
-    src = set_to_object(inst, r.source)
-    tgt = set_to_object(inst, r.target)
-    blocks = {(a, b): r.at(a, b) for a in r.source.labels for b in r.target.labels}
-    return inst.mor(src, tgt, blocks)
-
-
-def matr_to_vrelation(inst: MatrInstance, f: MatrMorphism) -> VRelation:
-    q = inst.base.quantale
-    src = FiniteSet(f.source.labels)
-    tgt = FiniteSet(f.target.labels)
-    return VRelation(q, src, tgt, {key: m for key, m in f.blocks})

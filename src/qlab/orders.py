@@ -50,9 +50,10 @@ def monotone_map_conditions(
     """Three equivalent ways to say a map f : X -> Y is monotone."""
     fd = inst.dagger(f)
     fp = inst.compose(f, p.order)
-    c1 = inst.leq(fp, inst.compose(q.order, f))
+    qf = inst.compose(q.order, f)
+    c1 = inst.leq(fp, qf)
     c2 = inst.composite_leq(fp, fd, q.order)
-    c3 = inst.leq(p.order, inst.compose(fd, inst.compose(q.order, f)))
+    c3 = inst.leq(p.order, inst.compose(fd, qf))
     return c1, c2, c3
 
 

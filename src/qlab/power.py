@@ -19,12 +19,14 @@ from .finrel import (
     BoolRelation,
     FiniteSet,
     PowersetData,
+    all_functions,
     power_on_morphisms,
     power_transpose,
     powerset_adjoint,
+    relation_to_matr,
 )
-from .matr import MatrInstance, relation_to_matr, set_to_object
-from .quantale import VPowerData, VRelation, v_power_transpose
+from .matr import MatrInstance, set_to_object
+from .quantale import VPowerData, VRelation, circ_embed, v_power_transpose
 
 
 def power_counit_check(data: PowersetData, v: BoolRelation) -> bool:
@@ -35,8 +37,6 @@ def power_counit_check(data: PowersetData, v: BoolRelation) -> bool:
 
 def power_uniqueness_check(data: PowersetData, v: BoolRelation) -> bool:
     """The transpose is the only function with that factorization."""
-    from .finrel import all_functions
-
     f = power_transpose(data, v)
     count = 0
     for g in all_functions(v.source, data.power):
@@ -58,8 +58,6 @@ def power_functor_check(
 
 def v_power_counit_check(data: VPowerData, v: VRelation) -> bool:
     """A V-valued relation A -> X factors as the counit after its transpose."""
-    from .quantale import circ_embed
-
     f = circ_embed(data.quantale, v_power_transpose(data, v))
     return data.counit.compose(f) == v
 

@@ -4,7 +4,9 @@ A quantale is given by tables; validation checks every lattice and
 distributivity law and reports the first violation with a witness.
 VRelation is a direct entrywise implementation of V-valued relations used
 both on its own and as the oracle for the generic matrix-completion
-instance built over the same quantale.
+instance built over the same quantale; `vrelation_to_matr` and
+`matr_to_vrelation` carry it there and back, here rather than in `matr` so
+that the kernel never loads this module.
 
 Every operation reads the tables, with no call per cell:
   * `FiniteQuantale.leq` and `sup` read `join_table`; `mul_rows` and
@@ -26,7 +28,8 @@ from functools import cached_property
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import QlabError
-from .finrel import BoolRelation, FiniteSet, product_set
+from .finrel import BoolRelation, FiniteSet, function_graph, product_set
+from .matr import MatrError, MatrInstance, MatrMorphism, QuantaleBase, set_to_object
 
 Label = Hashable
 
@@ -384,6 +387,24 @@ class VRelation:
         return VRelation._built(q, src, tgt, vals)
 
 
+# -- the matrix instance over a quantale ---------------------------------------------
+
+def vrelation_to_matr(inst: MatrInstance, r: VRelation) -> MatrMorphism:
+    if not isinstance(inst.base, QuantaleBase) or inst.base.quantale != r.quantale:
+        raise MatrError("the instance base must carry the relation's quantale")
+    src = set_to_object(inst, r.source)
+    tgt = set_to_object(inst, r.target)
+    blocks = {(a, b): r.at(a, b) for a in r.source.labels for b in r.target.labels}
+    return inst.mor(src, tgt, blocks)
+
+
+def matr_to_vrelation(inst: MatrInstance, f: MatrMorphism) -> VRelation:
+    q = inst.base.quantale
+    src = FiniteSet(f.source.labels)
+    tgt = FiniteSet(f.target.labels)
+    return VRelation(q, src, tgt, {key: m for key, m in f.blocks})
+
+
 def all_vrelations(q: FiniteQuantale, a: FiniteSet, b: FiniteSet) -> Iterator[VRelation]:
     cells = list(itertools.product(a.labels, b.labels))
     for vals in itertools.product(q.elements, repeat=len(cells)):
@@ -438,7 +459,7 @@ def v_power_adjoint(q: FiniteQuantale, x: FiniteSet) -> VPowerData:
     omega_effect = VRelation(q, omega, one, {(v, "*"): v for v in q.elements})
     counit = VRelation(
         q, power, x,
-        {(g, a): dict(g)[a] for g in functions for a in x},
+        {(g, a): v for g in functions for a, v in g},
     )
     return VPowerData(q, x, power, omega, omega_effect, counit)
 
@@ -452,8 +473,6 @@ def v_power_transpose(data: VPowerData, v: VRelation) -> BoolRelation:
     instance), so this is a choice, not a uniqueness claim."""
     if v.target != data.base:
         raise QuantaleError("relation target is not the powerset base")
-    from .finrel import function_graph
-
     return function_graph(
         v.source, data.power,
         lambda a: tuple((x, v.at(a, x)) for x in data.base),

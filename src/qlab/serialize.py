@@ -20,7 +20,9 @@ unit (`matr.set_to_object`) and each pair the unit's identity cell
 quantale element.
 `morphism_from_json` and `morphism_to_json` pick the format by the
 instance's name.  A reader checks every field it reads and catches nothing,
-so a fault in the library is never reported as bad input.
+so a fault in the library is never reported as bad input.  The module
+imports neither `finrel` nor `quantale`: the readers of set and quantale
+documents load them when first called, and no qrel document holds either.
 
 Output iteration orders are canonical (by label), so serialization is
 deterministic and roundtrips to an equal value.  `dumps` is the one writer of
@@ -33,13 +35,15 @@ from __future__ import annotations
 import operator
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import QlabError
 from .exact import IntRow, OperatorSubspace, format_over, parse_over, span_of_rows
-from .finrel import FiniteSet
 from .matr import MatrInstance, MatrMorphism, MatrObject, quote_pairs, set_to_object
-from .quantale import FiniteQuantale, quantale_from_tables
+
+if TYPE_CHECKING:
+    from .finrel import FiniteSet
+    from .quantale import FiniteQuantale
 
 
 class SerializeError(QlabError):
@@ -103,6 +107,8 @@ def set_to_json(a: FiniteSet | MatrObject) -> dict:
 
 
 def set_from_json(doc: Any) -> FiniteSet:
+    from .finrel import FiniteSet  # loaded by the first set document
+
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise SerializeError("a set needs a 'labels' list")
     return FiniteSet(tuple(_label_from_json(x) for x in doc["labels"]))
@@ -180,6 +186,8 @@ def quantale_to_json(q: FiniteQuantale) -> dict:
 
 
 def quantale_from_json(doc: Any) -> FiniteQuantale:
+    from .quantale import quantale_from_tables  # loaded by the first quantale document
+
     elems = [_label_from_json(x) for x in _list(doc, "elements", "quantale")]
     unit = _label_from_json(_field(doc, "unit", "quantale"))
     mul = _table_from_json(elems, _field(doc, "mul", "quantale"), "mul")

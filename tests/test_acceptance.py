@@ -28,15 +28,15 @@ from qlab.finrel import (
     fset,
     is_per as finrel_is_per,
     is_zero_mono as finrel_is_zero_mono,
+    matr_to_relation,
     powerset_adjoint,
     product_set,
+    relation_to_matr,
 )
 from qlab.lawcheck import run_all
 from qlab.matr import (
-    matr_to_relation,
     qrel_instance,
     rel_instance,
-    relation_to_matr,
     set_to_object,
     vrel_instance,
 )

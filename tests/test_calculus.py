@@ -18,13 +18,18 @@ from qlab.calculus import (
 )
 from qlab import core
 from qlab.core import is_dagger_iso, star_of
-from qlab.finrel import BoolRelation, all_relations, fset, product_set
+from qlab.finrel import (
+    BoolRelation,
+    all_relations,
+    fset,
+    matr_to_relation,
+    product_set,
+    relation_to_matr,
+)
 from qlab.matr import (
     MatrError,
-    matr_to_relation,
     qrel_instance,
     rel_instance,
-    relation_to_matr,
     set_to_object,
 )
 from qlab.quantale import lukasiewicz3_quantale

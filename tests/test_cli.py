@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qlab import cli, serialize
+from qlab import cli, quantale, serialize
 from qlab.cli import main
 from qlab.exact import format_scalar, gq, parse_scalar
 from qlab.matr import MatrInstance
@@ -332,7 +332,7 @@ _COMPUTE_REL = ["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagge
     (KeyError, serialize, "_label_from_json",
      ["power", "--instance", "qrel", '{"atoms": [{"label": "u", "dim": 2}]}']),
     (KeyError, serialize, "span_of_rows", ["neg", "--instance", "qrel", QREL_DOC]),
-    (KeyError, serialize, "quantale_from_tables",
+    (KeyError, quantale, "quantale_from_tables",
      ["power", "--instance", "vrel", "--quantale", _QUANTALE_DOC, _SET_DOC]),
 ], ids=["KeyError", "ValueError", "relation", "valued-relation", "quantum-set",
         "quantum-relation", "quantale"])
@@ -719,6 +719,44 @@ def test_only_check_loads_the_law_suites(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv],
                           capture_output=True, text=True, timeout=30)
     assert proc.stderr == f"0 [] {loaded}\n"
+
+
+_QLAB_LOADED_SCRIPT = """\
+import json
+import sys
+import qlab.cli
+qlab_modules = lambda: {m for m in sys.modules if m.split(".")[0] == "qlab"}
+before = qlab_modules()
+code = qlab.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(before), sorted(qlab_modules() - before)]), file=sys.stderr)
+"""
+_QSET_DOC = json.dumps({"atoms": [{"label": "u", "dim": 2}]})
+_CLASSICAL = ["qlab.finrel", "qlab.quantale"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    *[(["compute", "--instance", "qrel", "--load", f"f={QREL_DOC}", expr], [])
+      for expr in ("dagger(f) ∘ f ∨ dagger(f) ∘ f ∧ dagger(f) ∘ f", "trace(dagger(f) ∘ f)",
+                   "tensor(f, f)", "name(f)", "coname(f)", "star(f)", "sum(f, f)")],
+    (["neg", "--instance", "qrel", QREL_DOC], []),
+    (["kernel", QREL_DOC], []),
+    (["power", "--instance", "qrel", _QSET_DOC], []),
+    (["power", "--instance", "rel", json.dumps({"labels": ["x"]})], _CLASSICAL),
+    (["power", "--instance", "vrel", "--quantale", "chain3", json.dumps({"labels": ["x"]})],
+     _CLASSICAL),
+], ids=["compute-lattice", "compute-trace", "compute-tensor", "compute-name",
+        "compute-coname", "compute-star", "compute-sum", "neg-qrel", "kernel", "power-qrel",
+        "power-rel", "power-vrel"])
+def test_only_rel_and_vrel_load_the_classical_models(argv, loaded):
+    # Neither importing the CLI nor running a qrel command compiles or runs
+    # finrel or quantale; a qrel command imports no qlab module at all as it
+    # runs, so no import cost moves from start-up into the command.
+    proc = subprocess.run([sys.executable, "-c", _QLAB_LOADED_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=30)
+    code, before, new = json.loads(proc.stderr)
+    assert code == 0
+    assert not set(_CLASSICAL) & set(before)
+    assert new == loaded
 
 
 def test_check_refuses_samples(capsys):

@@ -19,7 +19,10 @@ every padding; the single explicit `record(True)` is the `maps` suite's.
 Start-up pays only for what a command runs: a `@dataclass` generates its
 methods through `exec` at import, so only the value classes with validation,
 a hand-written `__init__` or mutable state are dataclasses (the field-only
-records are `NamedTuple`s), and only `cli.cmd_check` imports the law suites.
+records are `NamedTuple`s), only `cli.cmd_check` imports the law suites,
+and only `lawcheck`, `power` and `quantale` (which builds on `finrel`) import
+the direct models `finrel` and `quantale` as they load, so the qrel path
+never compiles them.
 
 Every error qlab raises on purpose is a `QlabError`: each exception class of
 the package derives from it, no module raises a bare `ValueError`, `KeyError`
@@ -34,6 +37,7 @@ import ast
 import collections
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -318,6 +322,82 @@ def test_only_cmd_check_imports_the_law_suites():
     found = [where for p in sorted(PACKAGE.glob("*.py"))
              for where in lawcheck_importers(p.stem, p.read_text())]
     assert found == ["cli.cmd_check"]
+
+
+def import_time_imports(source: str) -> set[str]:
+    """The package modules a module imports as it loads: its import
+    statements outside function bodies and `if TYPE_CHECKING:` blocks."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("qlab."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "qlab"):
+            found.update([node.module] if node.module and node.level
+                         else [a.name for a in node.names])
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_scan_sees_import_time_imports():
+    src = ("from typing import TYPE_CHECKING\nfrom . import core, finrel as f\n"
+           "from .quantale import X\nimport qlab.power\nfrom qlab import orders\n"
+           "if TYPE_CHECKING:\n    from .lawcheck import Y\nelse:\n    from .exact import W\n"
+           "def g():\n    from .serialize import Z\n"
+           "class C:\n    from .matr import V\n")
+    assert import_time_imports(src) == {"core", "finrel", "quantale", "power", "orders",
+                                        "exact", "matr"}
+
+
+def test_only_the_classical_side_loads_finrel_and_quantale_with_itself():
+    # The kernel, the qrel instance, the readers and writers and the CLI load
+    # neither direct model as they are imported: the direct models import
+    # the kernel, never the other way round.
+    found = {p.stem: sorted(import_time_imports(p.read_text()) & {"finrel", "quantale"})
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {
+        "lawcheck": ["finrel", "quantale"],
+        "power": ["finrel", "quantale"],
+        "quantale": ["finrel"],
+    }
+
+
+_IMPORT_SCRIPT = """\
+import sys
+import qlab, qlab.exact, qlab.matr, qlab.core, qlab.calculus, qlab.qrel, qlab.orders
+import qlab.serialize, qlab.cli
+print([m for m in ("qlab.finrel", "qlab.quantale") if m in sys.modules])
+"""
+
+
+def test_importing_the_qrel_path_loads_neither_classical_model():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT],
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+
+def test_the_lazy_names_of_the_package_resolve():
+    import qlab
+
+    assert sorted(qlab._LAZY) == ["BUILTIN_QUANTALES", "BoolRelation", "FiniteQuantale",
+                                  "FiniteSet", "VRelation", "fset", "validate_quantale"]
+    for name, module in qlab._LAZY.items():
+        assert getattr(qlab, name) is getattr(importlib.import_module(f"qlab.{module}"), name)
+    from qlab import FiniteSet, fset
+
+    assert fset("a") == FiniteSet(("a",))
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        qlab.nosuch
 
 
 def test_every_exception_class_derives_from_qlab_error():

@@ -13,7 +13,7 @@ import pytest
 from qlab import core, serialize
 from qlab.errors import QlabError
 from qlab.exact import ExactMatrix, span_of
-from qlab.finrel import BoolRelation, fset
+from qlab.finrel import BoolRelation, fset, relation_to_matr
 from qlab.lawcheck import (
     SUITES,
     available_suites,
@@ -27,7 +27,6 @@ from qlab.matr import (
     MatrInstance,
     qrel_instance,
     rel_instance,
-    relation_to_matr,
     set_to_object,
     vrel_instance,
 )

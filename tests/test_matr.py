@@ -21,7 +21,7 @@ from qlab.exact import (
     subspace_adjoint,
     subspace_product,
 )
-from qlab.finrel import BoolRelation, all_relations, fset
+from qlab.finrel import BoolRelation, all_relations, fset, matr_to_relation, relation_to_matr
 from qlab import lawcheck, matr
 from qlab.lawcheck import make_context
 from qlab.matr import (
@@ -30,21 +30,19 @@ from qlab.matr import (
     MatrMorphism,
     MatrObject,
     boolean_complement,
-    matr_to_relation,
-    matr_to_vrelation,
     qrel_instance,
     rel_instance,
-    relation_to_matr,
     set_to_object,
     vrel_instance,
-    vrelation_to_matr,
 )
 from qlab.quantale import (
     BUILTIN_QUANTALES,
     VRelation,
     chain_min_quantale,
     lukasiewicz3_quantale,
+    matr_to_vrelation,
     quantale_from_tables,
+    vrelation_to_matr,
 )
 
 REL = rel_instance()

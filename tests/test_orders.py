@@ -2,8 +2,8 @@
 
 import pytest
 
-from qlab.finrel import BoolRelation, all_functions, all_relations, fset
-from qlab.matr import rel_instance, relation_to_matr, set_to_object
+from qlab.finrel import BoolRelation, all_functions, all_relations, fset, relation_to_matr
+from qlab.matr import rel_instance, set_to_object
 from qlab.orders import (
     OrderError,
     diamond_adjunction_check,

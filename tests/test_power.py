@@ -12,7 +12,7 @@ from qlab.finrel import (
     function_graph,
     powerset_adjoint,
 )
-from qlab.matr import qrel_instance, rel_instance, set_to_object, vrel_instance, vrelation_to_matr
+from qlab.matr import qrel_instance, rel_instance, set_to_object, vrel_instance
 from qlab.power import (
     power_counit_check,
     power_functor_check,
@@ -29,6 +29,7 @@ from qlab.quantale import (
     quantale_from_tables,
     v_power_adjoint,
     validate_quantale,
+    vrelation_to_matr,
 )
 
 REL = rel_instance()

@@ -14,8 +14,9 @@ from qlab.finrel import (
     exponential_via_power,
     fset,
     powerset_adjoint,
+    relation_to_matr,
 )
-from qlab.matr import rel_instance, relation_to_matr, set_to_object
+from qlab.matr import rel_instance, set_to_object
 from qlab.quantale import (
     BUILTIN_QUANTALES,
     ValidationReport,

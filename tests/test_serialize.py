@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlab.exact import ExactMatrix, format_scalar, parse_scalar, span_of
-from qlab.finrel import BoolRelation, fset
-from qlab.matr import qrel_instance, rel_instance, relation_to_matr, vrel_instance, vrelation_to_matr
+from qlab.finrel import BoolRelation, fset, relation_to_matr
+from qlab.matr import qrel_instance, rel_instance, vrel_instance
 from qlab.qrel import qmor, qset
-from qlab.quantale import BUILTIN_QUANTALES, VRelation, lukasiewicz3_quantale
+from qlab.quantale import BUILTIN_QUANTALES, VRelation, lukasiewicz3_quantale, vrelation_to_matr
 from qlab.serialize import (
     SerializeError,
     dumps,
