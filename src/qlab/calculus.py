@@ -121,8 +121,11 @@ def quote_is_full(inst: MatrInstance) -> bool:
 def is_map_onto_quoted_set(
     inst: MatrInstance, f: MatrMorphism, data: BiproductData
 ) -> bool:
-    """f : X -> quote(A) is a map iff its components X -> I are pairwise
-    trace-orthogonal and their sup is the top morphism X -> I."""
+    """Where the unit scalar is top (rel, qrel, vrel over an integral
+    quantale), f : X -> quote(A) is a map iff the sup of its components
+    X -> I is the top morphism X -> I and they are pairwise trace-orthogonal.
+    The sup is tested first: each orthogonality test builds a tensor and two
+    composites."""
     unit = inst.unit_obj()
     comps = []
     for p in data.projections:
@@ -131,13 +134,11 @@ def is_map_onto_quoted_set(
             raise StructureError("summands of a quoted set are single unit components")
         iso = quote_pairs(inst, summand, unit, [(summand.components[0][0], "*")])
         comps.append(inst.compose(iso, inst.compose(p, f)))
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if not is_perp(inst, comps[i], comps[j]):
-                return False
     src = inst.source(f)
-    total = inst.sup(comps, src, unit)
-    return inst.equal(total, inst.top(src, unit))
+    if not inst.equal(inst.sup(comps, src, unit), inst.top(src, unit)):
+        return False
+    return all(is_perp(inst, comps[i], comps[j])
+               for i in range(len(comps)) for j in range(i + 1, len(comps)))
 
 
 def omega_data(inst: MatrInstance) -> BiproductData:

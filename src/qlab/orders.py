@@ -60,7 +60,8 @@ def monotone_map_conditions(
 def is_monotone_map(
     inst: MatrInstance, p: PreorderedObject, q: PreorderedObject, f: Any
 ) -> bool:
-    return monotone_map_conditions(inst, p, q, f)[0]
+    """The first condition, f o <=_X <= <=_Y o f, without building f o <=_X."""
+    return inst.composite_leq(f, p.order, inst.compose(q.order, f))
 
 
 # -- monotone relations and their category ---------------------------------------

@@ -15,14 +15,15 @@ Formats:
 
 Every morphism is read straight into a `MatrMorphism` with `inst.mor` and
 written from its blocks.  A relation's sets become biproducts of the tensor
-unit (`matr.set_to_object`) and each pair the unit's identity cell
-(`matr.quote_pairs`), in any instance; a valued relation's value is its
+unit, as `matr.set_to_object` builds them, and each pair the unit's identity
+cell (`matr.quote_pairs`), in any instance; a valued relation's value is its
 quantale element.
 `morphism_from_json` and `morphism_to_json` pick the format by the
 instance's name.  A reader checks every field it reads and catches nothing,
 so a fault in the library is never reported as bad input.  The module
-imports neither `finrel` nor `quantale`: the readers of set and quantale
-documents load them when first called, and no qrel document holds either.
+imports neither `finrel` nor `quantale`: `set_from_json` and
+`quantale_from_json` load them when first called, and the morphism readers
+need neither.
 
 Output iteration orders are canonical (by label), so serialization is
 deterministic and roundtrips to an equal value.  `dumps` is the one writer of
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import QlabError
 from .exact import IntRow, OperatorSubspace, format_over, parse_over, span_of_rows
-from .matr import MatrInstance, MatrMorphism, MatrObject, quote_pairs, set_to_object
+from .matr import MatrInstance, MatrMorphism, MatrObject, quote_pairs
 
 if TYPE_CHECKING:
     from .finrel import FiniteSet
@@ -106,18 +107,28 @@ def set_to_json(a: FiniteSet | MatrObject) -> dict:
     return {"labels": [_label_to_json(x) for x in a.labels]}
 
 
+def _set_labels(doc: Any) -> tuple:
+    """The labels of a set document, refused when one repeats."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
+        raise SerializeError("a set needs a 'labels' list")
+    labels = tuple(_label_from_json(x) for x in doc["labels"])
+    if len(set(labels)) != len(labels):
+        raise SerializeError("duplicate labels")
+    return labels
+
+
 def set_from_json(doc: Any) -> FiniteSet:
     from .finrel import FiniteSet  # loaded by the first set document
 
-    if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
-        raise SerializeError("a set needs a 'labels' list")
-    return FiniteSet(tuple(_label_from_json(x) for x in doc["labels"]))
+    return FiniteSet(_set_labels(doc))
 
 
 def _quoted_sets(inst: MatrInstance, doc: Any, what: str) -> tuple[MatrObject, MatrObject]:
-    """The source and target sets of a relation document, quoted in inst."""
-    return (set_to_object(inst, set_from_json(_field(doc, "source", what))),
-            set_to_object(inst, set_from_json(_field(doc, "target", what))))
+    """The source and target sets of a relation document, quoted in inst as
+    biproducts of the tensor unit, with no `FiniteSet` built."""
+    unit = inst.base.unit_obj()
+    return tuple(inst.obj([(lab, unit) for lab in _set_labels(_field(doc, key, what))])
+                 for key in ("source", "target"))
 
 
 def _pair(src: MatrObject, tgt: MatrObject, a: Any, b: Any) -> tuple:

@@ -325,8 +325,8 @@ _COMPUTE_REL = ["compute", "--instance", "rel", "--load", f"f={REL_DOC}", "dagge
     (KeyError, MatrInstance, "dagger", _COMPUTE_REL),
     (ValueError, MatrInstance, "dagger", _COMPUTE_REL),
     # One function each reader calls, for each of the five readers.
-    (KeyError, serialize, "set_from_json", ["neg", "--instance", "rel", REL_DOC]),
-    (KeyError, serialize, "set_from_json",
+    (KeyError, serialize, "_set_labels", ["neg", "--instance", "rel", REL_DOC]),
+    (KeyError, serialize, "_set_labels",
      ["compute", "--instance", "vrel", "--load",
       'f={"source": {"labels": ["a"]}, "target": {"labels": ["b"]}, "values": []}', "dagger(f)"]),
     (KeyError, serialize, "_label_from_json",
@@ -451,9 +451,18 @@ def _labels(n):
      "error: power of 15 labels would build 491520 membership cells, above the bound 262144"),
     (["power", "--instance", "vrel", "--quantale", "chain3", _labels(10)],
      "error: power of 10 labels would build 590490 membership cells, above the bound 262144"),
+    # A relation document's labels are checked without building a FiniteSet,
+    # a set document's by building one: a repeat is refused alike.
+    (["embed", "--instance", "qrel", _A.replace('["a"]}, "pairs"', '["a", "a"]}, "pairs"')],
+     "error: duplicate labels\n"),
+    (["compute", "--instance", "vrel", "--load",
+      'f={"source": {"labels": [1, 1]}, "target": {"labels": ["b"]}, "values": []}', "f"],
+     "error: duplicate labels\n"),
+    (["power", "--instance", "rel", '{"labels": [["b"], ["b"]]}'], "error: duplicate labels\n"),
 ], ids=["unknown-suite", "inapplicable-suite", "not-utf8", "long-integer", "long-scalar",
         "out-in-missing-dir", "deep-parens", "deep-dagger", "long-chain", "unicode-scalar",
-        "rel-power-too-large", "vrel-power-too-large"])
+        "rel-power-too-large", "vrel-power-too-large", "relation-duplicate-labels",
+        "valued-relation-duplicate-labels", "set-duplicate-labels"])
 def test_refusal_exits_2_with_one_line(tmp_path, argv, message):
     (tmp_path / "latin1.json").write_bytes('{"labels": ["é"]}'.encode("latin-1"))
     (tmp_path / "long-int.json").write_text('{"labels": [' + "1" * 5000 + "]}")
@@ -741,12 +750,13 @@ _CLASSICAL = ["qlab.finrel", "qlab.quantale"]
     (["neg", "--instance", "qrel", QREL_DOC], []),
     (["kernel", QREL_DOC], []),
     (["power", "--instance", "qrel", _QSET_DOC], []),
+    (["embed", "--instance", "qrel", REL_DOC], []),
     (["power", "--instance", "rel", json.dumps({"labels": ["x"]})], _CLASSICAL),
     (["power", "--instance", "vrel", "--quantale", "chain3", json.dumps({"labels": ["x"]})],
      _CLASSICAL),
 ], ids=["compute-lattice", "compute-trace", "compute-tensor", "compute-name",
         "compute-coname", "compute-star", "compute-sum", "neg-qrel", "kernel", "power-qrel",
-        "power-rel", "power-vrel"])
+        "embed-qrel", "power-rel", "power-vrel"])
 def test_only_rel_and_vrel_load_the_classical_models(argv, loaded):
     # Neither importing the CLI nor running a qrel command compiles or runs
     # finrel or quantale; a qrel command imports no qlab module at all as it

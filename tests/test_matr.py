@@ -22,15 +22,18 @@ from qlab.exact import (
     subspace_product,
 )
 from qlab.finrel import BoolRelation, all_relations, fset, matr_to_relation, relation_to_matr
-from qlab import lawcheck, matr
+from qlab import calculus, core, lawcheck, matr
+from qlab.calculus import biproduct_data
 from qlab.lawcheck import make_context
 from qlab.matr import (
     FdOSBase,
     MatrError,
+    MatrInstance,
     MatrMorphism,
     MatrObject,
     boolean_complement,
     qrel_instance,
+    quote_pairs,
     rel_instance,
     set_to_object,
     vrel_instance,
@@ -482,6 +485,94 @@ def test_composite_leq_raises_the_errors_of_compose_then_leq():
         REL.composite_leq(f, f, REL.identity(y))
     with pytest.raises(MatrError, match="^order compares morphisms of the same type$"):
         REL.composite_leq(g, g, REL.top(x, y))
+
+
+# -- maps: the cheap clause first -----------------------------------------------------
+
+def _quoted_pq(inst):
+    """quote({p, q}) as the biproduct of two one-component unit objects."""
+    unit = inst.base.unit_obj()
+    return biproduct_data(inst, [inst.obj([(lab, unit)]) for lab in ("p", "q")])
+
+
+@st.composite
+def maps_or_morphisms(draw, inst, x, y):
+    """Any morphism x -> y, or the cells of a function from x's labels to y's,
+    each the top cell; on most instances the second is a map."""
+    if not (y.components and draw(st.booleans())):
+        return draw(matr_morphisms(inst, x, y))
+    image = [draw(st.sampled_from(y.components)) for _ in x.components]
+    return inst.mor(x, y, {(a, b): inst.base.top(oa, ob)
+                           for (a, oa), (b, ob) in zip(x.components, image)})
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_map_is_its_two_clauses(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    x, y = (data.draw(matr_objects(inst)) for _ in range(2))
+    f = data.draw(maps_or_morphisms(inst, x, y))
+    fd = inst.dagger(f)
+    total = inst.leq(inst.identity(x), inst.compose(fd, f))
+    single_valued = inst.leq(inst.compose(f, fd), inst.identity(y))
+    assert core.is_map(inst, f) == (total and single_valued)
+
+
+# The criterion needs the unit to be top: over C3_NON_INTEGRAL the function
+# with value 1 = top > m = unit has sup top and one nonzero component, yet
+# f o dagger(f) = 1 is not below the identity.
+@pytest.mark.parametrize("name", [n for n in COMPOSE_INSTANCES if n != "vrel-c3-non-integral"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_maps_onto_a_quoted_set_are_the_maps(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    quoted = _quoted_pq(inst)
+    f = data.draw(maps_or_morphisms(inst, data.draw(matr_objects(inst)), quoted.total))
+    assert calculus.is_map_onto_quoted_set(inst, f, quoted) == core.is_map(inst, f)
+
+
+def _counting(monkeypatch, owner, attr):
+    calls = []
+    fn = getattr(owner, attr)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rel", "vrel-lukasiewicz3", "qrel"])
+def test_is_map_builds_no_composite_when_f_is_not_single_valued(name, monkeypatch):
+    # f relates a to both p and q, so f o dagger(f) <= id fails, and
+    # dagger(f) o f is never built.
+    inst = COMPOSE_INSTANCES[name]()
+    unit = inst.base.unit_obj()
+    x, y = inst.obj([("a", unit)]), inst.obj([("p", unit), ("q", unit)])
+    f = quote_pairs(inst, x, y, [("a", "p"), ("a", "q")])
+    calls = _counting(monkeypatch, MatrInstance, "compose")
+    assert not core.is_map(inst, f)
+    assert calls == []
+    assert core.is_map(inst, quote_pairs(inst, x, y, [("a", "p")]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["rel", "vrel-lukasiewicz3", "qrel"])
+def test_a_component_sup_below_top_takes_no_trace(name, monkeypatch):
+    # b is sent nowhere, so the sup of the components is not top, and no pair
+    # of components is tested for trace-orthogonality.
+    inst = COMPOSE_INSTANCES[name]()
+    unit = inst.base.unit_obj()
+    quoted = _quoted_pq(inst)
+    x = inst.obj([("a", unit), ("b", unit)])
+    traces = _counting(monkeypatch, core, "trace_of")
+    partial = quote_pairs(inst, x, quoted.total, [("a", (0, "p"))])
+    assert not calculus.is_map_onto_quoted_set(inst, partial, quoted)
+    assert traces == []
+    total = quote_pairs(inst, x, quoted.total, [("a", (0, "p")), ("b", (1, "q"))])
+    assert calculus.is_map_onto_quoted_set(inst, total, quoted)
+    assert len(traces) == 1
 
 
 @pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
