@@ -244,18 +244,24 @@ def cmd_neg(args) -> int:
     return 0
 
 
-# power on rel and vrel builds P(X) -> X with |P(X)| |X| cells; it refuses a
-# set for which that exceeds this bound (14 labels pass on rel, 15 do not).
+# power on rel builds P(X) -> X with |P(X)| |X| cells; it refuses a set for
+# which that exceeds this bound (14 labels pass, 15 do not).  On vrel every
+# label of V^X is a tuple of |X| values, written again in each cell, so it
+# bounds the scalars written, |V|^|X| |X|^2, instead (7 labels pass over three
+# values, 6 over four).
 _POWER_BOUND = 2**18
 
 
-def _bounded_power_base(doc, values: int):
+def _bounded_power_base(doc, values: int, valued: bool = False):
     """The set of `doc`, if its power set over `values` truth values is
-    within _POWER_BOUND cells."""
+    within _POWER_BOUND cells, or, when `valued`, scalars."""
     x = serialize.set_from_json(doc)
-    cells = values ** len(x) * len(x)
-    if cells > _POWER_BOUND:
-        raise CliError(f"power of {len(x)} labels would build {cells} membership cells, "
+    n = len(x)
+    size, what = values ** n * n, "membership cells"
+    if valued:
+        size, what = size * n, "scalars"
+    if size > _POWER_BOUND:
+        raise CliError(f"power of {n} labels would build {size} {what}, "
                        f"above the bound {_POWER_BOUND}")
     return x
 
@@ -276,7 +282,7 @@ def cmd_power(args) -> int:
         from .quantale import v_power_adjoint, vrelation_to_matr
 
         q = inst.base.quantale
-        data = v_power_adjoint(q, _bounded_power_base(doc, len(q.elements)))
+        data = v_power_adjoint(q, _bounded_power_base(doc, len(q.elements), valued=True))
         out = {
             "power": serialize.set_to_json(data.power),
             "omega": serialize.set_to_json(data.omega),

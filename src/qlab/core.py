@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import QlabError
-from .matr import MatrError, MatrInstance
+from .matr import MatrError, MatrInstance, _built_once
 
 
 class StructureError(QlabError):
@@ -145,15 +145,26 @@ def is_affine(inst: MatrInstance) -> bool:
     return inst.equal(inst.identity(unit), inst.top(unit, unit))
 
 
+@_built_once
+def _lunit_inverse(inst: MatrInstance, x: Any) -> Any:
+    """dagger(lambda_X) : X -> I (x) X."""
+    return inst.dagger(inst.lunit(x))
+
+
 def scalar_mul(inst: MatrInstance, s: Any, f: Any) -> Any:
     """s . f for a scalar s : I -> I."""
-    x, y = inst.source(f), inst.target(f)
-    lam_x = inst.lunit(x)
-    lam_y = inst.lunit(y)
-    return inst.compose(lam_y, inst.compose(inst.tensor_mor(s, f), inst.dagger(lam_x)))
+    return inst.compose(inst.lunit(inst.target(f)),
+                        inst.compose(inst.tensor_mor(s, f), _lunit_inverse(inst, inst.source(f))))
 
 
 # -- compact-closed calculus --------------------------------------------------------------
+# Each operation below is a composite of structure morphisms around one
+# tensor that holds its argument.  The part that depends only on the objects
+# (a "frame") is composed once per instance and argument objects, kept in the
+# instance's `_built` memo as its structure morphisms are, so a call composes
+# only its argument's middle into the frame.  Composition is associative and
+# every result is canonical, so this gives the same morphism as composing
+# the whole chain step by step.
 
 def name_of(inst: MatrInstance, f: Any) -> Any:
     """The name of f : X -> Y, a morphism I -> X* (x) Y."""
@@ -169,29 +180,32 @@ def coname_of(inst: MatrInstance, f: Any) -> Any:
     return inst.compose(inst.epsilon(y), inst.tensor_mor(f, inst.identity(yd)))
 
 
+@_built_once
+def _name_inverse_frame(inst: MatrInstance, x: Any, y: Any) -> tuple[Any, Any]:
+    """dagger(rho_X) : X -> X (x) I, and lambda_Y o (epsilon_X (x) id_Y) o
+    dagger(alpha) : X (x) (X* (x) Y) -> Y."""
+    alpha_inv = inst.dagger(inst.assoc(x, inst.dual_obj(x), y))
+    post = inst.compose(inst.tensor_mor(inst.epsilon(x), inst.identity(y)), alpha_inv)
+    return inst.dagger(inst.runit(x)), inst.compose(inst.lunit(y), post)
+
+
 def name_inverse(inst: MatrInstance, h: Any, x: Any, y: Any) -> Any:
     """Recover f : X -> Y from its name h : I -> X* (x) Y."""
-    xd = inst.dual_obj(x)
-    idx = inst.identity(x)
-    idy = inst.identity(y)
-    rho_inv = inst.dagger(inst.runit(x))               # X -> X (x) I
-    step = inst.compose(inst.tensor_mor(idx, h), rho_inv)
-    alpha_inv = inst.dagger(inst.assoc(x, xd, y))      # X (x) (X* (x) Y) -> (X (x) X*) (x) Y
-    step = inst.compose(alpha_inv, step)
-    step = inst.compose(inst.tensor_mor(inst.epsilon(x), idy), step)
-    return inst.compose(inst.lunit(y), step)
+    rho_inv, post = _name_inverse_frame(inst, x, y)
+    return inst.compose(post, inst.compose(inst.tensor_mor(inst.identity(x), h), rho_inv))
+
+
+@_built_once
+def _coname_inverse_frame(inst: MatrInstance, x: Any, y: Any) -> Any:
+    """dagger(alpha) o (id_X (x) eta_Y) o dagger(rho_X) : X -> (X (x) Y*) (x) Y."""
+    rho_inv = inst.dagger(inst.runit(x))
+    pre = inst.compose(inst.tensor_mor(inst.identity(x), inst.eta(y)), rho_inv)
+    return inst.compose(inst.dagger(inst.assoc(x, inst.dual_obj(y), y)), pre)
 
 
 def coname_inverse(inst: MatrInstance, k: Any, x: Any, y: Any) -> Any:
     """Recover f : X -> Y from its coname k : X (x) Y* -> I."""
-    yd = inst.dual_obj(y)
-    idx = inst.identity(x)
-    idy = inst.identity(y)
-    rho_inv = inst.dagger(inst.runit(x))               # X -> X (x) I
-    step = inst.compose(inst.tensor_mor(idx, inst.eta(y)), rho_inv)
-    alpha_inv = inst.dagger(inst.assoc(x, yd, y))      # X (x) (Y* (x) Y) -> (X (x) Y*) (x) Y
-    step = inst.compose(alpha_inv, step)
-    step = inst.compose(inst.tensor_mor(k, idy), step)
+    step = inst.compose(inst.tensor_mor(k, inst.identity(y)), _coname_inverse_frame(inst, x, y))
     return inst.compose(inst.lunit(y), step)
 
 
@@ -214,6 +228,18 @@ def _star_scalars(inst: MatrInstance, f: Any) -> int:
     return sx * sy * (sx + sum(base.size(m) for _, m in f.blocks)) // (u * u)
 
 
+@_built_once
+def _star_frame(inst: MatrInstance, x: Any, y: Any) -> tuple[Any, Any]:
+    """alpha o (eta_X (x) id_Y*) o dagger(lambda_Y*) : Y* -> X* (x) (X (x) Y*),
+    and rho_X* o (id_X* (x) epsilon_Y) : X* (x) (Y (x) Y*) -> X*."""
+    xd, yd = inst.dual_obj(x), inst.dual_obj(y)
+    pre = inst.compose(inst.tensor_mor(inst.eta(x), inst.identity(yd)),
+                       inst.dagger(inst.lunit(yd)))
+    pre = inst.compose(inst.assoc(xd, x, yd), pre)
+    post = inst.compose(inst.runit(xd), inst.tensor_mor(inst.identity(xd), inst.epsilon(y)))
+    return pre, post
+
+
 def star_of(inst: MatrInstance, f: Any) -> Any:
     """The transpose f* : Y* -> X*.  Raises MatrError, before building any
     tensor, when its cells could hold more than _STAR_BOUND scalars."""
@@ -222,25 +248,17 @@ def star_of(inst: MatrInstance, f: Any) -> Any:
         raise MatrError(f"star would build cells of {size} scalars on X* (x) X (x) Y*, "
                         f"above the bound {_STAR_BOUND}")
     x, y = inst.source(f), inst.target(f)
-    xd, yd = inst.dual_obj(x), inst.dual_obj(y)
-    idxd = inst.identity(xd)
-    idyd = inst.identity(yd)
-    step = inst.dagger(inst.lunit(yd))                 # Y* -> I (x) Y*
-    step = inst.compose(inst.tensor_mor(inst.eta(x), idyd), step)
-    step = inst.compose(inst.assoc(xd, x, yd), step)
-    step = inst.compose(inst.tensor_mor(idxd, inst.tensor_mor(f, idyd)), step)
-    step = inst.compose(inst.tensor_mor(idxd, inst.epsilon(y)), step)
-    return inst.compose(inst.runit(xd), step)
+    pre, post = _star_frame(inst, x, y)
+    middle = inst.tensor_mor(inst.identity(inst.dual_obj(x)),
+                             inst.tensor_mor(f, inst.identity(inst.dual_obj(y))))
+    return inst.compose(post, inst.compose(middle, pre))
 
 
 def trace_of(inst: MatrInstance, f: Any) -> Any:
     """The categorical trace of an endomorphism, a scalar I -> I."""
     x = _endo_source(inst, f, "trace needs an endomorphism")
-    xd = inst.dual_obj(x)
-    eps = inst.epsilon(x)
-    return inst.compose(
-        eps, inst.compose(inst.tensor_mor(f, inst.identity(xd)), inst.dagger(eps))
-    )
+    middle = inst.tensor_mor(f, inst.identity(inst.dual_obj(x)))
+    return inst.compose(inst.epsilon(x), inst.compose(middle, inst.eta(x)))
 
 
 def dimension_of(inst: MatrInstance, x: Any) -> Any:

@@ -44,14 +44,17 @@ meet of non-bottom values can be bottom, as 1/2 (x) 1/2 = 0 in
 lukasiewicz3; a homset marks its bottom choices once).
 
 Results are kept per instance, never process-wide: a `MatrInstance` builds
-each structure morphism and object once per argument objects, and an
-`FdOSBase` computes each block product `_compose_sum(pairs, src, tgt)`, each
-adjoint `dagger(m)` and each structure cell once per arguments (one
-elimination each), all through `_built_once`.  QuantaleBase keeps nothing
-of its own but its bottom: its operations are lookups in the rows its
-quantale builds once.  A memo lives exactly as long as its instance: one
-law suite (`lawcheck.make_context` builds a fresh instance per suite), one
-CLI command, or the process for the `qrel.instance()` singleton.
+each structure morphism and object once per argument objects (and keeps the
+frames of `core`'s compact calculus the same way), and an `FdOSBase` computes
+each block product `_compose_sum(pairs, src, tgt)`, each adjoint `dagger(m)`,
+each Kronecker product `tensor_mor(m, n)`, each orthocomplement
+`_orthocomplement(m)` and each structure cell once per arguments, all
+through `_built_once`.  QuantaleBase keeps nothing of its own but its
+bottom: its operations are lookups in the rows its quantale builds once.
+A memo lives exactly as long as its instance: one law suite
+(`lawcheck.make_context` builds a fresh instance per suite), one CLI
+command, or the process for the `qrel.instance()` singleton, whose base
+keeps the orthocomplement cells.
 
 Quoting also lives here: a finite set becomes a biproduct of copies of the
 tensor unit, and a set of pairs a matrix of identity cells, in any of the
@@ -75,6 +78,7 @@ from .errors import QlabError
 from .exact import (
     OperatorSubspace,
     full_subspace,
+    hs_orthocomplement,
     kronecker,
     span_of_rows,
     subspace_adjoint,
@@ -96,9 +100,10 @@ class MatrError(QlabError):
 
 
 def _built_once(method):
-    """A method whose result is kept in its owner's `_built` dict, keyed by
-    the method's name without leading underscores and its (hashable)
-    arguments, so it runs at most once per owner and arguments."""
+    """A method, or a function whose first argument is the owner, whose
+    result is kept in its owner's `_built` dict, keyed by the function's name
+    without leading underscores and its (hashable) arguments, so it runs at
+    most once per owner and arguments."""
     name = method.__name__.lstrip("_")
 
     @wraps(method)
@@ -315,6 +320,7 @@ class FdOSBase:
     def tensor_obj(self, a, b):
         return a * b
 
+    @_built_once
     def tensor_mor(self, m, n):
         return kronecker(m, n)
 
@@ -332,6 +338,13 @@ class FdOSBase:
     def eta_cell(self, a):
         # span{vec I}, with vec I as an a^2 x 1 column.
         return _span_of_ones(1, a * a, range(0, a * a, a + 1))
+
+    @_built_once
+    def _orthocomplement(self, m: OperatorSubspace) -> OperatorSubspace:
+        """The Hilbert-Schmidt orthocomplement of m, for `qrel.orthocomplement`.
+        Private: `MatrInstance` lifts no orthocomplement, so it is not one of
+        the sixteen base calls."""
+        return hs_orthocomplement(m)
 
     def enum_hom(self, src, tgt):
         if src == 1 and tgt == 1:

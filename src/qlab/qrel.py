@@ -22,7 +22,6 @@ from .exact import (
     _int_rows,
     _primitive,
     full_subspace,
-    hs_orthocomplement,
     nullspace,
     span_of,
     span_of_rows,
@@ -66,8 +65,10 @@ _ORTHO_BOUND = 2**20
 
 def orthocomplement(f: MatrMorphism) -> MatrMorphism:
     """Blockwise Hilbert-Schmidt orthocomplement; missing blocks complement
-    to the full subspace.  Raises MatrError, before building any block, when
-    the result could hold more than _ORTHO_BOUND scalars."""
+    to the full subspace.  Each block's complement is computed once by the
+    singleton's base, which builds the result.  Raises MatrError, before
+    building any block, when the result could hold more than _ORTHO_BOUND
+    scalars."""
     size = sum((oa * ob) ** 2 for _, oa in f.source.components for _, ob in f.target.components)
     if size > _ORTHO_BOUND:
         raise MatrError(
@@ -75,6 +76,7 @@ def orthocomplement(f: MatrMorphism) -> MatrMorphism:
             f"pairs of atoms, above the bound {_ORTHO_BOUND}"
         )
     inst = _INSTANCE
+    ortho = inst.base._orthocomplement
     bmap = f.block_map()
     blocks = {}
     for a, oa in f.source.components:
@@ -83,7 +85,7 @@ def orthocomplement(f: MatrMorphism) -> MatrMorphism:
             if v is None:
                 blocks[(a, b)] = full_subspace(oa, ob)
             else:
-                blocks[(a, b)] = hs_orthocomplement(v)
+                blocks[(a, b)] = ortho(v)
     return inst.mor(f.source, f.target, blocks)
 
 

@@ -450,7 +450,9 @@ def _labels(n):
     (["power", "--instance", "rel", _labels(15)],
      "error: power of 15 labels would build 491520 membership cells, above the bound 262144"),
     (["power", "--instance", "vrel", "--quantale", "chain3", _labels(10)],
-     "error: power of 10 labels would build 590490 membership cells, above the bound 262144"),
+     "error: power of 10 labels would build 5904900 scalars, above the bound 262144"),
+    (["power", "--instance", "vrel", "--quantale", "chain4", _labels(7)],
+     "error: power of 7 labels would build 802816 scalars, above the bound 262144"),
     # A relation document's labels are checked without building a FiniteSet,
     # a set document's by building one: a repeat is refused alike.
     (["embed", "--instance", "qrel", _A.replace('["a"]}, "pairs"', '["a", "a"]}, "pairs"')],
@@ -461,8 +463,9 @@ def _labels(n):
     (["power", "--instance", "rel", '{"labels": [["b"], ["b"]]}'], "error: duplicate labels\n"),
 ], ids=["unknown-suite", "inapplicable-suite", "not-utf8", "long-integer", "long-scalar",
         "out-in-missing-dir", "deep-parens", "deep-dagger", "long-chain", "unicode-scalar",
-        "rel-power-too-large", "vrel-power-too-large", "relation-duplicate-labels",
-        "valued-relation-duplicate-labels", "set-duplicate-labels"])
+        "rel-power-too-large", "vrel-power-too-large", "vrel-chain4-power-too-large",
+        "relation-duplicate-labels", "valued-relation-duplicate-labels",
+        "set-duplicate-labels"])
 def test_refusal_exits_2_with_one_line(tmp_path, argv, message):
     (tmp_path / "latin1.json").write_bytes('{"labels": ["é"]}'.encode("latin-1"))
     (tmp_path / "long-int.json").write_text('{"labels": [' + "1" * 5000 + "]}")
@@ -478,16 +481,18 @@ def test_refusal_exits_2_with_one_line(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("quantale, largest", [
-    (None, 14), ("chain3", 9), ("lukasiewicz3", 9), ("chain4", 7),
+    (None, 14), ("chain3", 7), ("lukasiewicz3", 7), ("chain4", 6),
 ], ids=["rel", "vrel-chain3", "vrel-lukasiewicz3", "vrel-chain4"])
 def test_power_bound_lets_the_largest_set_through(quantale, largest):
-    # |P(X)| |X| is 2^14 14 = 229376 on rel, 3^9 9 = 177147 over three values
-    # and 4^7 7 = 114688 over four, all within 2^18; one label more is not.
+    # |P(X)| |X| is 2^14 14 = 229376 cells on rel; |V^X| |X|^2 is
+    # 3^7 49 = 107163 scalars over three values and 4^6 36 = 147456 over
+    # four, all within 2^18; one label more is not.
     values = 2 if quantale is None else len(BUILTIN_QUANTALES[quantale].elements)
     doc = json.loads(_labels(largest))
-    assert len(cli._bounded_power_base(doc, values)) == largest
+    valued = quantale is not None
+    assert len(cli._bounded_power_base(doc, values, valued)) == largest
     with pytest.raises(cli.CliError, match="above the bound 262144"):
-        cli._bounded_power_base(json.loads(_labels(largest + 1)), values)
+        cli._bounded_power_base(json.loads(_labels(largest + 1)), values, valued)
 
 
 def test_power_rel_runs_at_the_bound(tmp_path):

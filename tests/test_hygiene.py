@@ -43,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from qlab import exact, lawcheck
+from qlab import exact, lawcheck, qrel
 from qlab.errors import QlabError
 from qlab.quantale import BUILTIN_QUANTALES
 
@@ -194,9 +194,10 @@ def test_traced_layers_record_calls(kind, quantale, layers):
 
 
 def test_qrel_law_run_computes_no_product_or_adjoint_twice_per_instance(monkeypatch):
-    """Every binding of exact.subspace_product and exact.subspace_adjoint in
-    the package is wrapped to count executions by arguments and by the base
-    instance whose method called them (None for any other caller)."""
+    """Every binding of exact.subspace_product, exact.subspace_adjoint,
+    exact.kronecker and exact.hs_orthocomplement in the package is wrapped to
+    count executions by arguments and by the base instance whose method
+    called them (None for any other caller)."""
     counts = collections.Counter()
     callers = {}  # id(base) -> base, kept alive so no id is reused
 
@@ -210,16 +211,21 @@ def test_qrel_law_run_computes_no_product_or_adjoint_twice_per_instance(monkeypa
             return fn(*args)
         return wrapper
 
-    for fn in (exact.subspace_product, exact.subspace_adjoint):
+    for fn in (exact.subspace_product, exact.subspace_adjoint, exact.kronecker,
+               exact.hs_orthocomplement):
         wrapped = counting(fn)
         for name, module in list(sys.modules.items()):
             if name.startswith("qlab"):
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapped)
+    # The singleton's base keeps the orthocomplement cells for the process:
+    # start it from an empty memo, so that this run computes its own.
+    monkeypatch.setattr(qrel.instance().base, "_built", {})
     assert all(rep.ok for rep in lawcheck.run_all("qrel", 0))
     names = collections.Counter(key[0] for (_, key) in counts)
-    assert names["subspace_product"] and names["subspace_adjoint"]
+    assert all(names[fn] for fn in ("subspace_product", "subspace_adjoint", "kronecker",
+                                    "hs_orthocomplement"))
     assert [key for key, n in counts.items() if n > 1] == []
 
 

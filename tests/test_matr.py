@@ -22,7 +22,7 @@ from qlab.exact import (
     subspace_product,
 )
 from qlab.finrel import BoolRelation, all_relations, fset, matr_to_relation, relation_to_matr
-from qlab import calculus, core, lawcheck, matr
+from qlab import calculus, core, lawcheck, matr, qrel
 from qlab.calculus import biproduct_data
 from qlab.lawcheck import make_context
 from qlab.matr import (
@@ -806,9 +806,121 @@ def test_qrel_instances_do_not_share_memo_entries():
     x = one.obj([("u", 2)])
     f = one.mor(x, x, {("u", "u"): full_subspace(2, 2)})
     ff, fd, ident = one.compose(f, f), one.dagger(f), one.base.identity(3)
+    ft = one.tensor_mor(f, f)
     assert one.base._built and two.base._built == {}
-    assert {name for name, *_ in one.base._built} == {"compose_sum", "dagger", "identity"}
+    assert {name for name, *_ in one.base._built} == {
+        "compose_sum", "dagger", "identity", "tensor_mor"}
+    assert one.tensor_mor(f, f).blocks[0][1] is ft.blocks[0][1]
     # The second instance computes its own, equal values.
     assert two.compose(f, f) == ff and two.dagger(f) == fd
     assert two.compose(f, f).blocks[0][1] is not ff.blocks[0][1]
     assert two.base.identity(3) == ident and two.base.identity(3) is not ident
+    assert two.tensor_mor(f, f) == ft and two.tensor_mor(f, f).blocks[0][1] is not ft.blocks[0][1]
+
+
+def test_qrel_orthocomplement_cells_are_kept_by_the_singleton():
+    x = qrel.qset([("u", 2), ("v", 1)])
+    f, f_copy = (qrel.qmor(x, x, {("u", "u"): [ExactMatrix.from_ints([[1, 0], [0, 0]])]})
+                 for _ in range(2))
+    neg = qrel.orthocomplement(f)
+    assert ("orthocomplement", f.blocks[0][1]) in qrel.instance().base._built
+    again = qrel.orthocomplement(f_copy)
+    assert again == neg and again.blocks[0][1] is neg.blocks[0][1]
+
+
+# -- the calculus frames ----------------------------------------------------------------
+#
+# star_of, name_inverse, coname_inverse, scalar_mul and trace_of as they were
+# written before their object-only parts were kept per instance: every step
+# of the chain composed on every call, and the trace closed by dagger(epsilon).
+
+def reference_star_of(inst, f):
+    x, y = inst.source(f), inst.target(f)
+    xd, yd = inst.dual_obj(x), inst.dual_obj(y)
+    idxd = inst.identity(xd)
+    idyd = inst.identity(yd)
+    step = inst.dagger(inst.lunit(yd))
+    step = inst.compose(inst.tensor_mor(inst.eta(x), idyd), step)
+    step = inst.compose(inst.assoc(xd, x, yd), step)
+    step = inst.compose(inst.tensor_mor(idxd, inst.tensor_mor(f, idyd)), step)
+    step = inst.compose(inst.tensor_mor(idxd, inst.epsilon(y)), step)
+    return inst.compose(inst.runit(xd), step)
+
+
+def reference_name_inverse(inst, h, x, y):
+    xd = inst.dual_obj(x)
+    step = inst.compose(inst.tensor_mor(inst.identity(x), h), inst.dagger(inst.runit(x)))
+    step = inst.compose(inst.dagger(inst.assoc(x, xd, y)), step)
+    step = inst.compose(inst.tensor_mor(inst.epsilon(x), inst.identity(y)), step)
+    return inst.compose(inst.lunit(y), step)
+
+
+def reference_coname_inverse(inst, k, x, y):
+    yd = inst.dual_obj(y)
+    step = inst.compose(inst.tensor_mor(inst.identity(x), inst.eta(y)),
+                        inst.dagger(inst.runit(x)))
+    step = inst.compose(inst.dagger(inst.assoc(x, yd, y)), step)
+    step = inst.compose(inst.tensor_mor(k, inst.identity(y)), step)
+    return inst.compose(inst.lunit(y), step)
+
+
+def reference_scalar_mul(inst, s, f):
+    lam_x, lam_y = inst.lunit(inst.source(f)), inst.lunit(inst.target(f))
+    return inst.compose(lam_y, inst.compose(inst.tensor_mor(s, f), inst.dagger(lam_x)))
+
+
+def reference_trace_of(inst, f):
+    x = inst.source(f)
+    eps = inst.epsilon(x)
+    return inst.compose(
+        eps, inst.compose(inst.tensor_mor(f, inst.identity(inst.dual_obj(x))), inst.dagger(eps)))
+
+
+@st.composite
+def calculus_objects(draw, inst):
+    """Objects of at most two components (three on the classical bases), so
+    that the cells on X* (x) X (x) Y* stay small on qrel."""
+    if isinstance(inst.base, FdOSBase):
+        labels = draw(st.lists(LABELS, max_size=2, unique=True))
+        return inst.obj([(lab, draw(st.integers(1, 2))) for lab in labels])
+    return inst.obj([(lab, "*") for lab in draw(st.lists(LABELS, max_size=3, unique=True))])
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_calculus_frames_give_the_straight_line_composites(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    x, y = (data.draw(calculus_objects(inst)) for _ in range(2))
+    unit = inst.unit_obj()
+    # Two draws per operation, so the second call reads the frame the first built.
+    for _ in range(2):
+        f = data.draw(matr_morphisms(inst, x, y))
+        r = data.draw(matr_morphisms(inst, x, x))
+        s = data.draw(matr_morphisms(inst, unit, unit))
+        h = data.draw(matr_morphisms(inst, unit, inst.tensor_obj(inst.dual_obj(x), y)))
+        k = data.draw(matr_morphisms(inst, inst.tensor_obj(x, inst.dual_obj(y)), unit))
+        assert core.star_of(inst, f) == reference_star_of(inst, f)
+        assert core.name_inverse(inst, h, x, y) == reference_name_inverse(inst, h, x, y)
+        assert core.coname_inverse(inst, k, x, y) == reference_coname_inverse(inst, k, x, y)
+        assert core.scalar_mul(inst, s, f) == reference_scalar_mul(inst, s, f)
+        assert core.trace_of(inst, r) == reference_trace_of(inst, r)
+
+
+@pytest.mark.parametrize("name", ["rel", "vrel-lukasiewicz3", "qrel"])
+def test_a_second_star_on_the_same_objects_builds_only_its_two_tensors(name, monkeypatch):
+    inst = COMPOSE_INSTANCES[name]()
+    unit = inst.base.unit_obj()
+    x, y = inst.obj([("a", unit), ("b", unit)]), inst.obj([("p", unit)])
+    f = quote_pairs(inst, x, y, [("a", "p")])
+    g = quote_pairs(inst, x, y, [("b", "p")])
+    tensors = _counting(monkeypatch, MatrInstance, "tensor_mor")
+    composites = _counting(monkeypatch, MatrInstance, "compose")
+    first = core.star_of(inst, f)
+    assert len(tensors) > 2
+    del tensors[:], composites[:]
+    second = core.star_of(inst, g)
+    assert len(tensors) == 2 and len(composites) == 2
+    assert tensors[0][1:] == (g, inst.identity(y)) and tensors[1][1] == inst.identity(x)
+    assert first == quote_pairs(inst, y, x, [("p", "a")])
+    assert second == quote_pairs(inst, y, x, [("p", "b")])
