@@ -31,6 +31,8 @@ def tuple_into(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> An
     """<f_k> : X -> (+) Y_k, the sup of i_k o f_k."""
     if len(fs) != len(data.injections):
         raise StructureError("one component morphism per summand")
+    if not fs:
+        raise StructureError("a tuple needs at least one summand to read its source from")
     src = inst.source(fs[0])
     parts = [inst.compose(i, f) for i, f in zip(data.injections, fs)]
     return inst.sup(parts, src, data.total)
@@ -40,6 +42,8 @@ def cotuple_from(inst: MatrInstance, data: BiproductData, fs: Sequence[Any]) -> 
     """[f_k] : (+) X_k -> Y, the sup of f_k o p_k."""
     if len(fs) != len(data.projections):
         raise StructureError("one component morphism per summand")
+    if not fs:
+        raise StructureError("a cotuple needs at least one summand to read its target from")
     tgt = inst.target(fs[0])
     parts = [inst.compose(f, p) for f, p in zip(fs, data.projections)]
     return inst.sup(parts, data.total, tgt)

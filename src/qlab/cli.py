@@ -222,7 +222,7 @@ def cmd_kernel(args) -> int:
         raise CliError("kernel is defined for the qrel instance")
     inst = qrel_instance()
     f = serialize.qrelation_from_json(inst, _read_json(args.relation))
-    kernel, inclusion = qrel_mod.dagger_kernel([f])
+    kernel, inclusion = qrel_mod.dagger_kernel(inst, [f])
     doc = {
         "kernel": serialize.qset_to_json(kernel),
         "inclusion": serialize.qrelation_to_json(inclusion),
@@ -237,7 +237,7 @@ def cmd_neg(args) -> int:
     if args.instance == "rel":
         result = boolean_complement(inst, f)
     elif args.instance == "qrel":
-        result = qrel_mod.orthocomplement(f)
+        result = qrel_mod.orthocomplement(inst, f)
     else:
         raise CliError("neg is defined for the rel and qrel instances")
     _emit(args, serialize.morphism_to_json(inst, result))
@@ -292,7 +292,7 @@ def cmd_power(args) -> int:
         }
     else:
         x = serialize.qset_from_json(inst, doc)
-        om = qrel_mod.qrel_omega()
+        om = calculus.omega_data(inst)
         out = {
             "object": serialize.qset_to_json(x),
             "omega": serialize.qset_to_json(om.total),

@@ -687,7 +687,7 @@ def suite_qrel_kernel(ctx: Context, law) -> None:
     maximal = law("any morphism killed by the set factors through the kernel", pad=True)
     x, y = ctx.some_objects(3)[1:]
     for f in ctx.homs(x, y, 25):
-        k, e = qrel.dagger_kernel([f])
+        k, e = qrel.dagger_kernel(inst, [f])
         if k.components:
             monic.record(core.is_dagger_mono(inst, e), f)
             kills.record(inst.equal(inst.compose(f, e), inst.bottom(k, y)), f)
@@ -715,7 +715,7 @@ def suite_qrel_zero_mono(ctx: Context, law) -> None:
         if zm:
             char.record(not found, f)
         else:
-            k, e = qrel.dagger_kernel([f])
+            k, e = qrel.dagger_kernel(inst, [f])
             char.record(bool(k.components), f)
     for r in ctx.homs(x, x, 60):
         if core.is_per(inst, r) and qrel.is_zero_mono(r):
@@ -735,19 +735,19 @@ def suite_qrel_neg(ctx: Context, law) -> None:
     x, y = ctx.some_objects(3)[1:]
     fs = ctx.homs(x, y, 25)
     for f in fs:
-        invol.record(inst.equal(qrel.orthocomplement(qrel.orthocomplement(f)), f), f)
+        invol.record(inst.equal(qrel.orthocomplement(inst, qrel.orthocomplement(inst, f)), f), f)
     for f, g in zip(fs, fs[1:]):
         j = inst.join2(f, g)
-        antitone.record(inst.leq(qrel.orthocomplement(j), qrel.orthocomplement(f)))
+        antitone.record(inst.leq(qrel.orthocomplement(inst, j), qrel.orthocomplement(inst, f)))
         demorgan.record(
             inst.equal(
-                qrel.orthocomplement(j),
-                inst.meet2(qrel.orthocomplement(f), qrel.orthocomplement(g)),
+                qrel.orthocomplement(inst, j),
+                inst.meet2(qrel.orthocomplement(inst, f), qrel.orthocomplement(inst, g)),
             ),
             f, g,
         )
         r, s = inst.meet2(f, g), j
-        rec = inst.join2(r, inst.meet2(s, qrel.orthocomplement(r)))
+        rec = inst.join2(r, inst.meet2(s, qrel.orthocomplement(inst, r)))
         orthomod.record(inst.equal(rec, s), r, s)
         perp_routes.record(qrel.is_perp_blockwise(f, g) == core.is_perp(inst, f, g), f, g)
 
@@ -757,14 +757,14 @@ def suite_qrel_classical(ctx: Context, law) -> None:
     inst = ctx.inst
     bij = law("maps into I (+) I correspond to effects")
     mapness = law("both correspondence directions produce maps/effects")
-    om = qrel.qrel_omega()
+    om = calculus.omega_data(inst)
     unit = inst.unit_obj()
     x = ctx.some_objects(2)[1]
     for r in ctx.homs(x, unit, 20):
-        f = qrel.effect_to_map(om, r)
+        f = orders.downset_to_monotone_map(inst, om, r, lambda r: qrel.orthocomplement(inst, r))
         mapness.record(core.is_map(inst, f), r)
-        bij.record(inst.equal(qrel.map_to_effect(om, f), r), r)
-    fixture, _ = qrel.invertible_not_dagger_iso()
+        bij.record(inst.equal(orders.monotone_map_to_downset(inst, om, f), r), r)
+    fixture, _ = qrel.invertible_not_dagger_iso(inst)
     mapness.record(not core.is_dagger_iso(inst, fixture))
 
 
@@ -773,7 +773,7 @@ def suite_qrel_fixtures(ctx: Context, law) -> None:
     inst = ctx.inst
     fix = law("an invertible quantum relation need not be a dagger iso")
     dims = law("categorical dimension counts the squared atom dimensions")
-    v, w = qrel.invertible_not_dagger_iso()
+    v, w = qrel.invertible_not_dagger_iso(inst)
     x = v.source
     fix.record(inst.equal(inst.compose(v, w), inst.identity(x)))
     fix.record(inst.equal(inst.compose(w, v), inst.identity(x)))
@@ -867,12 +867,12 @@ def suite_downsets(ctx: Context, law) -> None:
         if orders.is_downset_relation(inst, p, r):
             downsets.append(r)
             f = orders.downset_to_monotone_map(
-                inst, om, r, lambda r: boolean_complement(inst, r)
+                inst, om.data, r, lambda r: boolean_complement(inst, r)
             )
             ok = (
                 core.is_map(inst, f)
                 and orders.is_monotone_map(inst, p, om.ordered, f)
-                and inst.equal(orders.monotone_map_to_downset(inst, om, f), r)
+                and inst.equal(orders.monotone_map_to_downset(inst, om.data, f), r)
             )
             bij.record(ok, r)
     data = downset_adjoint(a, matr_to_relation(chain))

@@ -17,7 +17,8 @@ in position order: the quantale base folds each output block straight from
 the rows of its quantale's join and multiplication tables
 (`FiniteQuantale.join_rows` and `mul_rows`), which its sup, leq and
 tensor_mor read too; the operator-subspace base groups the pairs
-(g_bc, f_ab) per output block and spans their products.
+(g_bc, f_ab) per output block and spans their products.  Both multiply
+with the later factor on the left, g_bc f_ab, as `VRelation.compose` does.
 `product_leq(n, m, bound)` decides n m <= bound, with None for bottom, so
 that `MatrInstance.composite_leq(g, f, h)` can decide g o f <= h without
 building g o f: composition preserves joins, so (g o f)_ac, the join over b
@@ -52,9 +53,8 @@ each Kronecker product `tensor_mor(m, n)`, each orthocomplement
 through `_built_once`.  QuantaleBase keeps nothing of its own but its
 bottom: its operations are lookups in the rows its quantale builds once.
 A memo lives exactly as long as its instance: one law suite
-(`lawcheck.make_context` builds a fresh instance per suite), one CLI
-command, or the process for the `qrel.instance()` singleton, whose base
-keeps the orthocomplement cells.
+(`lawcheck.make_context` builds a fresh instance per suite) or one CLI
+command; `qrel.orthocomplement(inst, f)` keeps its cells in `inst.base`.
 
 Quoting also lives here: a finite set becomes a biproduct of copies of the
 tensor unit, and a set of pairs a matrix of identity cells, in any of the

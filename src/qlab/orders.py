@@ -200,20 +200,22 @@ def omega_eval_identities(inst: MatrInstance, om: OmegaOrder) -> list[tuple[str,
     ]
 
 
-def monotone_map_to_downset(inst: MatrInstance, om: OmegaOrder, f: Any) -> Any:
+def monotone_map_to_downset(inst: MatrInstance, data: BiproductData, f: Any) -> Any:
     """A monotone map X -> Omega becomes a relation X -> I by projecting on
-    'true'; the result absorbs the converse order of X."""
-    return inst.compose(om.data.projections[1], f)
+    'true' of `data`, the biproduct I (+) I; the result absorbs the converse
+    order of X."""
+    return inst.compose(data.projections[1], f)
 
 
 def downset_to_monotone_map(
     inst: MatrInstance,
-    om: OmegaOrder,
+    data: BiproductData,
     r: Any,
     complement: Callable[[Any], Any],
 ) -> Any:
-    """The inverse correspondence: pair the complement with the relation."""
-    return tuple_into(inst, om.data, [complement(r), r])
+    """The inverse correspondence: pair the complement of r (boolean on rel,
+    `qrel.orthocomplement` on qrel) with r."""
+    return tuple_into(inst, data, [complement(r), r])
 
 
 def is_downset_relation(inst: MatrInstance, p: PreorderedObject, r: Any) -> bool:

@@ -4,7 +4,9 @@ A quantum set is a finite family of positive dimensions (its atoms); a
 quantum relation is a matrix of operator subspaces between the corresponding
 matrix algebras.  This module adds the structure particular to this instance:
 the blockwise orthocomplement, trace orthogonality, dagger kernels of sets of
-morphisms, zero-monomorphisms, and the classical truth-value correspondence.
+morphisms and zero-monomorphisms.  As in `core`, an operation builds in the
+instance it is given first; `instance()`, `qset` and `qmor` are constructors
+for callers over a module-level instance that no operation reads.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .calculus import BiproductData, omega_data, tuple_into
 from .exact import (
-    ExactMatrix,
     IntRow,
     OperatorSubspace,
     _int_rows,
@@ -39,7 +39,7 @@ def qset(atoms: Iterable[tuple]) -> MatrObject:
     """A quantum set from (label, dimension) pairs."""
     comps = tuple(atoms)
     for _, d in comps:
-        if not (isinstance(d, int) and d > 0):
+        if not (type(d) is int and d > 0):
             raise MatrError(f"atom dimensions must be positive integers, got {d!r}")
     return _INSTANCE.obj(comps)
 
@@ -63,10 +63,10 @@ def qmor(src: MatrObject, tgt: MatrObject, blocks: dict) -> MatrMorphism:
 _ORTHO_BOUND = 2**20
 
 
-def orthocomplement(f: MatrMorphism) -> MatrMorphism:
+def orthocomplement(inst: MatrInstance, f: MatrMorphism) -> MatrMorphism:
     """Blockwise Hilbert-Schmidt orthocomplement; missing blocks complement
     to the full subspace.  Each block's complement is computed once by the
-    singleton's base, which builds the result.  Raises MatrError, before
+    base of `inst`, which builds the result.  Raises MatrError, before
     building any block, when the result could hold more than _ORTHO_BOUND
     scalars."""
     size = sum((oa * ob) ** 2 for _, oa in f.source.components for _, ob in f.target.components)
@@ -75,7 +75,6 @@ def orthocomplement(f: MatrMorphism) -> MatrMorphism:
             f"orthocomplement could hold {size} scalars, the sum of (d_a*d_b)**2 over "
             f"pairs of atoms, above the bound {_ORTHO_BOUND}"
         )
-    inst = _INSTANCE
     ortho = inst.base._orthocomplement
     bmap = f.block_map()
     blocks = {}
@@ -222,12 +221,13 @@ def _two_squares_int(n: int) -> tuple[int, int] | None:
     return None
 
 
-def dagger_kernel(fs: Sequence[MatrMorphism]) -> tuple[MatrObject, MatrMorphism]:
+def dagger_kernel(inst: MatrInstance,
+                  fs: Sequence[MatrMorphism]) -> tuple[MatrObject, MatrMorphism]:
     """The dagger kernel of a set of morphisms out of a common source X.
 
     Returns the kernel object (one atom per source atom with nonzero joint
     kernel, of dimension that kernel's dimension, labelled ("k", a) for the
-    source atom a) and the dagger-monic inclusion into X.
+    source atom a) and the dagger-monic inclusion into X, both built in inst.
     """
     if not fs:
         raise MatrError("dagger kernel needs at least one morphism")
@@ -245,9 +245,8 @@ def dagger_kernel(fs: Sequence[MatrMorphism]) -> tuple[MatrObject, MatrMorphism]
         dim = len(ker_cols)
         atoms.append((lab, dim))
         blocks[(lab, a)] = span_of_rows(dim, da, [_orthonormal_columns(ker_cols)])
-    kernel_obj = _INSTANCE.obj(atoms)
-    incl = _INSTANCE.mor(kernel_obj, src, blocks)
-    return kernel_obj, incl
+    kernel_obj = inst.obj(atoms)
+    return kernel_obj, inst.mor(kernel_obj, src, blocks)
 
 
 def _joint_kernel(fs: Sequence[MatrMorphism], a, da: int) -> list[IntRow]:
@@ -273,31 +272,13 @@ def is_zero_mono(f: MatrMorphism) -> bool:
     return not any(_joint_kernel([f], a, da) for a, da in f.source.components)
 
 
-# -- classical truth values --------------------------------------------------------
-
-def qrel_omega() -> BiproductData:
-    return omega_data(_INSTANCE)
-
-
-def effect_to_map(data: BiproductData, r: MatrMorphism) -> MatrMorphism:
-    """An effect X -> I becomes the map X -> I (+) I pairing its
-    orthocomplement with it."""
-    return tuple_into(_INSTANCE, data, [orthocomplement(r), r])
-
-
-def map_to_effect(data: BiproductData, f: MatrMorphism) -> MatrMorphism:
-    """A map X -> I (+) I becomes an effect X -> I by projecting on 'true'."""
-    return _INSTANCE.compose(data.projections[1], f)
-
-
 # -- distinguished examples ---------------------------------------------------------
 
-def invertible_not_dagger_iso() -> tuple[MatrMorphism, MatrMorphism]:
+def invertible_not_dagger_iso(inst: MatrInstance) -> tuple[MatrMorphism, MatrMorphism]:
     """A quantum relation on a one-atom quantum set of dimension 2 that is
-    invertible (two-sided inverse) but not a dagger isomorphism."""
-    x = qset([("x", 2)])
-    a = ExactMatrix.from_ints([[1, 1], [0, 1]])
-    a_inv = ExactMatrix.from_ints([[1, -1], [0, 1]])
-    v = qmor(x, x, {("x", "x"): span_of(a)})
-    w = qmor(x, x, {("x", "x"): span_of(a_inv)})
-    return v, w
+    invertible (two-sided inverse) but not a dagger isomorphism: the spans of
+    [[1, 1], [0, 1]] and of its inverse [[1, -1], [0, 1]]."""
+    x = inst.obj([("x", 2)])
+    a = span_of_rows(2, 2, [([1, 1, 0, 1], [0, 0, 0, 0])])
+    a_inv = span_of_rows(2, 2, [([1, -1, 0, 1], [0, 0, 0, 0])])
+    return inst.mor(x, x, {("x", "x"): a}), inst.mor(x, x, {("x", "x"): a_inv})

@@ -15,6 +15,9 @@ Every operation reads the tables, with no call per cell:
     by VRelation and by the matrix instance's `QuantaleBase`.
   * `VRelation.compose` folds each cell from bottom over `join_rows` and
     `mul_rows`; `join` and `leq` read `join_rows`, `times` reads `mul_rows`.
+    Products keep the kernel's order, the later factor on the left:
+    `s.compose(r)` joins s(y, z) r(x, y) as `QuantaleBase.compose_blocks`
+    joins g_bc f_ab, and `r.times(s)` multiplies r(x1, y1) s(x2, y2).
     Their results, and those of `dagger` and `all_vrelations`, hold every cell
     in label order already, so they skip the validating constructor.  The
     hash is computed once, on first use.
@@ -326,7 +329,7 @@ class VRelation:
         return VRelation(q, x, y, {(a, b): q.top for a in x for b in y})
 
     def compose(self, other: "VRelation") -> "VRelation":
-        """self after other: (x, z) |-> sup over y of other(x, y) self(y, z),
+        """self after other: (x, z) |-> sup over y of self(y, z) other(x, y),
         folded from bottom over the rows of the join and mul tables."""
         if other.target != self.source or other.quantale != self.quantale:
             raise QuantaleError("composition mismatch")
@@ -336,12 +339,12 @@ class VRelation:
         mid, targets = self.source.labels, self.target.labels
         vals = {}
         for x in other.source.labels:
-            # (y, the row of other(x, y) in mul) for each y
-            rows = [(y, mul[first[(x, y)]]) for y in mid]
+            # (y, other(x, y)) for each y
+            fx = [(y, first[(x, y)]) for y in mid]
             for z in targets:
                 acc = bottom
-                for y, row in rows:
-                    acc = join[acc][row[then[(y, z)]]]
+                for y, v in fx:
+                    acc = join[acc][mul[then[(y, z)]][v]]
                 vals[(x, z)] = acc
         return VRelation._built(q, other.source, self.target, vals)
 

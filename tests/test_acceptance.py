@@ -13,6 +13,7 @@ from qlab import core
 from qlab.calculus import (
     biproduct_data,
     is_map_onto_quoted_set,
+    omega_data,
     quote_is_full,
     quote_product_cell,
 )
@@ -61,15 +62,11 @@ from qlab.power import (
 )
 from qlab.qrel import (
     dagger_kernel,
-    effect_to_map,
-    instance as qrel_singleton,
     invertible_not_dagger_iso,
     is_perp_blockwise,
     is_zero_mono,
-    map_to_effect,
     orthocomplement,
     qmor,
-    qrel_omega,
     qset,
 )
 from qlab.quantale import (
@@ -156,12 +153,12 @@ def test_criterion_03_orthomodular_complement():
         for _ in range(200):
             r = _random_qmor(rng, src, tgt)
             s = _random_qmor(rng, src, tgt)
-            nr = orthocomplement(r)
-            assert QREL.equal(orthocomplement(nr), r)
+            nr = orthocomplement(QREL, r)
+            assert QREL.equal(orthocomplement(QREL, nr), r)
             assert QREL.equal(QREL.meet2(r, nr), QREL.bottom(src, tgt))
             assert QREL.equal(QREL.join2(r, nr), QREL.top(src, tgt))
             if QREL.leq(r, s):
-                assert QREL.leq(orthocomplement(s), nr)
+                assert QREL.leq(orthocomplement(QREL, s), nr)
                 assert QREL.equal(s, QREL.join2(r, QREL.meet2(s, nr)))
             else:
                 rs = QREL.join2(r, s)
@@ -175,7 +172,7 @@ def test_criterion_03_orthomodular_complement():
 
 def test_criterion_04_invertible_but_not_dagger_iso():
     t0 = time.monotonic()
-    v, w = invertible_not_dagger_iso()
+    v, w = invertible_not_dagger_iso(QREL)
     x = v.source
     assert QREL.equal(QREL.compose(w, v), QREL.identity(x))
     assert QREL.equal(QREL.compose(v, w), QREL.identity(x))
@@ -188,20 +185,20 @@ def test_criterion_05_dagger_kernels():
     rng = random.Random(5)
     for _ in range(100):
         r = _random_qmor(rng, X21, X2)
-        ker, e = dagger_kernel([r])
+        ker, e = dagger_kernel(QREL, [r])
         assert core.is_dagger_mono(QREL, e)
         assert QREL.equal(QREL.compose(r, e), QREL.bottom(ker, X2))
     one = qset([("u", 1)])
     for _ in range(20):
         r = _random_qmor(rng, X2, one)
-        ker, e = dagger_kernel([r])
+        ker, e = dagger_kernel(QREL, [r])
         s = QREL.compose(e, _random_qmor(rng, X21, ker))
         assert QREL.equal(QREL.compose(r, s), QREL.bottom(X21, one))
         t = QREL.compose(QREL.dagger(e), s)
         assert QREL.equal(QREL.compose(e, t), s)
     # mutation check: a corrupted inclusion must break the kernel law
     eff = qmor(X2, one, {("x", "u"): span_of(ExactMatrix.from_ints([[1, 0]]))})
-    ker, e = dagger_kernel([eff])
+    ker, e = dagger_kernel(QREL, [eff])
     bad = QREL.mor(ker, X2, {
         (ker.components[0][0], "x"): span_of(ExactMatrix.from_ints([[1], [0]]))
     })
@@ -338,7 +335,7 @@ def test_criterion_09_power_objects():
             for v in vrels:
                 assert v_power_counit_check(data, v)
     rng = random.Random(9)
-    om = qrel_omega()
+    om = omega_data(QREL)
     count = 0
     while count < 100:
         blocks = {}
@@ -348,9 +345,9 @@ def test_criterion_09_power_objects():
                 blocks[(atom, "*")] = v
         r = QREL.mor(X21, QREL.unit_obj(), blocks)
         count += 1
-        f = effect_to_map(om, r)
+        f = downset_to_monotone_map(QREL, om, r, lambda r: orthocomplement(QREL, r))
         assert is_map(QREL, f)
-        assert QREL.equal(map_to_effect(om, f), r)
+        assert QREL.equal(monotone_map_to_downset(QREL, om, f), r)
 
 
 def test_criterion_10_exponentials():
@@ -436,9 +433,9 @@ def test_criterion_11_ordered_structure():
                 if not is_downset_relation(REL, p, v):
                     continue
                 count += 1
-                f = downset_to_monotone_map(REL, om, v, complement)
+                f = downset_to_monotone_map(REL, om.data, v, complement)
                 assert is_monotone_map(REL, p, om.ordered, f)
-                assert REL.equal(monotone_map_to_downset(REL, om, f), v)
+                assert REL.equal(monotone_map_to_downset(REL, om.data, f), v)
             assert count == len(downset_adjoint(ys, r).downsets)
 
 

@@ -17,7 +17,7 @@ from qlab.calculus import (
     tuple_into,
 )
 from qlab import core
-from qlab.core import is_dagger_iso, star_of
+from qlab.core import StructureError, is_dagger_iso, star_of
 from qlab.finrel import (
     BoolRelation,
     all_relations,
@@ -55,6 +55,16 @@ def test_tupling_and_cotupling():
     h = relation_to_matr(REL, BoolRelation(X, A, frozenset([("y", "a")])))
     c = cotuple_from(REL, data, [REL.dagger(f), h])
     assert REL.equal(REL.compose(c, data.injections[1]), h)
+
+
+@pytest.mark.parametrize("inst", [REL, QREL], ids=["rel", "qrel"])
+def test_empty_tuple_and_cotuple_are_refused(inst):
+    # Zero summands: there is no component to read the source or target from.
+    data = biproduct_data(inst, [])
+    with pytest.raises(StructureError, match="at least one summand"):
+        tuple_into(inst, data, [])
+    with pytest.raises(StructureError, match="at least one summand"):
+        cotuple_from(inst, data, [])
 
 
 def test_superposition_is_join_in_rel():

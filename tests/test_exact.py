@@ -158,9 +158,10 @@ def test_kernel_intersection():
     # The joint kernel of the operators in a block, through the qrel layer.
     x, y = qset([("x", 2)]), qset([("y", 2)])
     f = qmor(x, y, {("x", "y"): [ExactMatrix.from_ints([[1, 0], [0, 0]])]})
-    k, incl = dagger_kernel([f])
+    inst = qrel_instance()
+    k, incl = dagger_kernel(inst, [f])
     assert [d for _, d in k.components] == [1]
-    assert qrel_instance().compose(f, incl).blocks == ()
+    assert inst.compose(f, incl).blocks == ()
     assert not is_zero_mono(f)
 
 

@@ -13,6 +13,10 @@ law run under it must reach the layers it reports.
 A qrel law run computes each block product and each adjoint at most once per
 instance, so a change that routes around the memo of `FdOSBase` fails here.
 
+No operation keeps state for the process: only the constructors
+`qrel.instance`, `qset` and `qmor` read the module-level `qrel._INSTANCE`,
+and it is the only `MatrInstance` a module builds as it loads.
+
 A law suite pads a law only through `law(text, pad=True)`, so one grep finds
 every padding; the single explicit `record(True)` is the `maps` suite's.
 
@@ -43,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from qlab import exact, lawcheck, qrel
+from qlab import exact, lawcheck
 from qlab.errors import QlabError
 from qlab.quantale import BUILTIN_QUANTALES
 
@@ -219,14 +223,73 @@ def test_qrel_law_run_computes_no_product_or_adjoint_twice_per_instance(monkeypa
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapped)
-    # The singleton's base keeps the orthocomplement cells for the process:
-    # start it from an empty memo, so that this run computes its own.
-    monkeypatch.setattr(qrel.instance().base, "_built", {})
     assert all(rep.ok for rep in lawcheck.run_all("qrel", 0))
     names = collections.Counter(key[0] for (_, key) in counts)
     assert all(names[fn] for fn in ("subspace_product", "subspace_adjoint", "kronecker",
                                     "hs_orthocomplement"))
     assert [key for key, n in counts.items() if n > 1] == []
+
+
+INSTANCE_BUILDERS = {"MatrInstance", "rel_instance", "vrel_instance", "qrel_instance"}
+
+
+def singleton_uses(module: str, source: str) -> tuple[list[str], list[str]]:
+    """The functions and methods that read `_INSTANCE`, as "<module>.<name>",
+    and the module-level statements that build a `MatrInstance` as the module
+    loads (outside function bodies), as "<module>.<assigned name>" or, when
+    the statement assigns no single name, "<module>:<line>"."""
+    tree = ast.parse(source)
+    readers, builders = [], []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for top in tree.body:
+        if isinstance(top, functions):
+            defs = [(top.name, top)]
+        elif isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{n.name}", n) for n in top.body if isinstance(n, functions)]
+        else:
+            defs = []
+        for name, fn in defs:
+            if any(getattr(n, "id", None) == "_INSTANCE" or getattr(n, "attr", None) == "_INSTANCE"
+                   for n in ast.walk(fn)):
+                readers.append(f"{module}.{name}")
+
+    def visit(node, where):
+        if isinstance(node, (*functions, ast.Lambda)):
+            return
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in INSTANCE_BUILDERS
+                or getattr(node.func, "attr", None) in INSTANCE_BUILDERS):
+            builders.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for top in tree.body:
+        targets = top.targets if isinstance(top, ast.Assign) else []
+        named = len(targets) == 1 and isinstance(targets[0], ast.Name)
+        visit(top, f"{module}.{targets[0].id}" if named else f"{module}:{top.lineno}")
+    return readers, builders
+
+
+def test_scan_sees_singleton_reads_and_import_time_instances():
+    src = ("from .matr import MatrInstance, qrel_instance\n"
+           "_INSTANCE = qrel_instance()\n"
+           "def instance():\n    return _INSTANCE\n"
+           "class C:\n    inst = MatrInstance(None)\n"
+           "    def m(self):\n        return mod._INSTANCE.obj([])\n"
+           "def make():\n    return qrel_instance()\n"
+           "CACHE = {'q': m.rel_instance()}\n")
+    assert singleton_uses("m", src) == (["m.instance", "m.C.m"],
+                                        ["m._INSTANCE", "m:5", "m.CACHE"])
+
+
+def test_only_the_constructors_read_the_qrel_singleton():
+    readers, builders = [], []
+    for p in sorted(PACKAGE.glob("*.py")):
+        found = singleton_uses(p.stem, p.read_text())
+        readers += found[0]
+        builders += found[1]
+    assert readers == ["qrel.instance", "qrel.qset", "qrel.qmor"]
+    assert builders == ["qrel._INSTANCE"]
 
 
 def suite_paddings(source: str) -> tuple[list[str], list[str]]:

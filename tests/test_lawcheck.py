@@ -7,10 +7,12 @@ checkers the suites use, proving the suites can actually fail.
 import hashlib
 import itertools
 import json
+import random
+import types
 
 import pytest
 
-from qlab import core, serialize
+from qlab import core, lawcheck, serialize
 from qlab.errors import QlabError
 from qlab.exact import ExactMatrix, span_of
 from qlab.finrel import BoolRelation, fset, relation_to_matr
@@ -25,12 +27,18 @@ from qlab.lawcheck import (
 )
 from qlab.matr import (
     MatrInstance,
+    MatrMorphism,
     qrel_instance,
     rel_instance,
     set_to_object,
     vrel_instance,
 )
-from qlab.quantale import BUILTIN_QUANTALES, quantale_from_tables, validate_quantale
+from qlab.quantale import (
+    BUILTIN_QUANTALES,
+    VRelation,
+    quantale_from_tables,
+    validate_quantale,
+)
 
 REL = rel_instance()
 QREL = qrel_instance()
@@ -168,7 +176,7 @@ def test_corrupted_kernel_inclusion_fails_laws():
 
     x = qset([("x", 2)])
     e = qmor(x, qset([("u", 1)]), {("x", "u"): span_of(ExactMatrix.from_ints([[1, 0]]))})
-    ker, incl = dagger_kernel([e])
+    ker, incl = dagger_kernel(QREL, [e])
     # corrupt the inclusion: replace the kernel column with a non-kernel one
     bad = QREL.mor(ker, x, {
         (ker.components[0][0], "x"): span_of(ExactMatrix.from_ints([[1], [0]]))
@@ -433,3 +441,63 @@ def test_classical_draws_are_pinned(name):
             h.update(serialize.dumps(docs).encode())
         got.append(h.hexdigest())
     assert tuple(got) == CLASSICAL_DRAW_SHA256[name]
+
+
+# sha256 of every value that the RNG of each suite returns, suite by suite in
+# registry order, at seed 0: rel, vrel over each builtin quantale, and qrel.
+# The draw digests above cover `Context.homs` alone; these also pin what the
+# suites draw themselves (the `rng.sample` calls of vrel-oracle and v-power,
+# the pairs `hom_pairs` samples).
+SUITE_DRAW_SHA256 = {
+    "rel": "3ff4d5757224af389e0cb7346777a3497c112a0b2d381a8eee9b358879a1ecdd",
+    "vrel-bool": "f9b5805719f19dcdb9a37d3566aae12bfbedee2a7594f910f607a935dfaffa23",
+    "vrel-chain3": "3441b5f1ae65e7d7e08565c1f3821bcd1c924e59558f123fa0d7b908379fb362",
+    "vrel-chain4": "6871c639d09296b63f702a8d2ec8bd25ccb43fe9ecabe9eaa7528c5badf0e742",
+    "vrel-lukasiewicz3": "c849ff474ff22c619e87b980bb555728e972ea69b3c386943c6a300956e2c9cd",
+    "qrel": "679db816b73e2ff61980ea8dbb2598e0c22b9e98f604a0ff59f328c9575df6d9",
+}
+
+
+def _draw_text(value) -> str:
+    """A drawn value as text that shows all of it: a morphism's repr names
+    only its shape, a valued relation's repr spells out its quantale."""
+    if isinstance(value, MatrMorphism):
+        return repr((value.source, value.target, value.blocks))
+    if isinstance(value, VRelation):
+        return repr((value.source.labels, value.target.labels, tuple(value.values.items())))
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_draw_text, value)) + "]"
+    return repr(value)
+
+
+@pytest.mark.parametrize("name", list(SUITE_DRAW_SHA256))
+def test_suite_draws_are_pinned(name, monkeypatch):
+    draws = []
+
+    class Recording(random.Random):
+        """Records what randint, choice and sample return: the only RNG
+        calls the suites make."""
+
+        def randint(self, a, b):
+            draws.append(super().randint(a, b))
+            return draws[-1]
+
+        def choice(self, seq):
+            draws.append(super().choice(seq))
+            return draws[-1]
+
+        def sample(self, population, k, **kwargs):
+            draws.append(super().sample(population, k, **kwargs))
+            return draws[-1]
+
+    monkeypatch.setattr(lawcheck, "random", types.SimpleNamespace(Random=Recording))
+    kind, _, qname = name.partition("-")
+    quantale = BUILTIN_QUANTALES[qname] if qname else None
+    h = hashlib.sha256()
+    for suite_name in available_suites(kind):
+        draws.clear()
+        run_suite(suite_name, kind, 0, quantale)
+        h.update(f"{suite_name}:{len(draws)}\n".encode())
+        for value in draws:
+            h.update(_draw_text(value).encode() + b"\n")
+    assert h.hexdigest() == SUITE_DRAW_SHA256[name]

@@ -818,14 +818,21 @@ def test_qrel_instances_do_not_share_memo_entries():
     assert two.tensor_mor(f, f) == ft and two.tensor_mor(f, f).blocks[0][1] is not ft.blocks[0][1]
 
 
-def test_qrel_orthocomplement_cells_are_kept_by_the_singleton():
-    x = qrel.qset([("u", 2), ("v", 1)])
-    f, f_copy = (qrel.qmor(x, x, {("u", "u"): [ExactMatrix.from_ints([[1, 0], [0, 0]])]})
+def test_qrel_orthocomplement_cells_are_kept_by_the_callers_instance():
+    inst, other = qrel_instance(), qrel_instance()
+    kept = dict(qrel.instance().base._built)
+    x = inst.obj([("u", 2), ("v", 1)])
+    f, f_copy = (inst.mor(x, x, {("u", "u"): span_of(ExactMatrix.from_ints([[1, 0], [0, 0]]))})
                  for _ in range(2))
-    neg = qrel.orthocomplement(f)
-    assert ("orthocomplement", f.blocks[0][1]) in qrel.instance().base._built
-    again = qrel.orthocomplement(f_copy)
+    neg = qrel.orthocomplement(inst, f)
+    assert ("orthocomplement", f.blocks[0][1]) in inst.base._built
+    again = qrel.orthocomplement(inst, f_copy)
     assert again == neg and again.blocks[0][1] is neg.blocks[0][1]
+    # Another instance computes its own, equal cells; the module's instance
+    # keeps nothing.
+    elsewhere = qrel.orthocomplement(other, f)
+    assert elsewhere == neg and elsewhere.blocks[0][1] is not neg.blocks[0][1]
+    assert qrel.instance().base._built == kept
 
 
 # -- the calculus frames ----------------------------------------------------------------

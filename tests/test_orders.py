@@ -156,9 +156,9 @@ def test_downset_correspondence_counts():
         if not is_downset_relation(REL, PX, r):
             continue
         down += 1
-        f = downset_to_monotone_map(REL, om, r, complement)
+        f = downset_to_monotone_map(REL, om.data, r, complement)
         assert is_monotone_map(REL, PX, om.ordered, f)
-        assert REL.equal(monotone_map_to_downset(REL, om, f), r)
+        assert REL.equal(monotone_map_to_downset(REL, om.data, f), r)
     # a 3-chain has 4 downsets
     assert down == 4
 

@@ -8,23 +8,23 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qlab import cli, lawcheck, serialize
+from qlab.calculus import omega_data
 from qlab.core import is_dagger_iso, is_map, trace_of
 from qlab.exact import Q0, ExactMatrix, GaussianRational, nullspace, parse_scalar, span_of
-from qlab.matr import MatrError
+from qlab.matr import MatrError, qrel_instance
+from qlab.orders import downset_to_monotone_map, monotone_map_to_downset
 from qlab.qrel import (
     _norm_obstruction,
     _orthonormal_columns,
     _two_squares_int,
     dagger_kernel,
-    effect_to_map,
     instance,
     invertible_not_dagger_iso,
     is_perp_blockwise,
     is_zero_mono,
-    map_to_effect,
     orthocomplement,
     qmor,
-    qrel_omega,
     qset,
 )
 
@@ -63,8 +63,8 @@ def test_orthocomplement_involutive_and_lattice():
     rng = random.Random(7)
     for _ in range(60):
         r = _random_mor(rng, X21, X2)
-        n = orthocomplement(r)
-        assert INST.equal(orthocomplement(n), r)
+        n = orthocomplement(INST, r)
+        assert INST.equal(orthocomplement(INST, n), r)
         assert INST.equal(INST.meet2(r, n), INST.bottom(X21, X2))
         assert INST.equal(INST.join2(r, n), INST.top(X21, X2))
 
@@ -75,7 +75,7 @@ def test_orthocomplement_reverses_order():
         r = _random_mor(rng, X2, X2)
         s = INST.join2(r, _random_mor(rng, X2, X2))
         assert INST.leq(r, s)
-        assert INST.leq(orthocomplement(s), orthocomplement(r))
+        assert INST.leq(orthocomplement(INST, s), orthocomplement(INST, r))
 
 
 def test_is_perp_routes_agree():
@@ -92,7 +92,7 @@ def test_is_perp_routes_agree():
 
 def test_kernel_of_projection_effect():
     e = qmor(X2, qset([("u", 1)]), {("x", "u"): _ints([[1, 0]])})
-    ker, incl = dagger_kernel([e])
+    ker, incl = dagger_kernel(INST, [e])
     assert ker.components == ((("k", "x"), 1),)
     assert INST.equal(INST.compose(e, incl), INST.bottom(ker, e.target))
     assert INST.equal(INST.compose(INST.dagger(incl), incl), INST.identity(ker))
@@ -102,7 +102,7 @@ def test_kernel_factorization_random():
     rng = random.Random(17)
     for _ in range(40):
         r = _random_mor(rng, X21, X2)
-        ker, incl = dagger_kernel([r])
+        ker, incl = dagger_kernel(INST, [r])
         assert INST.equal(INST.compose(r, incl), INST.bottom(ker, X2))
         s = INST.compose(incl, _random_mor(rng, X2, ker))
         assert INST.equal(INST.compose(r, s), INST.bottom(X2, X2))
@@ -112,7 +112,7 @@ def test_kernel_factorization_random():
 
 def test_kernel_of_full_morphism_is_empty():
     f = qmor(X2, X2, {("x", "x"): _ints([[1, 0], [0, 1]])})
-    ker, incl = dagger_kernel([f])
+    ker, incl = dagger_kernel(INST, [f])
     assert ker.components == ()
     assert incl.blocks == ()
 
@@ -141,7 +141,7 @@ def test_kernel_of_rank_3_has_an_inclusion():
     e = qmor(k3, X5, {("k", "x"): span_of(cols)})
     assert INST.equal(INST.compose(f, e), INST.bottom(k3, U1))
     assert INST.equal(INST.compose(INST.dagger(e), e), INST.identity(k3))
-    ker, incl = dagger_kernel([f])
+    ker, incl = dagger_kernel(INST, [f])
     assert ker.components == ((("k", "x"), 3),)
     assert INST.equal(INST.compose(f, incl), INST.bottom(ker, U1))
     assert INST.equal(INST.compose(INST.dagger(incl), incl), INST.identity(ker))
@@ -156,7 +156,7 @@ def test_kernel_of_rank_2_with_gram_determinant_3_is_refused():
 
     assert inner(u, u) * inner(v, v) - inner(u, v) * inner(v, u) == GaussianRational(3, 0)
     with pytest.raises(MatrError, match="different norm classes"):
-        dagger_kernel([_five_to_one(*rows)])
+        dagger_kernel(INST, [_five_to_one(*rows)])
 
 
 def test_zero_mono_examples():
@@ -236,7 +236,7 @@ def test_orthonormal_columns_mixed_norm_classes_rejected():
 
 def test_effect_map_roundtrip():
     rng = random.Random(23)
-    data = qrel_omega()
+    om = omega_data(INST)
     for _ in range(40):
         blocks = {}
         for a, da in X21.components:
@@ -244,13 +244,41 @@ def test_effect_map_roundtrip():
             if v is not None:
                 blocks[(a, "*")] = v
         r = INST.mor(X21, INST.unit_obj(), blocks)
-        f = effect_to_map(data, r)
+        f = downset_to_monotone_map(INST, om, r, lambda r: orthocomplement(INST, r))
         assert is_map(INST, f)
-        assert INST.equal(map_to_effect(data, f), r)
+        assert INST.equal(monotone_map_to_downset(INST, om, f), r)
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, 0])
+def test_qset_refuses_a_dimension_that_is_not_a_positive_int(dim):
+    # As serialize.qset_from_json does: a bool is an int to isinstance, but
+    # qset_to_json would write it as the JSON true that the reader refuses.
+    with pytest.raises(MatrError, match="positive integers"):
+        qset([("a", dim)])
+
+
+def test_operations_leave_the_module_instance_untouched(capsys):
+    """Every operation builds in the caller's instance: the law suites and
+    the qrel commands add nothing to what `instance()` keeps."""
+    single = instance()
+    before = (dict(single._built), dict(single._objects), dict(single.base._built))
+    for seed in range(4):
+        assert all(rep.ok for rep in lawcheck.run_all("qrel", seed))
+    inst = qrel_instance()
+    x = inst.obj([("x", 2)])
+    f = serialize.dumps(serialize.qrelation_to_json(
+        inst.mor(x, x, {("x", "x"): _ints([[1, 0], [0, 0]])})))
+    for argv in (["neg", "--instance", "qrel", f],
+                 ["kernel", f],
+                 ["power", "--instance", "qrel", serialize.dumps(serialize.qset_to_json(x))],
+                 ["compute", "--instance", "qrel", "--load", f"f={f}", "f ∘ f ∨ star(f)"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert (single._built, single._objects, single.base._built) == before
 
 
 def test_invertible_not_dagger_iso_fixture():
-    v, w = invertible_not_dagger_iso()
+    v, w = invertible_not_dagger_iso(INST)
     x = v.source
     assert INST.equal(INST.compose(w, v), INST.identity(x))
     assert INST.equal(INST.compose(v, w), INST.identity(x))
@@ -283,7 +311,7 @@ def test_is_perp_matches_the_trace_of_products():
         if k % 2:
             w = _complex_block(rng, 2, 2)
         else:
-            perp = orthocomplement(INST.mor(X2, X2, {("x", "x"): v})).blocks[0][1]
+            perp = orthocomplement(INST, INST.mor(X2, X2, {("x", "x"): v})).blocks[0][1]
             w = span_of(*rng.sample(perp.basis, rng.randrange(1, perp.dim + 1)))
         r, s = INST.mor(X2, X2, {("x", "x"): v}), INST.mor(X2, X2, {("x", "x"): w})
         want = all(_trace(a.adjoint() @ b).is_zero() for a in v.basis for b in w.basis)
@@ -375,8 +403,8 @@ def test_dagger_kernel_matches_gaussian_rational_reference(fs):
         k, incl = reference_dagger_kernel(fs)
     except MatrError as exc:
         with pytest.raises(MatrError) as got:
-            dagger_kernel(fs)
+            dagger_kernel(INST, fs)
         assert str(got.value) == str(exc)
         return
     assume(max((d for _, d in k.components), default=0) >= 2)
-    assert dagger_kernel(fs) == (k, incl)
+    assert dagger_kernel(INST, fs) == (k, incl)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qlab.finrel import BoolRelation, fset
+from qlab.lawcheck import run_suite
 from qlab.matr import vrel_instance
 from qlab.quantale import (
     BUILTIN_QUANTALES,
@@ -18,10 +19,12 @@ from qlab.quantale import (
     circ_embed,
     fset_one,
     lukasiewicz3_quantale,
+    matr_to_vrelation,
     quantale_from_tables,
     v_power_adjoint,
     v_power_transpose,
     validate_quantale,
+    vrelation_to_matr,
 )
 
 L3 = lukasiewicz3_quantale()
@@ -281,3 +284,36 @@ def test_vrelation_validation_fill_and_stored_hash():
     assert s == r and len({r, s}) == 1
     other = r.join(VRelation(q, a, b, {("1", "y"): "1"}))
     assert other != r and hash(other) == hash(VRelation(q, a, b, dict(other.values)))
+
+
+# The chain 0 < a < b < 1 with unit 1, a a = a b = 0, b a = a and b b = b:
+# associative, unital and distributive, but not commutative, so a composite
+# shows the order of its factors.  quantale_from_tables does not validate it;
+# the CLI, which does, refuses it.
+_NC = ("0", "a", "b", "1")
+_NC_PRODUCTS = {("a", "a"): "0", ("a", "b"): "0", ("b", "a"): "a", ("b", "b"): "b"}
+NON_COMMUTATIVE = quantale_from_tables(
+    _NC,
+    {(x, y): _NC_PRODUCTS.get((x, y), "0" if "0" in (x, y) else y if x == "1" else x)
+     for x in _NC for y in _NC},
+    "1",
+    join={(x, y): max(x, y, key=_NC.index) for x in _NC for y in _NC},
+)
+
+
+def test_composition_multiplies_in_the_kernels_order():
+    q = NON_COMMUTATIVE
+    assert validate_quantale(q).failures[0][0] == "mul commutative"
+    one = fset("*")
+    f = VRelation(q, one, one, {("*", "*"): "a"})
+    g = VRelation(q, one, one, {("*", "*"): "b"})
+    inst = vrel_instance(q)
+    mf, mg = vrelation_to_matr(inst, f), vrelation_to_matr(inst, g)
+    # g o f multiplies g f = b a = a, the later factor on the left.
+    assert g.compose(f).at("*", "*") == "a"
+    assert matr_to_vrelation(inst, inst.compose(mg, mf)) == g.compose(f)
+    assert f.compose(g).at("*", "*") == "0"
+    assert matr_to_vrelation(inst, inst.compose(mf, mg)) == f.compose(g)
+    # f (x) g multiplies f g = a b = 0 in both.
+    assert inst.tensor_mor(mf, mg) == vrelation_to_matr(inst, f.times(g))
+    assert run_suite("vrel-oracle", "vrel", 0, q).ok
