@@ -95,13 +95,15 @@ def distributor(
     """The canonical iso (+) (X (x) Y_k) -> X (x) ((+) Y_k).
 
     Its dagger is the inverse, exhibiting the tensor as distributing over
-    biproducts.
+    biproducts.  It is the sup of (id_X (x) i_k) o p_k, with the target
+    given, so the empty family gives the zero iso 0 -> X (x) 0.
     """
     inner = biproduct_data(inst, list(ys))
     outer = biproduct_data(inst, [inst.tensor_obj(x, y) for y in ys])
     idx = inst.identity(x)
-    comps = [inst.tensor_mor(idx, i) for i in inner.injections]
-    return cotuple_from(inst, outer, comps), outer, inner
+    parts = [inst.compose(inst.tensor_mor(idx, i), p)
+             for i, p in zip(inner.injections, outer.projections)]
+    return inst.sup(parts, outer.total, inst.tensor_obj(x, inner.total)), outer, inner
 
 
 # -- quoting: coherence and fullness ---------------------------------------------

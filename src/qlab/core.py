@@ -158,11 +158,12 @@ def scalar_mul(inst: MatrInstance, s: Any, f: Any) -> Any:
 
 
 # -- compact-closed calculus --------------------------------------------------------------
-# Each operation below is a composite of structure morphisms around one
-# tensor that holds its argument.  The part that depends only on the objects
-# (a "frame") is composed once per instance and argument objects, kept in the
-# instance's `_built` memo as its structure morphisms are, so a call composes
-# only its argument's middle into the frame.  Composition is associative and
+# The transpose, the trace and the dimension bend their argument with eta and
+# epsilon through a name or a coname.  The name and coname inverses compose
+# their argument's tensor into a frame of structure morphisms that depends
+# only on the objects (`_name_inverse_frame`, `_coname_inverse_frame`; and
+# `scalar_mul` into `_lunit_inverse`), built once per instance and objects
+# and kept in the instance's `_built` memo.  Composition is associative and
 # every result is canonical, so this gives the same morphism as composing
 # the whole chain step by step.
 
@@ -209,18 +210,19 @@ def coname_inverse(inst: MatrInstance, k: Any, x: Any, y: Any) -> Any:
     return inst.compose(inst.lunit(y), step)
 
 
-# star_of builds cells on X* (x) X (x) Y*; it refuses an input whose cells
-# there would cost more than this many scalars of an operator subspace.
+# star_of refuses an input whose widest cells would cost more than this many
+# scalars of an operator subspace.
 _STAR_BOUND = 2**20
 
 
 def _star_scalars(inst: MatrInstance, f: Any) -> int:
-    """The cost of star_of's widest cells, the identities on X* (x) X (x) Y*
-    and id (x) f (x) id, in the scalars that `base.size` charges.  A tensor
-    of cells m (x) n costs size(m) size(n) / u, where u is the size of the
-    identity on the tensor unit, so these cells cost sx sy (sx + sf) / u^2:
-    sx and sy add up the sizes of the identity cells of X and of Y, and sf
-    those of the blocks of f."""
+    """A bound on the cost of star_of's widest cells, the identities on
+    Y* (x) X (x) X* in the coname-inverse frame and id_Y* (x) f, in the
+    scalars that `base.size` charges.  A tensor of cells m (x) n costs
+    size(m) size(n) / u, where u is the size of the identity on the tensor
+    unit, so these cells cost at most sx sy (sx + sf) / u^2: sx and sy add up
+    the sizes of the identity cells of X and of Y, and sf those of the
+    blocks of f."""
     base = inst.base
     u = base.size(base.identity(base.unit_obj()))
     sx = sum(base.size(base.identity(o)) for _, o in inst.source(f).components)
@@ -228,41 +230,29 @@ def _star_scalars(inst: MatrInstance, f: Any) -> int:
     return sx * sy * (sx + sum(base.size(m) for _, m in f.blocks)) // (u * u)
 
 
-@_built_once
-def _star_frame(inst: MatrInstance, x: Any, y: Any) -> tuple[Any, Any]:
-    """alpha o (eta_X (x) id_Y*) o dagger(lambda_Y*) : Y* -> X* (x) (X (x) Y*),
-    and rho_X* o (id_X* (x) epsilon_Y) : X* (x) (Y (x) Y*) -> X*."""
-    xd, yd = inst.dual_obj(x), inst.dual_obj(y)
-    pre = inst.compose(inst.tensor_mor(inst.eta(x), inst.identity(yd)),
-                       inst.dagger(inst.lunit(yd)))
-    pre = inst.compose(inst.assoc(xd, x, yd), pre)
-    post = inst.compose(inst.runit(xd), inst.tensor_mor(inst.identity(xd), inst.epsilon(y)))
-    return pre, post
-
-
 def star_of(inst: MatrInstance, f: Any) -> Any:
-    """The transpose f* : Y* -> X*.  Raises MatrError, before building any
-    tensor, when its cells could hold more than _STAR_BOUND scalars."""
+    """The transpose f* : Y* -> X*, the morphism whose coname is
+    epsilon_Y o (id_Y* (x) f) : Y* (x) X -> I.  Raises MatrError, before
+    building any tensor, when its cells could hold more than _STAR_BOUND
+    scalars."""
     size = _star_scalars(inst, f)
     if size > _STAR_BOUND:
         raise MatrError(f"star would build cells of {size} scalars on X* (x) X (x) Y*, "
                         f"above the bound {_STAR_BOUND}")
-    x, y = inst.source(f), inst.target(f)
-    pre, post = _star_frame(inst, x, y)
-    middle = inst.tensor_mor(inst.identity(inst.dual_obj(x)),
-                             inst.tensor_mor(f, inst.identity(inst.dual_obj(y))))
-    return inst.compose(post, inst.compose(middle, pre))
+    y = inst.target(f)
+    xd, yd = inst.dual_obj(inst.source(f)), inst.dual_obj(y)
+    bent = inst.compose(inst.epsilon(y), inst.tensor_mor(inst.identity(yd), f))
+    return coname_inverse(inst, bent, yd, xd)
 
 
 def trace_of(inst: MatrInstance, f: Any) -> Any:
     """The categorical trace of an endomorphism, a scalar I -> I."""
     x = _endo_source(inst, f, "trace needs an endomorphism")
-    middle = inst.tensor_mor(f, inst.identity(inst.dual_obj(x)))
-    return inst.compose(inst.epsilon(x), inst.compose(middle, inst.eta(x)))
+    return inst.compose(inst.epsilon(x), name_of(inst, f))
 
 
 def dimension_of(inst: MatrInstance, x: Any) -> Any:
-    return trace_of(inst, inst.identity(x))
+    return inst.compose(inst.epsilon(x), inst.eta(x))
 
 
 def is_perp(inst: MatrInstance, r: Any, s: Any) -> bool:

@@ -294,10 +294,6 @@ class ExponentialData(NamedTuple):
     evaluation: BoolRelation   # graph of e : Y^X x X -> Y
 
 
-def _graph_label(pairs: Iterable[tuple[Label, Label]]) -> tuple[tuple[Label, Label], ...]:
-    return tuple(sorted(pairs, key=repr))
-
-
 def exponential_via_power(x: FiniteSet, y: FiniteSet) -> ExponentialData:
     """Build Y^X inside P(X x Y) as the single-valued total relations.
 
@@ -334,5 +330,5 @@ def curry(data: ExponentialData, f: BoolRelation) -> BoolRelation:
     z = FiniteSet(tuple({p[0] for p in f.source.labels}))
     return function_graph(
         z, data.exponential,
-        lambda c: _graph_label((a, f.apply((c, a))) for a in data.base),
+        lambda c: _subset_label((a, f.apply((c, a))) for a in data.base),
     )

@@ -252,14 +252,14 @@ def suite_order(ctx: Context, law) -> None:
     x, y, z = ctx.some_objects(3)
     fs = ctx.homs(x, y, 8)
     gs = ctx.homs(y, z, 8)
+    sup_fs = inst.sup(fs, x, y)
     for g in gs[:4]:
-        s = inst.sup(fs, x, y)
-        lhs = inst.compose(g, s)
+        lhs = inst.compose(g, sup_fs)
         rhs = inst.sup([inst.compose(g, f) for f in fs], x, z)
         dist_l.record(inst.equal(lhs, rhs), g)
+    sup_gs = inst.sup(gs, y, z)
     for f in fs[:4]:
-        s = inst.sup(gs, y, z)
-        lhs = inst.compose(s, f)
+        lhs = inst.compose(sup_gs, f)
         rhs = inst.sup([inst.compose(g, f) for g in gs], x, z)
         dist_r.record(inst.equal(lhs, rhs), f)
     for f, g in zip(fs, fs[1:]):
@@ -667,12 +667,9 @@ def suite_quote(ctx: Context, law) -> None:
     coherence.record(core.is_dagger_iso(inst, phi))
     r0 = BoolRelation(a, a, frozenset([("0", "1")]))
     s0 = BoolRelation(b, b, frozenset([("x", "x"), ("y", "x")]))
-    lhs = inst.compose(
-        relation_to_matr(inst, r0.times(s0)),
-        calculus.quote_product_cell(inst, a, b),
-    )
+    lhs = inst.compose(relation_to_matr(inst, r0.times(s0)), phi)
     rhs = inst.compose(
-        calculus.quote_product_cell(inst, a, b),
+        phi,
         inst.tensor_mor(relation_to_matr(inst, r0),
                         relation_to_matr(inst, s0)),
     )

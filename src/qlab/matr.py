@@ -46,7 +46,8 @@ lukasiewicz3; a homset marks its bottom choices once).
 
 Results are kept per instance, never process-wide: a `MatrInstance` builds
 each structure morphism and object once per argument objects (and keeps the
-frames of `core`'s compact calculus the same way), and an `FdOSBase` computes
+frames of `core`'s compact calculus the same way: the name-inverse and
+coname-inverse frames and dagger(lambda)), and an `FdOSBase` computes
 each block product `_compose_sum(pairs, src, tgt)`, each adjoint `dagger(m)`,
 each Kronecker product `tensor_mor(m, n)`, each orthocomplement
 `_orthocomplement(m)` and each structure cell once per arguments, all

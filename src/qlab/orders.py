@@ -157,8 +157,10 @@ def monrel_compact(inst: MatrInstance, p: PreorderedObject) -> MonRelCompact:
     x = p.obj
     xd = inst.dual_obj(x)
     ge = converse(inst, p)
-    ge_star = star_of(inst, ge)
-    dual = preordered(inst, xd, star_of(inst, p.order))
+    le_star = star_of(inst, p.order)
+    # The transpose commutes with the dagger: (>=)* = dagger((<=)*).
+    ge_star = inst.dagger(le_star)
+    dual = preordered(inst, xd, le_star)
     eta = inst.compose(inst.tensor_mor(ge_star, ge), inst.eta(x))
     epsilon = inst.compose(inst.epsilon(x), inst.tensor_mor(ge, ge_star))
     return MonRelCompact(dual, eta, epsilon)

@@ -67,6 +67,17 @@ def test_empty_tuple_and_cotuple_are_refused(inst):
         cotuple_from(inst, data, [])
 
 
+@pytest.mark.parametrize("inst", [REL, VREL, QREL], ids=["rel", "vrel", "qrel"])
+def test_empty_distributor_is_the_zero_iso(inst):
+    # X (x) 0 is 0: the distributor of the empty family has no blocks.
+    x = inst.obj([("u", 2)]) if inst is QREL else set_to_object(inst, A)
+    d, outer, inner = distributor(inst, x, [])
+    assert d.blocks == ()
+    assert inst.source(d) == outer.total
+    assert inst.target(d) == inst.tensor_obj(x, inner.total)
+    assert is_dagger_iso(inst, d)
+
+
 def test_superposition_is_join_in_rel():
     xa = set_to_object(REL, A)
     for r in all_relations(A, A):

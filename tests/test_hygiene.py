@@ -175,9 +175,10 @@ def test_traced_attribute_paths_resolve():
 
 @pytest.mark.parametrize("kind, quantale, layers", [
     ("qrel", None, ("exact.subspace_product", "matr.compose", "matr.mor", "matr.dagger",
-                    "core.trace_of")),
+                    "core.trace_of", "core.star_of", "core.name_of")),
     ("vrel", BUILTIN_QUANTALES["chain4"],
-     ("matr.compose", "matr.mor", "matr.dagger", "core.trace_of")),
+     ("matr.compose", "matr.mor", "matr.dagger", "core.trace_of", "core.star_of",
+      "core.name_of")),
     # Only the rel suite `endorelation-flags` asks for every endorelation flag.
     ("rel", None, ("core.endorelation_class", "core.is_map")),
 ], ids=["qrel", "vrel-chain4", "rel"])

@@ -912,6 +912,17 @@ def test_calculus_frames_give_the_straight_line_composites(name, data):
         assert core.coname_inverse(inst, k, x, y) == reference_coname_inverse(inst, k, x, y)
         assert core.scalar_mul(inst, s, f) == reference_scalar_mul(inst, s, f)
         assert core.trace_of(inst, r) == reference_trace_of(inst, r)
+    assert core.dimension_of(inst, x) == reference_trace_of(inst, inst.identity(x))
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_INSTANCES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_star_commutes_with_the_dagger(name, data):
+    inst = COMPOSE_INSTANCES[name]()
+    x, y = (data.draw(calculus_objects(inst)) for _ in range(2))
+    f = data.draw(matr_morphisms(inst, x, y))
+    assert core.star_of(inst, inst.dagger(f)) == inst.dagger(core.star_of(inst, f))
 
 
 @pytest.mark.parametrize("name", ["rel", "vrel-lukasiewicz3", "qrel"])
@@ -927,7 +938,11 @@ def test_a_second_star_on_the_same_objects_builds_only_its_two_tensors(name, mon
     assert len(tensors) > 2
     del tensors[:], composites[:]
     second = core.star_of(inst, g)
-    assert len(tensors) == 2 and len(composites) == 2
-    assert tensors[0][1:] == (g, inst.identity(y)) and tensors[1][1] == inst.identity(x)
+    # epsilon_Y o (id_Y* (x) g), then its coname inverse: (k (x) id_X*) into
+    # the frame, and lambda_X* after.
+    assert len(tensors) == 2 and len(composites) == 3
+    k = inst.compose(inst.epsilon(y), inst.tensor_mor(inst.identity(inst.dual_obj(y)), g))
+    assert tensors[0][1:] == (inst.identity(inst.dual_obj(y)), g)
+    assert tensors[1][1:] == (k, inst.identity(inst.dual_obj(x)))
     assert first == quote_pairs(inst, y, x, [("p", "a")])
     assert second == quote_pairs(inst, y, x, [("p", "b")])
