@@ -3,7 +3,8 @@
 BoolRelation is an independent, direct implementation of finite Rel (sets of
 pairs).  It doubles as the oracle against which the generic matrix-completion
 instance of Rel is cross-checked, and it carries the Set-level machinery:
-powerset adjoint, down-set adjoint, and the exponential built from power
+powerset adjoint, with the checks of its universal property and of its
+functoriality, down-set adjoint, and the exponential built from power
 objects.  `relation_to_matr` and `matr_to_relation` carry a relation into a
 matrix instance and back; they live here, not in `matr`, so that the kernel
 never loads this module.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import QlabError
 from .matr import MatrInstance, MatrMorphism, quote_pairs, set_to_object
@@ -73,10 +74,6 @@ class BoolRelation:
     @staticmethod
     def bottom(x: FiniteSet, y: FiniteSet) -> "BoolRelation":
         return BoolRelation(x, y, frozenset())
-
-    @staticmethod
-    def top(x: FiniteSet, y: FiniteSet) -> "BoolRelation":
-        return BoolRelation(x, y, frozenset(itertools.product(x.labels, y.labels)))
 
     def compose(self, other: "BoolRelation") -> "BoolRelation":
         """self after other: pairs (x, z) with (x, y) in other and (y, z) in self."""
@@ -141,9 +138,8 @@ def product_set(a: FiniteSet, b: FiniteSet) -> FiniteSet:
     return FiniteSet(tuple((x, y) for x in a for y in b))
 
 
-def function_graph(src: FiniteSet, tgt: FiniteSet, f: Callable[[Label], Label] | Mapping[Label, Label]) -> BoolRelation:
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    return BoolRelation(src, tgt, frozenset((x, get(x)) for x in src))
+def function_graph(src: FiniteSet, tgt: FiniteSet, f: Callable[[Label], Label]) -> BoolRelation:
+    return BoolRelation(src, tgt, frozenset((x, f(x)) for x in src))
 
 
 def all_relations(a: FiniteSet, b: FiniteSet) -> Iterator[BoolRelation]:
@@ -242,13 +238,38 @@ def power_on_morphisms(data_x: PowersetData, data_y: PowersetData, g: BoolRelati
     return power_transpose(data_y, g.compose(data_x.membership))
 
 
+def power_counit_check(data: PowersetData, v: BoolRelation) -> bool:
+    """v : A -> X factors as membership after the graph of its transpose."""
+    return data.membership.compose(power_transpose(data, v)) == v
+
+
+def power_uniqueness_check(data: PowersetData, v: BoolRelation) -> bool:
+    """The transpose is the only function with that factorization."""
+    f = power_transpose(data, v)
+    count = 0
+    for g in all_functions(v.source, data.power):
+        if data.membership.compose(g) == v:
+            count += 1
+            if g != f:
+                return False
+    return count == 1
+
+
+def power_functor_check(
+    data_x: PowersetData, data_y: PowersetData, g: BoolRelation
+) -> bool:
+    """P(g) is a function, and membership is natural along it:
+    membership_Y o P(g) = g o membership_X."""
+    pg = power_on_morphisms(data_x, data_y, g)
+    return pg.is_function() and data_y.membership.compose(pg) == g.compose(data_x.membership)
+
+
 # -- down-set adjoint --------------------------------------------------------------
 
 class DownsetData(NamedTuple):
     base: FiniteSet
     order: BoolRelation       # a preorder on base
-    downsets: FiniteSet       # labels are sorted tuples, ordered by inclusion
-    inclusion_order: BoolRelation
+    downsets: FiniteSet       # labels are sorted tuples
 
 
 def down_closure(order: BoolRelation, s: Iterable[Label]) -> tuple[Label, ...]:
@@ -265,11 +286,7 @@ def downset_adjoint(x: FiniteSet, order: BoolRelation) -> DownsetData:
          for combo in itertools.combinations(x.labels, r)},
         key=repr,
     )
-    dset = FiniteSet(tuple(downs))
-    incl = BoolRelation(
-        dset, dset, frozenset((s, t) for s in downs for t in downs if set(s) <= set(t))
-    )
-    return DownsetData(x, order, dset, incl)
+    return DownsetData(x, order, FiniteSet(tuple(downs)))
 
 
 def monotone_relation_to_map(data: DownsetData, v: BoolRelation) -> BoolRelation:
@@ -289,7 +306,6 @@ def map_to_monotone_relation(data: DownsetData, f: BoolRelation) -> BoolRelation
 
 class ExponentialData(NamedTuple):
     base: FiniteSet            # X
-    codomain: FiniteSet        # Y
     exponential: FiniteSet     # labels are function graphs, sorted pair tuples
     evaluation: BoolRelation   # graph of e : Y^X x X -> Y
 
@@ -320,7 +336,7 @@ def exponential_via_power(x: FiniteSet, y: FiniteSet) -> ExponentialData:
         ((g, a), fibre(g, a)[0]) for g in graphs for a in x
     )
     evaluation = BoolRelation(ev_src, y, ev_pairs)
-    return ExponentialData(x, y, expo, evaluation)
+    return ExponentialData(x, expo, evaluation)
 
 
 def curry(data: ExponentialData, f: BoolRelation) -> BoolRelation:

@@ -121,7 +121,6 @@ def preorder_tensor(
 
 class MonRelBiproduct(NamedTuple):
     ordered: PreorderedObject
-    data: BiproductData
     injections: tuple
     projections: tuple
 
@@ -142,28 +141,24 @@ def monrel_biproduct(inst: MatrInstance, ps: Sequence[PreorderedObject]) -> MonR
     projections = tuple(
         inst.compose(converse(inst, p), pr) for p, pr in zip(ps, data.projections)
     )
-    return MonRelBiproduct(total, data, injections, projections)
+    return MonRelBiproduct(total, injections, projections)
 
 
 class MonRelCompact(NamedTuple):
-    dual: PreorderedObject
     eta: Any
     epsilon: Any
 
 
 def monrel_compact(inst: MatrInstance, p: PreorderedObject) -> MonRelCompact:
-    """Compact structure on a preordered object: the dual carries the
-    transposed order; the unit and counit absorb the converse orders."""
+    """Compact structure on a preordered object, whose dual carries the
+    transposed order (<=)*: the unit and counit absorb the converse orders."""
     x = p.obj
-    xd = inst.dual_obj(x)
     ge = converse(inst, p)
-    le_star = star_of(inst, p.order)
     # The transpose commutes with the dagger: (>=)* = dagger((<=)*).
-    ge_star = inst.dagger(le_star)
-    dual = preordered(inst, xd, le_star)
+    ge_star = inst.dagger(star_of(inst, p.order))
     eta = inst.compose(inst.tensor_mor(ge_star, ge), inst.eta(x))
     epsilon = inst.compose(inst.epsilon(x), inst.tensor_mor(ge, ge_star))
-    return MonRelCompact(dual, eta, epsilon)
+    return MonRelCompact(eta, epsilon)
 
 
 # -- the ordered truth-value object ------------------------------------------------

@@ -1,12 +1,16 @@
 """Finite commutative unital quantales and V-valued relations.
 
-A quantale is given by tables; validation checks every lattice and
-distributivity law and reports the first violation with a witness.
-VRelation is a direct entrywise implementation of V-valued relations used
-both on its own and as the oracle for the generic matrix-completion
-instance built over the same quantale; `vrelation_to_matr` and
-`matr_to_vrelation` carry it there and back, here rather than in `matr` so
-that the kernel never loads this module.
+A quantale is given by tables; validation checks its elements, its tables
+and every lattice and distributivity law in one ordered pass, and stops at
+the first violation, which it reports with a witness.  VRelation is a direct
+entrywise implementation of V-valued relations used both on its own and as
+the oracle for the generic matrix-completion instance built over the same
+quantale; `vrelation_to_matr` and `matr_to_vrelation` carry it there and
+back, here rather than in `matr` so that the kernel never loads this module.
+`all_vrelations` is a homset of V-valued relations indexed like
+`matr.HomSet`, each relation built when it is first read.  The V-valued
+powerset comes with its transpose and the check that the counit factors
+each relation through it.
 
 Every operation reads the tables, with no call per cell:
   * `FiniteQuantale.leq` and `sup` read `join_table`; `mul_rows` and
@@ -26,6 +30,7 @@ Every operation reads the tables, with no call per cell:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
@@ -175,57 +180,67 @@ class ValidationReport(NamedTuple):
 
 
 def validate_quantale(q: FiniteQuantale) -> ValidationReport:
-    """Check every axiom; report the violations with witnesses, plus flags."""
-    failures: list[tuple[str, tuple]] = []
-    es = q.elements
-
-    def check(name: str, ok: bool, witness: tuple) -> None:
-        if not ok and not failures:
-            failures.append((name, witness))
-
-    if not es:
-        return ValidationReport(False, (("no elements", ()),), {})
-    if q.unit not in es:
-        return ValidationReport(False, (("unit outside elements", (q.unit,)),), {})
-    for a, b in itertools.product(es, repeat=2):
-        if (a, b) not in q.join_table:
-            return ValidationReport(False, (("join table not total", (a, b)),), {})
-        if (a, b) not in q.mul_table:
-            return ValidationReport(False, (("mul table not total", (a, b)),), {})
-        if q.join_table[(a, b)] not in es or q.mul_table[(a, b)] not in es:
-            return ValidationReport(False, (("table value outside elements", (a, b)),), {})
-
-    for a in es:
-        check("join idempotent", q.join(a, a) == a, (a,))
-    for a, b in itertools.product(es, repeat=2):
-        check("join commutative", q.join(a, b) == q.join(b, a), (a, b))
-    for a, b, c in itertools.product(es, repeat=3):
-        check("join associative", q.join(q.join(a, b), c) == q.join(a, q.join(b, c)), (a, b, c))
-        check("mul associative", q.mul(q.mul(a, b), c) == q.mul(a, q.mul(b, c)), (a, b, c))
-    for a in es:
-        check("unit neutral", q.mul(q.unit, a) == a and q.mul(a, q.unit) == a, (a,))
-    for a, b in itertools.product(es, repeat=2):
-        check("mul commutative", q.mul(a, b) == q.mul(b, a), (a, b))
-    # finite sup-distributivity follows from binary + bottom cases
-    bot = q.bottom
-    for a in es:
-        check("bottom absorbing", q.mul(bot, a) == bot and q.mul(a, bot) == bot, (a,))
-    for a, b, c in itertools.product(es, repeat=3):
-        check(
-            "mul distributes over join",
-            q.mul(q.join(a, b), c) == q.join(q.mul(a, c), q.mul(b, c)),
-            (a, b, c),
-        )
-
-    ok = not failures
+    """Check every axiom in one ordered pass; report the first violation with
+    a witness, or the flags when there is none."""
+    failure = _first_violation(q)
+    if failure is not None:
+        return ValidationReport(False, (failure,), {})
     flags = {
         "nontrivial": q.is_nontrivial(),
         "affine": q.is_affine(),
         "commutative": q.is_commutative(),
         "idempotent": q.is_idempotent(),
         "frame": q.is_frame(),
-    } if ok else {}
-    return ValidationReport(ok, tuple(failures), flags)
+    }
+    return ValidationReport(True, (), flags)
+
+
+def _first_violation(q: FiniteQuantale) -> tuple[str, tuple] | None:
+    es = q.elements
+    if not es:
+        return "no elements", ()
+    seen = set()
+    for a in es:
+        if a in seen:
+            return "elements repeat", (a,)
+        seen.add(a)
+    if q.unit not in es:
+        return "unit outside elements", (q.unit,)
+    for a, b in itertools.product(es, repeat=2):
+        if (a, b) not in q.join_table:
+            return "join table not total", (a, b)
+        if (a, b) not in q.mul_table:
+            return "mul table not total", (a, b)
+        if q.join_table[(a, b)] not in seen or q.mul_table[(a, b)] not in seen:
+            return "table value outside elements", (a, b)
+
+    join, mul = q.join, q.mul
+    for a in es:
+        if join(a, a) != a:
+            return "join idempotent", (a,)
+    for a, b in itertools.product(es, repeat=2):
+        if join(a, b) != join(b, a):
+            return "join commutative", (a, b)
+    for a, b, c in itertools.product(es, repeat=3):
+        if join(join(a, b), c) != join(a, join(b, c)):
+            return "join associative", (a, b, c)
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            return "mul associative", (a, b, c)
+    for a in es:
+        if mul(q.unit, a) != a or mul(a, q.unit) != a:
+            return "unit neutral", (a,)
+    for a, b in itertools.product(es, repeat=2):
+        if mul(a, b) != mul(b, a):
+            return "mul commutative", (a, b)
+    # finite sup-distributivity follows from binary + bottom cases
+    bot = q.bottom
+    for a in es:
+        if mul(bot, a) != bot or mul(a, bot) != bot:
+            return "bottom absorbing", (a,)
+    for a, b, c in itertools.product(es, repeat=3):
+        if mul(join(a, b), c) != join(mul(a, c), mul(b, c)):
+            return "mul distributes over join", (a, b, c)
+    return None
 
 
 # -- built-in quantales ------------------------------------------------------------
@@ -321,10 +336,6 @@ class VRelation:
         return VRelation(q, x, x, {(a, a): q.unit for a in x})
 
     @staticmethod
-    def bottom(q: FiniteQuantale, x: FiniteSet, y: FiniteSet) -> "VRelation":
-        return VRelation(q, x, y, {})
-
-    @staticmethod
     def top(q: FiniteQuantale, x: FiniteSet, y: FiniteSet) -> "VRelation":
         return VRelation(q, x, y, {(a, b): q.top for a in x for b in y})
 
@@ -408,10 +419,50 @@ def matr_to_vrelation(inst: MatrInstance, f: MatrMorphism) -> VRelation:
     return VRelation(q, src, tgt, {key: m for key, m in f.blocks})
 
 
-def all_vrelations(q: FiniteQuantale, a: FiniteSet, b: FiniteSet) -> Iterator[VRelation]:
-    cells = list(itertools.product(a.labels, b.labels))
-    for vals in itertools.product(q.elements, repeat=len(cells)):
-        yield VRelation._built(q, a, b, dict(zip(cells, vals)))
+class all_vrelations(Sequence):
+    """Every V-valued relation a -> b, each built when it is first read and
+    then kept: `random.sample` copies a small population whole on every call,
+    so iteration, which that copy runs, reads one list built on the first pass.
+
+    Relation i has, at the k-th cell of a x b in label order, element number
+    d_k of q, where the d_k are the digits of i in base |V| with the last
+    cell fastest: the order of itertools.product over the cells' values.
+    """
+
+    def __init__(self, q: FiniteQuantale, a: FiniteSet, b: FiniteSet):
+        self.quantale = q
+        self.source = a
+        self.target = b
+        self.cells = list(itertools.product(a.labels, b.labels))
+        self.size = len(q.elements) ** len(self.cells)
+        self._kept: dict[int, VRelation] = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> VRelation:
+        i = operator.index(i)
+        if i < 0:
+            i += self.size
+        if not 0 <= i < self.size:
+            raise IndexError("relation index out of range")
+        r = self._kept.get(i)
+        if r is None:
+            es, rest, digits = self.quantale.elements, i, []
+            for _ in self.cells:
+                rest, d = divmod(rest, len(es))
+                digits.append(es[d])
+            r = self._kept[i] = VRelation._built(
+                self.quantale, self.source, self.target,
+                dict(zip(self.cells, reversed(digits))))
+        return r
+
+    def __iter__(self) -> Iterator[VRelation]:
+        return iter(self._every)
+
+    @cached_property
+    def _every(self) -> list[VRelation]:
+        return [self[i] for i in range(self.size)]
 
 
 def circ_embed(q: FiniteQuantale, r: BoolRelation) -> VRelation:
@@ -480,3 +531,9 @@ def v_power_transpose(data: VPowerData, v: VRelation) -> BoolRelation:
         v.source, data.power,
         lambda a: tuple((x, v.at(a, x)) for x in data.base),
     )
+
+
+def v_power_counit_check(data: VPowerData, v: VRelation) -> bool:
+    """A V-valued relation A -> X factors as the counit after its transpose."""
+    f = circ_embed(data.quantale, v_power_transpose(data, v))
+    return data.counit.compose(f) == v

@@ -206,12 +206,14 @@ def quantale_from_json(doc: Any) -> FiniteQuantale:
     leq = None
     if "leq" in doc:
         rows = _square(doc["leq"], len(elems), "leq")
-        leq = {
-            (a, b)
-            for i, a in enumerate(elems)
-            for j, b in enumerate(elems)
-            if rows[i][j]
-        }
+        leq = set()
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                x = rows[i][j]
+                if type(x) is not int or x not in (0, 1):
+                    raise SerializeError(f"leq entry {x!r} is not the JSON integer 0 or 1")
+                if x:
+                    leq.add((a, b))
     return quantale_from_tables(elems, mul, unit, join=join, leq=leq)
 
 

@@ -30,6 +30,9 @@ from qlab.finrel import (
     is_per as finrel_is_per,
     is_zero_mono as finrel_is_zero_mono,
     matr_to_relation,
+    power_counit_check,
+    power_functor_check,
+    power_uniqueness_check,
     powerset_adjoint,
     product_set,
     relation_to_matr,
@@ -54,12 +57,6 @@ from qlab.orders import (
     omega_order,
     preordered,
 )
-from qlab.power import (
-    power_counit_check,
-    power_functor_check,
-    power_uniqueness_check,
-    v_power_counit_check,
-)
 from qlab.qrel import (
     dagger_kernel,
     invertible_not_dagger_iso,
@@ -75,6 +72,7 @@ from qlab.quantale import (
     allegory_witness,
     lukasiewicz3_quantale,
     v_power_adjoint,
+    v_power_counit_check,
 )
 
 AXIOM_SUITES = ["composition", "order", "dagger", "monoidal", "compact", "biproduct"]

@@ -24,7 +24,7 @@ Start-up pays only for what a command runs: a `@dataclass` generates its
 methods through `exec` at import, so only the value classes with validation,
 a hand-written `__init__` or mutable state are dataclasses (the field-only
 records are `NamedTuple`s), only `cli.cmd_check` imports the law suites,
-and only `lawcheck`, `power` and `quantale` (which builds on `finrel`) import
+and only `lawcheck` and `quantale` (which builds on `finrel`) import
 the direct models `finrel` and `quantale` as they load, so the qrel path
 never compiles them.
 
@@ -421,11 +421,11 @@ def import_time_imports(source: str) -> set[str]:
 
 def test_scan_sees_import_time_imports():
     src = ("from typing import TYPE_CHECKING\nfrom . import core, finrel as f\n"
-           "from .quantale import X\nimport qlab.power\nfrom qlab import orders\n"
+           "from .quantale import X\nimport qlab.qrel\nfrom qlab import orders\n"
            "if TYPE_CHECKING:\n    from .lawcheck import Y\nelse:\n    from .exact import W\n"
            "def g():\n    from .serialize import Z\n"
            "class C:\n    from .matr import V\n")
-    assert import_time_imports(src) == {"core", "finrel", "quantale", "power", "orders",
+    assert import_time_imports(src) == {"core", "finrel", "quantale", "qrel", "orders",
                                         "exact", "matr"}
 
 
@@ -437,7 +437,6 @@ def test_only_the_classical_side_loads_finrel_and_quantale_with_itself():
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in found.items() if names} == {
         "lawcheck": ["finrel", "quantale"],
-        "power": ["finrel", "quantale"],
         "quantale": ["finrel"],
     }
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qlab import core, finrel, power
+from qlab import core, finrel
 from qlab.finrel import (
     BoolRelation,
     all_relations,
@@ -10,17 +10,14 @@ from qlab.finrel import (
     exponential_via_power,
     fset,
     function_graph,
-    powerset_adjoint,
-)
-from qlab.matr import qrel_instance, rel_instance, set_to_object, vrel_instance
-from qlab.power import (
     power_counit_check,
     power_functor_check,
+    power_transpose,
     power_uniqueness_check,
-    quoted_power,
-    quoted_power_check,
-    v_power_counit_check,
+    powerset_adjoint,
+    relation_to_matr,
 )
+from qlab.matr import qrel_instance, rel_instance, set_to_object, vrel_instance
 from qlab.quantale import (
     BUILTIN_QUANTALES,
     all_vrelations,
@@ -28,6 +25,7 @@ from qlab.quantale import (
     lukasiewicz3_quantale,
     quantale_from_tables,
     v_power_adjoint,
+    v_power_counit_check,
     validate_quantale,
     vrelation_to_matr,
 )
@@ -55,17 +53,21 @@ def test_power_functor_check_sees_a_broken_transpose(monkeypatch):
         return function_graph(v.source, data.power, lambda a: ())
 
     monkeypatch.setattr(finrel, "power_transpose", empty_graph)
-    monkeypatch.setattr(power, "power_transpose", empty_graph)
     data, data_a = powerset_adjoint(X), powerset_adjoint(A)
     holds = [v for v in all_relations(A, X) if power_functor_check(data_a, data, v)]
     assert holds == [BoolRelation(A, X, frozenset())]
 
 
 def test_quoted_power_in_both_instances():
+    # The factorization survives quoting: the transpose quotes to a map f
+    # with member o f = quote(v).
+    data = powerset_adjoint(X)
     for inst in (REL, QREL):
-        qp = quoted_power(inst, X)
+        member = relation_to_matr(inst, data.membership)
         for v in all_relations(A, X):
-            assert quoted_power_check(inst, qp, v)
+            f = relation_to_matr(inst, power_transpose(data, v))
+            assert core.is_map(inst, f)
+            assert inst.equal(inst.compose(member, f), relation_to_matr(inst, v))
 
 
 def test_v_power_counit_exhaustive_small():

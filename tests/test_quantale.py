@@ -317,3 +317,16 @@ def test_composition_multiplies_in_the_kernels_order():
     # f (x) g multiplies f g = a b = 0 in both.
     assert inst.tensor_mor(mf, mg) == vrelation_to_matr(inst, f.times(g))
     assert run_suite("vrel-oracle", "vrel", 0, q).ok
+
+
+def test_all_vrelations_is_the_product_of_the_cell_values_built_once():
+    a, b = fset("a", "b"), fset("x")
+    rels = all_vrelations(L3, a, b)
+    cells = list(itertools.product(a.labels, b.labels))
+    eager = [VRelation(L3, a, b, dict(zip(cells, vals)))
+             for vals in itertools.product(L3.elements, repeat=len(cells))]
+    assert len(rels) == len(eager) == 3 ** 2
+    assert list(rels) == eager
+    assert rels[-1] == eager[-1] and rels[3] is rels[3]
+    with pytest.raises(IndexError):
+        rels[len(eager)]

@@ -1,10 +1,14 @@
 """The field-only records: value equality and hash, immutability, and a
 `Name(field=...)` repr.  Each is built twice from the same inputs, so the two
-values share no object but their inputs."""
+values share no object but their inputs.  Every `NamedTuple` class of the
+package is one of them, so a record added, removed or reshaped is tested."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
-from qlab import calculus, lawcheck, orders, power
+from qlab import calculus, lawcheck, orders
 from qlab.finrel import (
     BoolRelation,
     DownsetData,
@@ -46,7 +50,6 @@ RECORDS = {
                         lambda: orders.monrel_biproduct(REL, [_preordered()] * 2), True),
     "MonRelCompact": (orders.MonRelCompact, lambda: orders.monrel_compact(REL, _preordered()), True),
     "OmegaOrder": (orders.OmegaOrder, lambda: orders.omega_order(REL), True),
-    "QuotedPower": (power.QuotedPower, lambda: power.quoted_power(REL, X), True),
     # Its flags are a dict and a suite report's results a list, so neither
     # hashes: the same as before they became records.
     "ValidationReport": (ValidationReport,
@@ -54,6 +57,29 @@ RECORDS = {
     "VPowerData": (VPowerData, lambda: v_power_adjoint(BUILTIN_QUANTALES["chain3"], X), True),
     "SuiteReport": (lawcheck.SuiteReport, lambda: lawcheck.run_suite("dagger", "rel"), False),
 }
+
+
+def named_tuples_in(source: str) -> list[str]:
+    """The classes a module defines with `NamedTuple` as a base."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base) in ("NamedTuple", "typing.NamedTuple")
+                    for base in node.bases)]
+
+
+def test_scan_sees_named_tuples():
+    src = ("from typing import NamedTuple\nimport typing\n"
+           "class A(NamedTuple):\n    x: int\n"
+           "class B(typing.NamedTuple):\n    x: int\n"
+           "class C(tuple):\n    pass\n"
+           "def f():\n    class D(NamedTuple):\n        y: int\n")
+    assert named_tuples_in(src) == ["A", "B", "D"]
+
+
+def test_every_record_of_the_package_is_tested():
+    package = Path(__file__).resolve().parents[1] / "src" / "qlab"
+    found = [name for p in sorted(package.glob("*.py")) for name in named_tuples_in(p.read_text())]
+    assert sorted(found) == sorted(RECORDS)
 
 
 @pytest.mark.parametrize("name", RECORDS)
